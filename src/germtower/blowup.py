@@ -29,6 +29,7 @@ from .sheaves import (
     SPACE_SHIFTED,
     TIME_SHIFTED,
     Bisemisheaf,
+    Section,
     Semisheaf,
     emergent_project,
     endo_split,
@@ -43,13 +44,11 @@ class DeformedBundle:
     """A singular base with its versal fiber of monomial semisheaves.
 
     ``fiber`` holds one (slot name, monomial semisheaf) entry per unfolding
-    slot, so its length equals the codimension.  Coefficient sheaves carry
-    the (initially zero) germ attached to each slot name.
+    slot, so its length equals the codimension.
     """
 
     base: Semisheaf
     fiber: tuple[tuple[str, Semisheaf], ...]
-    coefficient_sheaves: tuple[tuple[str, Semisheaf], ...]
     singularity: SingularityClass
 
 
@@ -78,11 +77,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
     fiber = tuple(
         (name, _constant_sheaf(base, mono)) for name, mono in unfolding.parameters
     )
-    coefficients = tuple(
-        (name, _constant_sheaf(base, Germ.zero(mono.nvars)))
-        for name, mono in unfolding.parameters
-    )
-    return DeformedBundle(base, fiber, coefficients, cls)
+    return DeformedBundle(base, fiber, cls)
 
 
 class DetachedMonomial(NamedTuple):
@@ -133,6 +128,11 @@ def blow_up(bundle: DeformedBundle, fraction: float = 1.0) -> BlowupResult:
         )
 
     # Gluing: at every covered index the detached monomials add up to one germ.
+    detached_germs = [
+        {sec.index: sec.germ for sec in record.complementary.sections}
+        for record in records
+    ]
+    zeros = {dims: Germ.zero(dims) for dims in {sec.dims for sec in bundle.base.sections}}
     covering_sections = []
     coverage = []
     for sec in bundle.base.sections:
@@ -140,10 +140,10 @@ def blow_up(bundle: DeformedBundle, fraction: float = 1.0) -> BlowupResult:
         if sec.index not in detached_ids:
             coverage.append((sec.index, 0.0))
             continue
-        glued = Germ.zero(sec.dims)
-        for record in records:
-            glued = glued + record.complementary.section_at(sec.index).germ
-        covering_sections.append(replace(sec, germ=glued))
+        glued = zeros[sec.dims]
+        for germs in detached_germs:
+            glued = glued + germs[sec.index]
+        covering_sections.append(Section(sec.index, sec.side, glued, sec.dims, sec.orth_axis))
         coverage.append((sec.index, min(1.0, glued.total_degree / base_degree)))
 
     covering = replace(

@@ -10,8 +10,10 @@ Anything beyond that search set is reported Unclassified, never guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 # Floats are snapped to rationals before exact arithmetic.  The snap is lossy:
@@ -29,14 +31,23 @@ UNCLASSIFIED = "Unclassified"
 
 
 def snap_to_fraction(value) -> Fraction:
-    """Coerce a number (int, Fraction, float, or 'p/q' string) to a Fraction."""
+    """Coerce a number (int, Fraction, float, or 'p/q' string) to a Fraction.
+
+    Booleans, non-finite floats and zero-denominator strings raise
+    ValueError: none of them is a rational coefficient.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {value!r} has a zero denominator") from None
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {value!r} is not finite")
         return Fraction(value).limit_denominator(_SNAP_LIMIT)
     raise ValueError(f"cannot interpret {value!r} as a rational coefficient")
 
@@ -55,6 +66,11 @@ class Germ:
     max_degree : int
         Truncation order of the jet.  Ignored by equality: two germs are
         equal when their variable counts and term lists agree.
+
+    ``derivative``, ``truncated``, ``scale``, ``+`` and ``classify_germ`` are
+    memoized by value, so the sections of a sheaf that share one germ share
+    its results.  The memo key holds ``max_degree`` because equal germs with
+    different truncation orders give results with different orders.
     """
 
     nvars: int
@@ -132,35 +148,22 @@ class Germ:
         """Formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
-        out = {}
-        for exps, coeff in self.terms:
-            if exps[var] == 0:
-                continue
-            new = list(exps)
-            new[var] -= 1
-            out[tuple(new)] = coeff * exps[var]
-        return Germ.from_coeffs(self.nvars, out, max(self.max_degree - 1, 0))
+        return _derivative(self.nvars, self.terms, self.max_degree, var)
 
     def truncated(self, degree: int) -> "Germ":
         """Drop every monomial of total degree above ``degree``."""
-        kept = {e: c for e, c in self.terms if sum(e) <= degree}
-        return Germ.from_coeffs(self.nvars, kept, min(self.max_degree, degree))
+        return _truncated(self.nvars, self.terms, self.max_degree, degree)
 
     def scale(self, factor) -> "Germ":
         f = snap_to_fraction(factor)
-        return Germ.from_coeffs(
-            self.nvars, {e: c * f for e, c in self.terms}, self.max_degree
-        )
+        return _scaled(self.nvars, self.terms, self.max_degree, f)
 
     def __add__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("cannot add germs with different variable counts")
-        out = dict(self.terms)
-        for exps, coeff in other.terms:
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Germ.from_coeffs(self.nvars, out, max(self.max_degree, other.max_degree))
+        return _sum(self.nvars, self.terms, self.max_degree, other.terms, other.max_degree)
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the jet at ``point``."""
@@ -173,6 +176,44 @@ class Germ:
                 term *= x**e
             total += term
         return total
+
+
+# The memoized operations take a germ's exact value, never the Germ itself:
+# Germ equality ignores max_degree, which the results carry.  ``typed`` keeps
+# an int and a float max_degree or argument apart.  The bound keeps a
+# long-lived process from growing without limit.
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _derivative(nvars: int, terms, max_degree: int, var: int) -> Germ:
+    out = {}
+    for exps, coeff in terms:
+        if exps[var] == 0:
+            continue
+        new = list(exps)
+        new[var] -= 1
+        out[tuple(new)] = coeff * exps[var]
+    return Germ.from_coeffs(nvars, out, max(max_degree - 1, 0))
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _truncated(nvars: int, terms, max_degree: int, degree: int) -> Germ:
+    kept = {e: c for e, c in terms if sum(e) <= degree}
+    return Germ.from_coeffs(nvars, kept, min(max_degree, degree))
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _scaled(nvars: int, terms, max_degree: int, factor: Fraction) -> Germ:
+    return Germ.from_coeffs(nvars, {e: c * factor for e, c in terms}, max_degree)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _sum(nvars: int, terms, max_degree: int, other_terms, other_max_degree: int) -> Germ:
+    out = dict(terms)
+    for exps, coeff in other_terms:
+        out[exps] = out.get(exps, Fraction(0)) + coeff
+    return Germ.from_coeffs(nvars, out, max(max_degree, other_max_degree))
 
 
 _VAR_NAMES = ("x", "y")
@@ -334,6 +375,13 @@ def classify_germ(g: Germ) -> SingularityClass:
 
     Everything else is ``Unclassified`` with the computed corank.
     """
+    return _classify(g.nvars, g.terms)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _classify(nvars: int, terms) -> SingularityClass:
+    # The decision tree reads no max_degree, so the key leaves it out.
+    g = Germ(nvars, terms)
     if g.constant_term != 0 or any(g.gradient_at_zero()):
         return SingularityClass(REGULAR, 0, 0)
     if g.is_zero:

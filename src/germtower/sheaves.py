@@ -9,6 +9,7 @@ singularity injection.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
@@ -97,15 +98,18 @@ class Semisheaf:
         return tuple(sec.index for sec in self.sections)
 
     def section_at(self, index: ClassIndex) -> Section:
-        for sec in self.sections:
-            if sec.index == index:
-                return sec
+        # __post_init__ keeps the sections sorted by index.
+        pos = bisect.bisect_left(self.sections, index, key=lambda sec: sec.index)
+        if pos < len(self.sections) and self.sections[pos].index == index:
+            return self.sections[pos]
         raise KeyError(index)
 
     def map_germs(self, fn: Callable[[Section], Germ]) -> "Semisheaf":
-        return replace(
-            self, sections=tuple(replace(sec, germ=fn(sec)) for sec in self.sections)
+        sections = tuple(
+            Section(sec.index, sec.side, fn(sec), sec.dims, sec.orth_axis)
+            for sec in self.sections
         )
+        return replace(self, sections=sections)
 
 
 def attach_sections(

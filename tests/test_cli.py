@@ -76,6 +76,25 @@ def test_classify_file(capsys, tmp_path):
     assert out.strip() == "Swallowtail corank=1 codim=3"
 
 
+@pytest.mark.parametrize("coeff", ['"1/0"', "1e400", "Infinity", "true"])
+def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
+    germ = '{"nvars": 1, "coeffs": [[[3], %s]]}' % coeff
+    path = tmp_path / "germs.jsonl"
+    path.write_text(germ + "\n")
+    code, out, err = run_cli(capsys, "classify", "--file", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"tower": {"quantum_modulus": 2, "offset": 1, "depth": 1}, '
+        '"germ_template": {"1,1": %s}}' % germ
+    )
+    code, _, err = run_cli(capsys, "correspond", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 def test_unfold_by_name(capsys):
     code, out, _ = run_cli(capsys, "unfold", "--name", "cusp")
     assert code == EXIT_OK

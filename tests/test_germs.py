@@ -78,6 +78,16 @@ def test_snap_to_fraction():
         snap_to_fraction(object())
 
 
+@pytest.mark.parametrize(
+    "value", ["1/0", float("inf"), float("-inf"), float("nan"), 1e400, True, False]
+)
+def test_snap_to_fraction_rejects_non_rationals(value):
+    with pytest.raises(ValueError):
+        snap_to_fraction(value)
+    with pytest.raises(ValueError):
+        germ_from_json({"nvars": 1, "coeffs": [[[3], value]]})
+
+
 def test_nvars_limited_to_two():
     with pytest.raises(ValueError):
         Germ.from_coeffs(3, {(1, 0, 0): 1})
@@ -102,6 +112,22 @@ def test_truncated_and_scale_and_add():
     assert g.truncated(3) == Germ.from_coeffs(1, {(1,): 1, (3,): 1})
     assert g.scale("3/2") == Germ.from_coeffs(1, {(1,): "3/2", (3,): "3/2", (5,): "3/2"})
     assert g + g.scale(-1) == Germ.zero(1)
+
+
+def test_operation_results_keep_their_own_max_degree():
+    # Equal germs with different truncation orders: a memo keyed on the Germ
+    # object would hand the second one the first one's results.
+    terms = {(1,): 1, (3,): 2}
+    low = Germ.from_coeffs(1, terms, 5)
+    high = Germ.from_coeffs(1, terms, 9)
+    other = Germ.from_coeffs(1, {(2,): 1}, 2)
+    assert low == high
+    for germ in (low, high):
+        assert germ.derivative(0).max_degree == germ.max_degree - 1
+        assert germ.truncated(7).max_degree == min(germ.max_degree, 7)
+        assert (germ + other).max_degree == germ.max_degree
+        assert (other + germ).max_degree == germ.max_degree
+        assert germ.scale(3).max_degree == germ.max_degree
 
 
 def test_evaluate_matches_hand_value():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from germtower.pipeline import (
     samples_csv,
 )
 from germtower.tower import ClassIndex, LEFT
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def make_config(**overrides):
@@ -253,6 +256,26 @@ def test_germ_template_must_cover_but_shape_free():
     with pytest.raises(PipelineError) as exc:
         run_pipeline(cfg)
     assert exc.value.stage == "sections"
+
+
+def test_memoized_germ_work_does_not_leak_between_runs():
+    golden = json.loads((DATA_DIR / "golden_config.json").read_text())
+    expected = (DATA_DIR / "golden_report.json").read_text(encoding="utf-8")
+    others = [
+        make_config(tower=TowerConfig(2, 1, 200)),
+        make_config(
+            scenario=None,
+            tower=TowerConfig(2, 1, 2),
+            germ_template={
+                "1,1": {"nvars": 1, "coeffs": [[[2], "1"], [[3], "5/7"]]},
+                "2,1": {"nvars": 1, "coeffs": [[[1], "-2"], [[2], "3/2"]]},
+            },
+        ),
+    ]
+    assert run_pipeline(config_from_json(golden)).json_text() == expected
+    for config in others:
+        assert run_pipeline(config).all_diagnostics_passed()
+    assert run_pipeline(config_from_json(golden)).json_text() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,10 @@ def test_attach_sections_covers_all_classes():
     assert s.indices() == tower.class_indices()
     assert len(s) == 4
     assert s.section_at(ClassIndex(2, 2)).germ == Germ.from_coeffs(1, {(2,): 2})
+    assert [s.section_at(idx).index for idx in tower.class_indices()] == list(s.indices())
+    for missing in (ClassIndex(0, 1), ClassIndex(2, 3), ClassIndex(4, 1)):
+        with pytest.raises(KeyError):
+            s.section_at(missing)
 
 
 def test_attach_sections_mapping_template():
