@@ -76,7 +76,6 @@ from .pipeline import (
     config_to_json,
     dumps_canonical,
     emit_expansion,
-    emit_samples,
     normalize_scenario,
     parse_reduce_rule,
     run_pipeline,

@@ -11,6 +11,7 @@ Anything beyond that search set is reported Unclassified, never guessed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,12 @@ from typing import Iterable, Mapping, Sequence
 # Floats are snapped to rationals before exact arithmetic.  The snap is lossy:
 # only the nearest fraction with denominator <= 10^9 is kept.
 _SNAP_LIMIT = 10**9
+
+# Fraction expands a decimal exponent exactly, so "1e30000000" would build a
+# 30-million-digit integer.  The bound is fixed at the interpreter's default
+# int_max_str_digits; it is not a setting.
+_MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 REGULAR = "Regular"
 MORSE = "Morse"
@@ -34,13 +41,24 @@ def snap_to_fraction(value) -> Fraction:
     """Coerce a number (int, Fraction, float, or 'p/q' string) to a Fraction.
 
     Booleans, non-finite floats and zero-denominator strings raise
-    ValueError: none of them is a rational coefficient.
+    ValueError: none of them is a rational coefficient.  So do strings whose
+    decimal exponent exceeds 4300 in magnitude, which would take unbounded
+    time to expand.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _DECIMAL_EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
+            too_long = len(digits) > len(str(_MAX_DECIMAL_EXPONENT))
+            if too_long or int(digits) > _MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"coefficient {value!r} has a decimal exponent beyond "
+                    f"+-{_MAX_DECIMAL_EXPONENT}"
+                )
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -468,16 +486,32 @@ def quotient_basis(c: SingularityClass | str) -> tuple[Germ, ...]:
 
 
 def germ_from_json(data: dict) -> Germ:
-    """Parse ``{"nvars": n, "coeffs": [[[e, ...], value], ...]}``."""
+    """Parse ``{"nvars": n, "coeffs": [[[e, ...], value], ...]}``.
+
+    ``nvars``, the exponents and the optional ``max_degree`` must be JSON
+    integers; anything else raises ValueError instead of being coerced.
+    """
     if not isinstance(data, dict) or "nvars" not in data or "coeffs" not in data:
         raise ValueError("germ JSON needs 'nvars' and 'coeffs' keys")
-    entries = []
-    for item in data["coeffs"]:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError("each coeffs entry must be [[exponents...], value]")
-        entries.append((tuple(item[0]), item[1]))
+    nvars, coeffs = data["nvars"], data["coeffs"]
     max_degree = data.get("max_degree")
-    return Germ.from_coeffs(int(data["nvars"]), entries, max_degree)
+    if type(nvars) is not int:
+        raise ValueError(f"germ nvars must be an integer, got {nvars!r}")
+    if max_degree is not None and type(max_degree) is not int:
+        raise ValueError(f"germ max_degree must be an integer, got {max_degree!r}")
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError("germ coeffs must be a list of [[exponents...], value]")
+    entries = []
+    for item in coeffs:
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not isinstance(item[0], (list, tuple))
+            or any(type(e) is not int for e in item[0])
+        ):
+            raise ValueError("each coeffs entry must be [[integer exponents...], value]")
+        entries.append((tuple(item[0]), item[1]))
+    return Germ.from_coeffs(nvars, entries, max_degree)
 
 
 def germ_to_json(g: Germ) -> dict:

@@ -3,7 +3,13 @@
 Reports are byte-deterministic: the same config always serializes to the
 same JSON bytes.  That is guaranteed by a small canonical emitter (fixed key
 insertion order, floats printed with 17 significant digits) rather than by
-the standard library encoder, whose float formatting cannot be pinned.
+the standard library encoder, whose float formatting cannot be pinned.  The
+emitter walks the report once, appending chunks in output order, and escapes
+strings through one translation table (quote, backslash, control characters).
+
+The oscillator constancy diagnostic computes each bistring variance exactly,
+as ``statistics.pvariance`` does, but from integer sums over the common
+power-of-two denominator of the samples instead of ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -203,16 +209,32 @@ def config_from_json(data: dict) -> PipelineConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "tower" not in data:
         raise ValueError("pipeline config is missing 'tower'")
+    reduce_rule = data.get("reduce", "mu<=H")
+    if not isinstance(reduce_rule, str):
+        raise ValueError(f"reduce must be a rule string, got {reduce_rule!r}")
+    orth_dims = data.get("orth_dims", 3)
+    if type(orth_dims) is not int:
+        raise ValueError(f"orth_dims must be an integer, got {orth_dims!r}")
     depths = data.get("covering_depths")
+    if depths is not None and (
+        not isinstance(depths, list) or any(type(d) is not int for d in depths)
+    ):
+        raise ValueError(f"covering_depths must be a list of integers, got {depths!r}")
+    template = data.get("germ_template")
+    if template is not None and (
+        not isinstance(template, dict)
+        or not all(isinstance(g, dict) for g in template.values())
+    ):
+        raise ValueError("germ_template must map class keys to germ JSON objects")
     return PipelineConfig(
         tower=tower_config_from_json(data["tower"]),
         scenario=data.get("scenario"),
-        reduce_rule=data.get("reduce", "mu<=H"),
-        orth_dims=int(data.get("orth_dims", 3)),
+        reduce_rule=reduce_rule,
+        orth_dims=orth_dims,
         amplitude=data.get("amplitude", "unit"),
         covering_depths=tuple(depths) if depths else None,
         even_classes=bool(data.get("even_classes", False)),
-        germ_template=data.get("germ_template"),
+        germ_template=template,
     )
 
 
@@ -246,50 +268,78 @@ def config_to_json(config: PipelineConfig) -> dict:
 # canonical JSON
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Serialize to JSON with pinned float formatting (17 significant digits)."""
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("reports may not contain NaN or infinity")
-        return format(obj, ".17g")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(
-            pad + "  " + dumps_canonical(v, indent + 2) for v in obj
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + dumps_canonical(str(k), 0) + ": " + dumps_canonical(v, indent + 2)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+# Escape table for JSON strings: the quote and the backslash get a backslash,
+# every control character below 0x20 becomes \u00XX; all else passes through.
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES[ord('"')] = '\\"'
+_ESCAPES[ord("\\")] = "\\\\"
+
+# The emitter joins its pending chunks into one block this often.  A deep
+# report is about 100k small chunks; kept in one list until the end, they
+# peak at about 4 MB for a 0.6 MB report, against about 1.2 MB in blocks.
+_BLOCK_CHUNKS = 2048
+
+
+def dumps_canonical(obj) -> str:
+    """Serialize to JSON with pinned float formatting (17 significant digits).
+
+    One recursive walk appends the text in output order, each container
+    indented two spaces deeper than its parent, so every character is
+    copied a bounded number of times whatever the nesting depth.  Strings
+    are escaped through the one ``str.translate`` table ``_ESCAPES``.  Keys
+    are ``str(key)``, ints ``str(value)``, floats ``format(value, ".17g")``;
+    NaN and infinity raise ``ValueError`` and any other type ``TypeError``.
+    """
+    blocks: list[str] = []
+    chunks: list[str] = []
+    append = chunks.append
+
+    def emit(obj, pad: str) -> None:
+        if obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, str):
+            append('"' + obj.translate(_ESCAPES) + '"')
+        elif isinstance(obj, int):
+            append(str(obj))
+        elif isinstance(obj, float):
+            if math.isnan(obj) or math.isinf(obj):
+                raise ValueError("reports may not contain NaN or infinity")
+            append(format(obj, ".17g"))
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                append("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for value in obj:
+                append(sep)
+                emit(value, inner)
+                sep = ",\n" + inner
+            append("\n" + pad + "]")
+        elif isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for key, value in obj.items():
+                append(sep + '"' + str(key).translate(_ESCAPES) + '": ')
+                emit(value, inner)
+                sep = ",\n" + inner
+            append("\n" + pad + "}")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        if len(chunks) >= _BLOCK_CHUNKS:
+            blocks.append("".join(chunks))
+            chunks.clear()
+
+    emit(obj, "")
+    blocks.append("".join(chunks))
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +400,6 @@ def emit_expansion(level_labels: Sequence[str]) -> dict:
     }
 
 
-def _modes_json(esm: EllipticSemimodule) -> list[dict]:
-    return esm.to_json()
-
-
 def _level_row(level: Level, record: LevelRecord) -> dict:
     row = {
         "label": level.label,
@@ -366,14 +412,14 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
             {"mu": w.mu, "m": w.m, "degree": w.degree} for w in record.weil_side
         ],
         "reduced": {
-            "right": _modes_json(record.reduced[0]),
-            "left": _modes_json(record.reduced[1]),
+            "right": record.reduced[0].to_json(),
+            "left": record.reduced[1].to_json(),
         },
         "orthogonal": None
         if record.orthogonal is None
         else {
-            "right": _modes_json(record.orthogonal[0]),
-            "left": _modes_json(record.orthogonal[1]),
+            "right": record.orthogonal[0].to_json(),
+            "left": record.orthogonal[1].to_json(),
         },
         "mode_pairs": record.mode_pair_count(),
         "cover": None
@@ -422,6 +468,27 @@ def _level_record(
     return LevelRecord(level.label, tuple(weil), reduced, orthogonal)
 
 
+def _pvariance(values: Sequence[float]) -> float:
+    """``statistics.pvariance`` of floats, bit for bit, without ``Fraction``.
+
+    A finite float is ``n / 2**k``.  Over the common denominator ``D`` of the
+    values the variance is ``(c*S2 - S1**2) / (c*c*D*D)`` with integer sums
+    ``S1`` and ``S2`` of the numerators and their squares.  ``pvariance``
+    rounds the same rational once, through ``float(Fraction)``, so both give
+    the same float, and both raise ``OverflowError`` where it exceeds the
+    float range.  Non-finite values go to ``pvariance`` itself.
+    """
+    if not all(map(math.isfinite, values)):
+        return statistics.pvariance(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    numerators = [n * (scale // d) for n, d in ratios]
+    count = len(numerators)
+    s1 = sum(numerators)
+    s2 = sum(n * n for n in numerators)
+    return (count * s2 - s1 * s1) / (count * count * scale * scale)
+
+
 def _bistring_variances(record: LevelRecord) -> list[float]:
     out = []
     for pair in (record.reduced, record.orthogonal):
@@ -430,7 +497,11 @@ def _bistring_variances(record: LevelRecord) -> list[float]:
         right, left = pair
         for mr, ml in zip(right.modes, left.modes):
             values = bistring_modulus(mr, ml, _DIAG_SAMPLES)
-            out.append(statistics.pvariance(values))
+            try:
+                out.append(_pvariance(values))
+            except OverflowError:
+                # the variance is finite but beyond the float range
+                out.append(math.inf)
     return out
 
 
@@ -573,13 +644,3 @@ def samples_csv(esm: EllipticSemimodule, n: int, x0: float, x1: float) -> str:
     for row in sample_rows(esm, n, x0, x1):
         lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"
-
-
-def emit_samples(
-    esm: EllipticSemimodule, n: int, x0: float, x1: float, path
-) -> list[tuple[float, float, float, float]]:
-    """Write the CSV sample table to ``path`` and return the rows."""
-    rows = sample_rows(esm, n, x0, x1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(samples_csv(esm, n, x0, x1))
-    return rows

@@ -17,7 +17,6 @@ RIGHT = "right"
 SIDES = (LEFT, RIGHT)
 
 REAL = "real"
-COMPLEX = "complex"
 
 
 class ClassIndex(NamedTuple):
@@ -168,13 +167,6 @@ class Tower:
             for idx in self.class_indices()
         )
 
-    def complex_completions(self, side: str) -> tuple[Completion, ...]:
-        _check_side(side)
-        return tuple(
-            Completion(side, COMPLEX, mu, None, self.complex_degree(mu))
-            for mu in range(1, self.depth + 1)
-        )
-
     def truncated(self, depth: int) -> "Tower":
         """A copy keeping only classes mu <= depth."""
         if not 1 <= depth <= self.depth:
@@ -207,7 +199,8 @@ def tower_config_from_json(data: dict) -> TowerConfig:
 
     Recognized keys: quantum_modulus (required), offset, depth (required),
     multiplicity, complex_multiplicity.  Unknown keys are rejected so typos
-    fail loudly.
+    fail loudly.  The numbers must be JSON integers and the multiplicities
+    lists of them; anything else raises ValueError instead of being coerced.
     """
     if not isinstance(data, dict):
         raise ValueError("tower config must be a JSON object")
@@ -217,10 +210,17 @@ def tower_config_from_json(data: dict) -> TowerConfig:
     for key in ("quantum_modulus", "depth"):
         if key not in data:
             raise ValueError(f"tower config is missing {key!r}")
+    for key in ("quantum_modulus", "offset", "depth"):
+        if key in data and type(data[key]) is not int:
+            raise ValueError(f"tower {key} must be an integer, got {data[key]!r}")
+    for key in ("multiplicity", "complex_multiplicity"):
+        values = data.get(key, [])
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise ValueError(f"tower {key} must be a list of integers")
     return TowerConfig(
-        quantum_modulus=int(data["quantum_modulus"]),
-        offset=int(data.get("offset", 0)),
-        depth=int(data["depth"]),
+        quantum_modulus=data["quantum_modulus"],
+        offset=data.get("offset", 0),
+        depth=data["depth"],
         multiplicity=tuple(data.get("multiplicity", ())),
         complex_multiplicity=tuple(data.get("complex_multiplicity", ())),
     )

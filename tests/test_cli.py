@@ -4,15 +4,29 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from germtower.cli import (
     EXIT_CONFIG,
     EXIT_CONTRACT,
+    EXIT_DIAGNOSTIC,
     EXIT_OK,
     main,
 )
+
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
+GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
+
+
+def golden_variant(tmp_path, **changes):
+    """Write the golden config with top-level keys replaced; return its path."""
+    data = json.loads(GOLDEN_CONFIG.read_text())
+    data.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -76,9 +90,8 @@ def test_classify_file(capsys, tmp_path):
     assert out.strip() == "Swallowtail corank=1 codim=3"
 
 
-@pytest.mark.parametrize("coeff", ['"1/0"', "1e400", "Infinity", "true"])
-def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
-    germ = '{"nvars": 1, "coeffs": [[[3], %s]]}' % coeff
+def assert_germ_rejected(capsys, tmp_path, germ):
+    """The germ JSON text exits 2 through classify and through germ_template."""
     path = tmp_path / "germs.jsonl"
     path.write_text(germ + "\n")
     code, out, err = run_cli(capsys, "classify", "--file", str(path))
@@ -93,6 +106,73 @@ def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
     code, _, err = run_cli(capsys, "correspond", "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeff", ['"1/0"', "1e400", "Infinity", "true"])
+def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
+    assert_germ_rejected(capsys, tmp_path, '{"nvars": 1, "coeffs": [[[3], %s]]}' % coeff)
+
+
+@pytest.mark.parametrize(
+    "germ",
+    [
+        '{"nvars": 1, "coeffs": [[3, 1]]}',
+        '{"nvars": 1, "coeffs": [[[3], "1"]], "max_degree": "x"}',
+        '{"nvars": 1, "coeffs": [[[3], "1e30000000"]]}',
+    ],
+    ids=["exponents-not-a-list", "max-degree-string", "huge-decimal-exponent"],
+)
+def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
+    assert_germ_rejected(capsys, tmp_path, germ)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"covering_depths": 5},
+        {"germ_template": []},
+        {"reduce": 5},
+        {"tower": {"quantum_modulus": 2, "offset": 1, "depth": 6,
+                   "multiplicity": [1, None, 1, 1, 2, 1]}},
+    ],
+    ids=["covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null"],
+)
+def test_config_type_errors_are_config_errors(capsys, tmp_path, changes):
+    cfg = golden_variant(tmp_path, **changes)
+    code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e150])
+def test_huge_amplitudes_fail_the_oscillator_diagnostic(capsys, tmp_path, amplitude):
+    # 1e200 makes every modulus inf; at 1e150 the moduli are finite but their
+    # variance is beyond the float range
+    table = {"table": {k: amplitude for k in GOLDEN_CLASSES}}
+    cfg = golden_variant(tmp_path, amplitude=table)
+    code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
+    assert code == EXIT_DIAGNOSTIC
+    assert "diagnostics: 3/4 passed" in out
+    assert err == (
+        "FAILED diagnostic: oscillator_constancy "
+        "(max bistring modulus variance inf)\n"
+    )
+
+
+def test_nan_amplitudes_cannot_be_reported(capsys, tmp_path):
+    cfg = golden_variant(tmp_path, amplitude={"table": {k: "nan" for k in GOLDEN_CLASSES}})
+    out_file = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
+    assert code == EXIT_CONFIG
+    assert err == "configuration error: reports may not contain NaN or infinity\n"
+
+
+def test_report_escapes_control_characters_in_the_config_echo(capsys, tmp_path):
+    cfg = golden_variant(tmp_path, reduce="mu<=3\n\t")
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
+    assert code == EXIT_OK
+    assert '  "reduce": "mu<=3\\u000a\\u0009",\n' in out_file.read_text()
 
 
 def test_unfold_by_name(capsys):

@@ -74,12 +74,29 @@ def test_snap_to_fraction():
     assert snap_to_fraction(0.5) == Fraction(1, 2)
     assert snap_to_fraction("2/3") == Fraction(2, 3)
     assert snap_to_fraction(7) == Fraction(7)
+    assert snap_to_fraction("1e4300") == 10**4300
+    assert snap_to_fraction("3E-0004300 ") == Fraction(3, 10**4300)
+    with pytest.raises(ValueError, match="decimal exponent"):
+        snap_to_fraction("1e" + "9" * 5000)
     with pytest.raises(ValueError):
         snap_to_fraction(object())
 
 
 @pytest.mark.parametrize(
-    "value", ["1/0", float("inf"), float("-inf"), float("nan"), 1e400, True, False]
+    "value",
+    [
+        "1/0",
+        float("inf"),
+        float("-inf"),
+        float("nan"),
+        1e400,
+        True,
+        False,
+        "1e30000000",
+        "-2.5E-30000000",
+        "1e4301",
+        "1e4_301",
+    ],
 )
 def test_snap_to_fraction_rejects_non_rationals(value):
     with pytest.raises(ValueError):
@@ -315,3 +332,15 @@ def test_germ_json_rejects_bad_shapes():
         germ_from_json({"coeffs": []})
     with pytest.raises(ValueError):
         germ_from_json({"nvars": 1, "coeffs": [[1, 2, 3]]})
+    # wrong JSON types are rejected, not coerced
+    for bad in (
+        {"nvars": 1, "coeffs": [[3, 1]]},
+        {"nvars": 1, "coeffs": 5},
+        {"nvars": 1, "coeffs": [[[3.5], 1]]},
+        {"nvars": 1, "coeffs": [[[None], 1]]},
+        {"nvars": "1", "coeffs": [[[3], 1]]},
+        {"nvars": 1, "coeffs": [[[3], 1]], "max_degree": "x"},
+        {"nvars": 1, "coeffs": [[[3], 1]], "max_degree": 2.0},
+    ):
+        with pytest.raises(ValueError):
+            germ_from_json(bad)

@@ -2,9 +2,12 @@
 
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germtower import (
     Mode,
@@ -18,6 +21,7 @@ from germtower import (
 )
 from germtower.cuspidal import EllipticSemimodule
 from germtower.pipeline import (
+    _pvariance,
     emit_expansion,
     normalize_scenario,
     parse_reduce_rule,
@@ -142,9 +146,40 @@ def test_dumps_canonical_is_valid_json_and_order_preserving():
     assert text.index('"b"') < text.index('"a"')
 
 
+def test_dumps_canonical_large_report_is_exact():
+    # well past the emitter's chunk block size, nested two levels deep
+    obj = {"rows": [{"i": i, "x": i / 7, "s": f"r{i}\t"} for i in range(3000)]}
+    text = dumps_canonical(obj)
+    assert json.loads(text) == obj
+    assert text.count("\n") == 3 + 5 * 3000
+    assert '"s": "r2999\\u0009"\n    }\n  ]\n}' in text
+
+
 def test_dumps_canonical_floats_roundtrip():
     for value in (0.1, 1 / 3, 2.0, 1e-17, 123456.789, -0.75):
         assert json.loads(dumps_canonical(value)) == value
+
+
+# ---------------------------------------------------------------------------
+# exact variance
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+@example([5e-324, -5e-324, 2.2e-308, 1e-310])
+@example([-0.0, 0.0])
+@example([-3.5, 1e300, -1e-300])
+@example([1e308, -1e308, 0.0])
+def test_pvariance_matches_statistics_bit_for_bit(values):
+    try:
+        expected = statistics.pvariance(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _pvariance(values)
+        return
+    got = _pvariance(values)
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,36 @@ def test_json_roundtrip():
     assert cfg == TowerConfig(3, 2, 2, (2, 1), (1, 3))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"quantum_modulus": None},
+        {"depth": "3"},
+        {"offset": 1.0},
+        {"depth": True},
+        {"multiplicity": [1, None, 1]},
+        {"multiplicity": [1, 1.5, 1]},
+        {"multiplicity": 2},
+        {"complex_multiplicity": "111"},
+    ],
+    ids=[
+        "modulus-null",
+        "depth-string",
+        "offset-float",
+        "depth-bool",
+        "multiplicity-null-entry",
+        "multiplicity-float-entry",
+        "multiplicity-int",
+        "complex-multiplicity-string",
+    ],
+)
+def test_json_rejects_non_integers(override):
+    data = {"quantum_modulus": 2, "offset": 1, "depth": 3}
+    data.update(override)
+    with pytest.raises(ValueError):
+        tower_config_from_json(data)
+
+
 def test_json_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError):
         tower_config_from_json({"quantum_modulus": 2, "depth": 1, "levels": 3})
