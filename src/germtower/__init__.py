@@ -16,14 +16,12 @@ from .bisemigroup import (
     Bielement,
     LabeledTerm,
     TriangularElement,
-    class_representatives,
     cross_compose,
     expand_sum_product,
 )
 from .blowup import (
     BlowupResult,
     DeformedBundle,
-    DetachedMonomial,
     Level,
     LevelStack,
     Provenance,
@@ -42,7 +40,7 @@ from .cuspidal import (
     WeilDescriptor,
     bistring_modulus,
     compactify,
-    evaluate,
+    level_record,
     lgc,
     lggc_st,
 )
@@ -87,7 +85,6 @@ from .sheaves import (
     Bisemisheaf,
     Section,
     Semisheaf,
-    SplitResult,
     annihilate_biquantum,
     attach_sections,
     create_biquantum,
@@ -96,14 +93,12 @@ from .sheaves import (
     endo_split,
     inject_singularity,
     shift,
-    split_diag_offdiag,
     tensor,
 )
 from .tower import (
     LEFT,
     RIGHT,
     ClassIndex,
-    Completion,
     Tower,
     TowerConfig,
     build_tower,

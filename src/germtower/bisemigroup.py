@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .germs import snap_to_fraction
-from .tower import LEFT, RIGHT, ClassIndex, Tower
+from .tower import LEFT, RIGHT
 
 # Level tags, inner to outer.  Expansion output is ordered by this sequence.
 ST = "ST"
@@ -85,11 +85,6 @@ class Bielement:
 def cross_compose(a: Bielement, b: Bielement) -> Bielement:
     """Cross binary composition: entrywise addition on both sides at once."""
     return Bielement(a.right + b.right, a.left + b.left)
-
-
-def class_representatives(tower: Tower) -> tuple[ClassIndex, ...]:
-    """Conjugacy-class representatives, one per (mu, m), in lexicographic order."""
-    return tower.class_indices()
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,17 @@
 
 A marked singular semisheaf is deformed into a contracting fiber bundle with
 one monomial semisheaf per unfolding slot.  Blowing the bundle up detaches
-those monomial sheaves (maximally, by default) and glues them into a covering
-sheaf.  A swallowtail covering still carries the cubic monomial, so it is
-detected as a fold and deformed again, producing a second covering: the
+those monomial sheaves whole (the maximal blowup) and glues them into a
+covering sheaf.  A swallowtail covering still carries the cubic monomial, so
+it is detected as a fold and deformed again, producing a second covering: the
 three-level cascade.  Levels embed inner to outer as ST then MG then M.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bisemigroup import LEVELS, M, MG, ST
 from .germs import (
@@ -80,70 +79,34 @@ def deform(base: Semisheaf) -> DeformedBundle:
     return DeformedBundle(base, fiber, cls)
 
 
-class DetachedMonomial(NamedTuple):
-    """One fiber slot after blowup: its residual and complementary parts."""
-
-    slot: int
-    name: str
-    residual: Semisheaf
-    complementary: Semisheaf
-
-
 @dataclass(frozen=True)
 class BlowupResult:
-    residual: Semisheaf
     covering: Semisheaf
-    detached_monomials: tuple[DetachedMonomial, ...]
     coverage: tuple[tuple[ClassIndex, float], ...]
 
 
-def blow_up(bundle: DeformedBundle, fraction: float = 1.0) -> BlowupResult:
+def blow_up(bundle: DeformedBundle) -> BlowupResult:
     """Detach the fiber monomials and glue them into a covering sheaf.
 
-    The default is the maximal blowup: every monomial sheaf is detached
-    whole (its complementary part is the full sheaf) and the covering gains
-    one glued section per base section.  A ``fraction`` below 1 detaches only
-    the leading share of class indices and is a reporting convenience; the
-    invariants hold on the maximal path.
+    The blowup is maximal: every monomial sheaf is detached whole, so the
+    covering gains one glued section per base section, the sum of the
+    monomials at that index.  ``coverage`` keeps each section's glued degree
+    as a fraction of its base degree, capped at 1.
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
-    indices = bundle.base.indices()
-    detached_count = math.ceil(fraction * len(indices))
-    detached_ids = set(indices[:detached_count])
-
-    records = []
-    for slot, (name, msheaf) in enumerate(bundle.fiber, start=1):
-        kept = tuple(sec for sec in msheaf.sections if sec.index in detached_ids)
-        rest = tuple(sec for sec in msheaf.sections if sec.index not in detached_ids)
-        records.append(
-            DetachedMonomial(
-                slot,
-                name,
-                replace(msheaf, sections=rest, role="reduced"),
-                replace(msheaf, sections=kept, role="complementary"),
-            )
-        )
-
-    # Gluing: at every covered index the detached monomials add up to one germ.
-    detached_germs = [
-        {sec.index: sec.germ for sec in record.complementary.sections}
-        for record in records
+    fiber_germs = [
+        {sec.index: sec.germ for sec in msheaf.sections} for _, msheaf in bundle.fiber
     ]
     zeros = {dims: Germ.zero(dims) for dims in {sec.dims for sec in bundle.base.sections}}
     covering_sections = []
     coverage = []
     for sec in bundle.base.sections:
-        base_degree = max(sec.germ.total_degree, 1)
-        if sec.index not in detached_ids:
-            coverage.append((sec.index, 0.0))
-            continue
         glued = zeros[sec.dims]
-        for germs in detached_germs:
+        for germs in fiber_germs:
             glued = glued + germs[sec.index]
         covering_sections.append(Section(sec.index, sec.side, glued, sec.dims, sec.orth_axis))
+        base_degree = max(sec.germ.total_degree, 1)
         coverage.append((sec.index, min(1.0, glued.total_degree / base_degree)))
 
     covering = replace(
@@ -152,7 +115,7 @@ def blow_up(bundle: DeformedBundle, fraction: float = 1.0) -> BlowupResult:
         singular=False,
         role=None,
     )
-    return BlowupResult(bundle.base, covering, tuple(records), tuple(coverage))
+    return BlowupResult(covering, tuple(coverage))
 
 
 def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
@@ -277,6 +240,38 @@ def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
     return replace(side, tower=side.tower.truncated(depth), sections=kept)
 
 
+def _covering_level(
+    label: str,
+    seeds: tuple[Semisheaf, Semisheaf],
+    depth: int | None,
+    lower: Level,
+    orth_dims: int,
+) -> tuple[Level, tuple[BlowupResult, ...], tuple[Semisheaf, ...]]:
+    """Build one covering level from a starred (right, left) seed pair.
+
+    Deform and blow up each side, truncate the coverings to ``depth`` when
+    given, split them at the lower half of their mu values and lift the
+    upper half to time.  Returns the level, the two blowup results and the
+    two (truncated) coverings.
+    """
+    results = tuple(blow_up(deform(seed)) for seed in seeds)
+    coverings = tuple(
+        r.covering if depth is None else _truncate(r.covering, depth) for r in results
+    )
+    predicate = _half_split_predicate(coverings[0].indices())
+    (time_r, resid_r), (time_l, resid_l) = (
+        time_space_lift(cov, predicate, orth_dims) for cov in coverings
+    )
+    level = Level(
+        label,
+        tensor(resid_r, resid_l),
+        _pair_or_none(time_r, time_l),
+        cover=_cover_map(lower.carrier_indices(), coverings[0].indices()),
+        coverage=results[0].coverage,
+    )
+    return level, results, coverings
+
+
 def _rule_for(cls: SingularityClass) -> int:
     if cls.corank == 1 and cls.codim == 3:
         return 3
@@ -351,29 +346,13 @@ def generate_levels(
     )
     levels = [Level(ST, tensor(red_r, red_l), tensor(starred_r, starred_l))]
 
-    bundle_r = deform(starred_r)
-    bundle_l = deform(starred_l)
-    result_r = blow_up(bundle_r)
-    result_l = blow_up(bundle_l)
+    mg, (result_r, result_l), coverings = _covering_level(
+        MG, (starred_r, starred_l), d1, levels[0], orth_dims
+    )
     cascade.append(
         f"blowup {cls.name}: covering germ {format_germ(result_r.covering.sections[0].germ)}"
     )
-    cov_r, cov_l = result_r.covering, result_l.covering
-    if d1 is not None:
-        cov_r = _truncate(cov_r, d1)
-        cov_l = _truncate(cov_l, d1)
-    pred_mg = _half_split_predicate(cov_r.indices())
-    time_r, resid_r = time_space_lift(cov_r, pred_mg, orth_dims)
-    time_l, resid_l = time_space_lift(cov_l, pred_mg, orth_dims)
-    levels.append(
-        Level(
-            MG,
-            tensor(resid_r, resid_l),
-            _pair_or_none(time_r, time_l),
-            cover=_cover_map(levels[0].carrier_indices(), cov_r.indices()),
-            coverage=result_r.coverage,
-        )
-    )
+    levels.append(mg)
 
     if rule == 3:
         detected = detect_resingularization(result_r)
@@ -383,29 +362,14 @@ def generate_levels(
             f"resingularization: covering keeps the cubic monomial x^3, classified {detected.name}"
         )
         cubic = Germ.monomial(1, (3,))
-        seed_r = replace(cov_r.map_germs(lambda sec: cubic), singular=True)
-        seed_l = replace(cov_l.map_germs(lambda sec: cubic), singular=True)
-        result2_r = blow_up(deform(seed_r))
-        result2_l = blow_up(deform(seed_l))
+        seeds = tuple(
+            replace(cov.map_germs(lambda sec: cubic), singular=True) for cov in coverings
+        )
+        m, (result2_r, _), _ = _covering_level(M, seeds, d2, mg, orth_dims)
         cascade.append(
             f"blowup {detected.name}: covering germ "
             f"{format_germ(result2_r.covering.sections[0].germ)}"
         )
-        cov2_r, cov2_l = result2_r.covering, result2_l.covering
-        if d2 is not None:
-            cov2_r = _truncate(cov2_r, d2)
-            cov2_l = _truncate(cov2_l, d2)
-        pred_m = _half_split_predicate(cov2_r.indices())
-        time2_r, resid2_r = time_space_lift(cov2_r, pred_m, orth_dims)
-        time2_l, resid2_l = time_space_lift(cov2_l, pred_m, orth_dims)
-        levels.append(
-            Level(
-                M,
-                tensor(resid2_r, resid2_l),
-                _pair_or_none(time2_r, time2_l),
-                cover=_cover_map(levels[1].carrier_indices(), cov2_r.indices()),
-                coverage=result2_r.coverage,
-            )
-        )
+        levels.append(m)
 
     return LevelStack(tuple(levels), Provenance(cls.corank, cls.codim, rule, tuple(cascade)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from .pipeline import (
     run_pipeline,
     samples_csv,
 )
-from .tower import LEFT, RIGHT, TowerConfig, build_tower, tower_config_from_json
+from .tower import LEFT, RIGHT, build_tower, tower_config_from_json, tower_config_to_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,8 +49,8 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+def _parse_int_list(text: str | None) -> list[int]:
+    return [int(part) for part in (text or "").split(",") if part.strip() != ""]
 
 
 def _tower_flags(parser: argparse.ArgumentParser) -> None:
@@ -86,44 +87,41 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _tower_config_from_args(args) -> TowerConfig:
+def _tower_json_from_args(args) -> dict:
     if args.modulus is None or args.depth is None:
         raise ValueError("--modulus and --depth are required without --config")
-    return TowerConfig(
-        quantum_modulus=args.modulus,
-        offset=args.offset,
-        depth=args.depth,
-        multiplicity=_parse_int_list(args.multiplicity) if args.multiplicity else (),
-        complex_multiplicity=_parse_int_list(args.complex_multiplicity)
-        if args.complex_multiplicity
-        else (),
-    )
+    return {
+        "quantum_modulus": args.modulus,
+        "offset": args.offset,
+        "depth": args.depth,
+        "multiplicity": _parse_int_list(args.multiplicity),
+        "complex_multiplicity": _parse_int_list(args.complex_multiplicity),
+    }
 
 
 def _pipeline_config_from_args(args) -> PipelineConfig:
+    """The run config from ``--config``, or the flags written as the same JSON."""
     if args.config:
         return config_from_json(_load_json(args.config))
     amplitude = args.amplitude
     if amplitude not in ("unit", "mu"):
         amplitude = _load_json(amplitude)
-    return PipelineConfig(
-        tower=_tower_config_from_args(args),
-        scenario=normalize_scenario(args.scenario),
-        reduce_rule=args.reduce,
-        orth_dims=args.orth_dims,
-        amplitude=amplitude,
-        covering_depths=_parse_int_list(args.covering_depths)
-        if args.covering_depths
-        else None,
-        even_classes=args.even_classes,
-    )
+    data = {
+        "tower": _tower_json_from_args(args),
+        "scenario": args.scenario,
+        "reduce": args.reduce,
+        "orth_dims": args.orth_dims,
+        "amplitude": amplitude,
+        "even_classes": args.even_classes,
+    }
+    if args.covering_depths:
+        data["covering_depths"] = _parse_int_list(args.covering_depths)
+    return config_from_json(data)
 
 
 def _cmd_tower(args) -> int:
-    if args.config:
-        config = tower_config_from_json(_load_json(args.config))
-    else:
-        config = _tower_config_from_args(args)
+    data = _load_json(args.config) if args.config else _tower_json_from_args(args)
+    config = tower_config_from_json(data)
     tower = build_tower(config)
     print(
         f"tower: N={tower.quantum_modulus} offset={tower.offset} depth={tower.depth}"
@@ -135,13 +133,7 @@ def _cmd_tower(args) -> int:
         print(f"  place mu={mu}: {place}  complex degree {tower.complex_degree(mu)}")
     if args.out:
         payload = {
-            "config": {
-                "quantum_modulus": tower.quantum_modulus,
-                "offset": tower.offset,
-                "depth": tower.depth,
-                "multiplicity": list(config.multiplicity),
-                "complex_multiplicity": list(config.complex_multiplicity),
-            },
+            "config": tower_config_to_json(config),
             "classes": [
                 {"mu": i.mu, "m": i.m, "degree": tower.real_degree(i)}
                 for i in tower.class_indices()
@@ -234,14 +226,33 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _cmd_samples(args) -> int:
-    data = _load_json(args.modes_file)
-    modes = tuple(
-        Mode(int(m["mu"]), int(m["m"]), float(m["amplitude"]), int(m["sign"]))
-        for m in data
-    )
-    if not modes:
+def _modes_from_json(data) -> tuple[Mode, ...]:
+    """A non-empty JSON list of modes: integer mu, m and one shared sign, finite amplitudes."""
+    if not isinstance(data, list):
+        raise ValueError("the modes file must hold a JSON list of modes")
+    if not data:
         raise ValueError("the modes file holds no modes")
+    modes = []
+    for item in data:
+        if not isinstance(item, dict) or any(
+            type(item.get(key)) is not int for key in ("mu", "m", "sign")
+        ):
+            raise ValueError(f"each mode needs integer mu, m and sign, got {item!r}")
+        amplitude = item.get("amplitude")
+        if (
+            isinstance(amplitude, bool)
+            or not isinstance(amplitude, (int, float, str))
+            or not math.isfinite(float(amplitude))
+        ):
+            raise ValueError(f"mode amplitude must be a finite number, got {amplitude!r}")
+        modes.append(Mode(item["mu"], item["m"], float(amplitude), item["sign"]))
+    if len({mode.sign for mode in modes}) != 1:
+        raise ValueError("the modes in one file must share one sign")
+    return tuple(modes)
+
+
+def _cmd_samples(args) -> int:
+    modes = _modes_from_json(_load_json(args.modes_file))
     side = LEFT if modes[0].sign == 1 else RIGHT
     esm = EllipticSemimodule(side, modes, "ST", "Tp", 1)
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)

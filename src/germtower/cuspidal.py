@@ -4,9 +4,10 @@ Compactifying a semisheaf turns every section into one Fourier-like mode
 ``r * exp(sign * pi * i * mu * x)`` with sign +1 on the left and -1 on the
 right.  The summed modes form an elliptic semimodule; paired left/right modes
 at the same class behave like the two strings of a harmonic bistring whose
-pointwise modulus is constant.  The correspondence records pair a Weil-side
-class listing with the compactified reduced and orthogonal cuspidal parts,
-one record per level.
+pointwise modulus is constant.  One builder, ``level_record``, pairs a
+level's Weil-side class listing with its compactified reduced and orthogonal
+cuspidal parts; the pipeline calls it per level, and ``lgc`` (no split) and
+``lggc_st`` (split and project first) are routes into it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
-from .tower import LEFT, RIGHT, ClassIndex
+from .tower import LEFT, ClassIndex
 
 AmplitudeRule = Callable[[ClassIndex], float]
 
@@ -104,10 +105,6 @@ def compactify(
     )
 
 
-def evaluate(esm: EllipticSemimodule, x: float) -> complex:
-    return esm.evaluate(x)
-
-
 def bistring_modulus(
     right_mode: Mode, left_mode: Mode, samples: Sequence[float]
 ) -> list[float]:
@@ -174,13 +171,37 @@ class Correspondence:
         return all(level.bijection_holds() for level in self.levels)
 
 
-def _weil_descriptors(b: Bisemisheaf, even_only: bool) -> tuple[WeilDescriptor, ...]:
-    out = []
-    for idx in b.indices():
-        if even_only and idx.mu % 2 != 0:
-            continue
-        out.append(WeilDescriptor(idx.mu, idx.m, b.tower.real_degree(idx)))
-    return tuple(out)
+def level_record(
+    label: str,
+    reduced: Bisemisheaf,
+    orthogonal: Bisemisheaf | None,
+    amplitude_rule: AmplitudeRule | None = None,
+    even_only: bool = False,
+) -> LevelRecord:
+    """Compactify a level's reduced and orthogonal parts into one record.
+
+    The Weil side lists every class of both parts in index order, with its
+    degree in the reduced part's tower; ``even_only`` drops the odd classes
+    there as it does from the modes.
+    """
+    indices = list(reduced.indices())
+    if orthogonal is not None:
+        indices.extend(orthogonal.indices())
+    weil = tuple(
+        WeilDescriptor(idx.mu, idx.m, reduced.tower.real_degree(idx))
+        for idx in sorted(indices)
+        if not (even_only and idx.mu % 2 != 0)
+    )
+
+    def pair(part: Bisemisheaf) -> tuple[EllipticSemimodule, EllipticSemimodule]:
+        return (
+            compactify(part.right, amplitude_rule, even_only),
+            compactify(part.left, amplitude_rule, even_only),
+        )
+
+    return LevelRecord(
+        label, weil, pair(reduced), None if orthogonal is None else pair(orthogonal)
+    )
 
 
 def lgc(
@@ -193,16 +214,7 @@ def lgc(
     The Weil side lists every class descriptor; the cuspidal side is the
     (right, left) semimodule pair, in bijection with it.
     """
-    record = LevelRecord(
-        b.level,
-        _weil_descriptors(b, even_only),
-        (
-            compactify(b.right, amplitude_rule, even_only),
-            compactify(b.left, amplitude_rule, even_only),
-        ),
-        None,
-    )
-    return Correspondence((record,))
+    return Correspondence((level_record(b.level, b, None, amplitude_rule, even_only),))
 
 
 def lggc_st(
@@ -223,17 +235,12 @@ def lggc_st(
     red_l, comp_l = endo_split(b.left, reduce)
     if not red_r.sections:
         raise ValueError("the reduce predicate left the reduced part empty")
-    reduced = (
-        compactify(red_r, amplitude_rule, even_only),
-        compactify(red_l, amplitude_rule, even_only),
-    )
     orthogonal = None
     if comp_r.sections:
-        proj_r = emergent_project(comp_r, orth_dims)
-        proj_l = emergent_project(comp_l, orth_dims)
-        orthogonal = (
-            compactify(proj_r, amplitude_rule, even_only),
-            compactify(proj_l, amplitude_rule, even_only),
+        orthogonal = Bisemisheaf(
+            emergent_project(comp_r, orth_dims), emergent_project(comp_l, orth_dims)
         )
-    record = LevelRecord(b.level, _weil_descriptors(b, even_only), reduced, orthogonal)
+    record = level_record(
+        b.level, Bisemisheaf(red_r, red_l), orthogonal, amplitude_rule, even_only
+    )
     return Correspondence((record,))

@@ -22,14 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
 from .blowup import Level, LevelStack, desingularize, generate_levels
-from .cuspidal import (
-    Correspondence,
-    EllipticSemimodule,
-    LevelRecord,
-    WeilDescriptor,
-    bistring_modulus,
-    compactify,
-)
+from .cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus, level_record
 from .germs import (
     CATALOGUE,
     MORSE,
@@ -37,6 +30,7 @@ from .germs import (
     Germ,
     classify_germ,
     germ_from_json,
+    germ_to_json,
 )
 from .sheaves import TIME, attach_sections, shift, tensor
 from .tower import (
@@ -146,6 +140,10 @@ class PipelineConfig:
             raise ValueError("orth_dims must be 2 or 3")
         parse_reduce_rule(self.reduce_rule, self.tower.depth)
         if self.covering_depths is not None:
+            if len(self.covering_depths) != 2:
+                raise ValueError(
+                    f"covering_depths must be a pair [d1, d2], got {list(self.covering_depths)}"
+                )
             d1, d2 = self.covering_depths
             for d in (d1, d2):
                 if not 1 <= int(d) <= self.tower.depth:
@@ -170,7 +168,15 @@ def _normalize_amplitude(value) -> object:
         raise ValueError(f"unknown amplitude rule {value!r}")
     if isinstance(value, Mapping):
         table = value.get("table", value)
-        return {_parse_index_key(k): float(v) for k, v in table.items()}
+        if not isinstance(table, Mapping):
+            raise ValueError(f"amplitude table must be an object, got {table!r}")
+        out = {}
+        for key, amp in table.items():
+            index = _parse_index_key(key)
+            if isinstance(amp, bool) or not isinstance(amp, (int, float, str)):
+                raise ValueError(f"amplitude of class {key!r} must be a number, got {amp!r}")
+            out[index] = float(amp)
+        return out
     raise ValueError("amplitude must be 'unit', 'mu', or a class table")
 
 
@@ -226,14 +232,17 @@ def config_from_json(data: dict) -> PipelineConfig:
         or not all(isinstance(g, dict) for g in template.values())
     ):
         raise ValueError("germ_template must map class keys to germ JSON objects")
+    even_classes = data.get("even_classes", False)
+    if type(even_classes) is not bool:
+        raise ValueError(f"even_classes must be true or false, got {even_classes!r}")
     return PipelineConfig(
         tower=tower_config_from_json(data["tower"]),
         scenario=data.get("scenario"),
         reduce_rule=reduce_rule,
         orth_dims=orth_dims,
         amplitude=data.get("amplitude", "unit"),
-        covering_depths=tuple(depths) if depths else None,
-        even_classes=bool(data.get("even_classes", False)),
+        covering_depths=None if depths is None else tuple(depths),
+        even_classes=even_classes,
         germ_template=template,
     )
 
@@ -255,10 +264,7 @@ def config_to_json(config: PipelineConfig) -> dict:
     }
     if config.germ_template is not None:
         out["germ_template"] = {
-            f"{k.mu},{k.m}": {
-                "nvars": g.nvars,
-                "coeffs": [[list(e), str(c)] for e, c in g.terms],
-            }
+            f"{k.mu},{k.m}": germ_to_json(g)
             for k, g in sorted(config.germ_template.items())
         }
     return out
@@ -357,7 +363,6 @@ class Report:
     cascade: tuple[str, ...]
     expansions: dict
     diagnostics: list[dict]
-    correspondence: Correspondence = field(repr=False)
     stack: LevelStack = field(repr=False)
 
     def all_diagnostics_passed(self) -> bool:
@@ -401,7 +406,7 @@ def emit_expansion(level_labels: Sequence[str]) -> dict:
 
 
 def _level_row(level: Level, record: LevelRecord) -> dict:
-    row = {
+    return {
         "label": level.label,
         "tower": {
             "quantum_modulus": level.reduced.tower.quantum_modulus,
@@ -429,7 +434,6 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
         if level.coverage is None
         else [[list(idx), frac] for idx, frac in level.coverage],
     }
-    return row
 
 
 def _desingularized(level: Level) -> Level:
@@ -442,30 +446,6 @@ def _desingularized(level: Level) -> Level:
             desingularize(level.orthogonal.right), desingularize(level.orthogonal.left)
         )
     return Level(level.label, reduced, orthogonal, level.cover, level.coverage)
-
-
-def _level_record(
-    level: Level, amplitude, even_only: bool
-) -> LevelRecord:
-    rule = _amplitude_callable(amplitude)
-    weil = []
-    for idx in level.carrier_indices():
-        if even_only and idx.mu % 2 != 0:
-            continue
-        weil.append(
-            WeilDescriptor(idx.mu, idx.m, level.reduced.tower.real_degree(idx))
-        )
-    reduced = (
-        compactify(level.reduced.right, rule, even_only),
-        compactify(level.reduced.left, rule, even_only),
-    )
-    orthogonal = None
-    if level.orthogonal is not None:
-        orthogonal = (
-            compactify(level.orthogonal.right, rule, even_only),
-            compactify(level.orthogonal.left, rule, even_only),
-        )
-    return LevelRecord(level.label, tuple(weil), reduced, orthogonal)
 
 
 def _pvariance(values: Sequence[float]) -> float:
@@ -597,11 +577,19 @@ def run_pipeline(config: PipelineConfig) -> Report:
     )
 
     desing = [stage("desingularize", _desingularized, level) for level in stack.levels]
+    amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
-        stage("compactify", _level_record, level, config.amplitude, config.even_classes)
+        stage(
+            "compactify",
+            level_record,
+            level.label,
+            level.reduced,
+            level.orthogonal,
+            amplitude_rule,
+            config.even_classes,
+        )
         for level in desing
     ]
-    correspondence = Correspondence(tuple(records))
 
     diagnostics = _diagnostics(stack, records, desing)
     rows = [_level_row(level, rec) for level, rec in zip(desing, records)]
@@ -614,7 +602,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
         cascade=stack.provenance.cascade,
         expansions=expansions,
         diagnostics=diagnostics,
-        correspondence=correspondence,
         stack=stack,
     )
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
-from .bisemigroup import LEVELS, ST
+from .bisemigroup import LEVELS
 from .germs import CATALOGUE, Germ, SingularityClass, normal_form
 from .tower import LEFT, RIGHT, SIDES, ClassIndex, Tower
 
@@ -174,31 +174,6 @@ class Bisemisheaf:
 
 def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
     return Bisemisheaf(right, left)
-
-
-class BasisPair(NamedTuple):
-    """A chosen (right basis vector, left basis vector) pair at one bisection."""
-
-    index: ClassIndex
-    alpha: int
-    beta: int
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    diagonal: tuple[BasisPair, ...]
-    off_diagonal: tuple[BasisPair, ...]
-
-
-def split_diag_offdiag(b: Bisemisheaf) -> SplitResult:
-    """Split every bisection's 2x2 basis grid into diagonal and mixed pairs."""
-    diagonal = tuple(
-        BasisPair(idx, a, a) for idx in b.indices() for a in (1, 2)
-    )
-    off_diagonal = tuple(
-        BasisPair(idx, a, c) for idx in b.indices() for a, c in ((1, 2), (2, 1))
-    )
-    return SplitResult(diagonal, off_diagonal)
 
 
 def default_reduce(depth: int) -> Callable[[ClassIndex], bool]:

@@ -10,13 +10,11 @@ degree in a tower is therefore congruent to the offset modulo ``N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 LEFT = "left"
 RIGHT = "right"
 SIDES = (LEFT, RIGHT)
-
-REAL = "real"
 
 
 class ClassIndex(NamedTuple):
@@ -93,17 +91,6 @@ class TowerConfig:
 
 
 @dataclass(frozen=True)
-class Completion:
-    """One completion: a (side, kind, index, degree) record."""
-
-    side: str
-    kind: str
-    mu: int
-    m: int | None
-    degree: int
-
-
-@dataclass(frozen=True)
 class Tower:
     config: TowerConfig
 
@@ -159,13 +146,6 @@ class Tower:
         _check_side(side)
         self._check_mu(mu)
         return tuple(ClassIndex(mu, m) for m in range(1, self.multiplicity(mu) + 1))
-
-    def completions(self, side: str) -> tuple[Completion, ...]:
-        _check_side(side)
-        return tuple(
-            Completion(side, REAL, idx.mu, idx.m, self.real_degree(idx))
-            for idx in self.class_indices()
-        )
 
     def truncated(self, depth: int) -> "Tower":
         """A copy keeping only classes mu <= depth."""

@@ -37,7 +37,7 @@ from germtower.sheaves import (
     TIME_SHIFTED,
     shift,
 )
-from germtower.tower import ClassIndex, LEFT, RIGHT
+from germtower.tower import LEFT, RIGHT
 
 
 def space_sheaf(depth=4, side=RIGHT, nvars=1, modulus=2, offset=1):
@@ -92,12 +92,6 @@ def test_blowup_swallowtail_covering():
     result = blow_up(deform(starred(SWALLOWTAIL)))
     assert [format_germ(sec.germ) for sec in result.covering.sections] == ["x + x^2 + x^3"] * 4
     assert not result.covering.singular
-    assert result.residual is not None
-    assert len(result.detached_monomials) == 3
-    # maximal blowup: every detached complementary part is the whole sheaf
-    for record in result.detached_monomials:
-        assert len(record.complementary.sections) == 4
-        assert len(record.residual.sections) == 0
     assert all(frac == pytest.approx(3 / 5) for _, frac in result.coverage)
 
 
@@ -112,19 +106,6 @@ def test_blowup_coverings_per_class():
     for name, text in expected.items():
         result = blow_up(deform(starred(name)))
         assert format_germ(result.covering.sections[0].germ) == text
-
-
-def test_partial_blowup_fraction():
-    result = blow_up(deform(starred(SWALLOWTAIL)), fraction=0.5)
-    # ceil(0.5 * 4) = 2 leading classes detach
-    assert len(result.covering.sections) == 2
-    covered = dict(result.coverage)
-    assert covered[ClassIndex(1, 1)] > 0
-    assert covered[ClassIndex(4, 1)] == 0.0
-    with pytest.raises(ValueError):
-        blow_up(deform(starred(SWALLOWTAIL)), fraction=0.0)
-    with pytest.raises(ValueError):
-        blow_up(deform(starred(SWALLOWTAIL)), fraction=1.5)
 
 
 def test_detect_resingularization_only_for_cubic_coverings():

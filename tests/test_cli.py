@@ -15,6 +15,7 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
+from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
@@ -39,7 +40,8 @@ def test_tower_prints_classes_and_places(capsys, tmp_path):
     out_file = tmp_path / "tower.json"
     code, out, err = run_cli(
         capsys,
-        "tower", "--modulus", "2", "--offset", "1", "--depth", "3", "--out", str(out_file),
+        "tower", "--modulus", "2", "--offset", "1", "--depth", "3",
+        "--complex-multiplicity", "1,3,1", "--out", str(out_file),
     )
     assert code == EXIT_OK
     assert "tower: N=2 offset=1 depth=3" in out
@@ -48,6 +50,7 @@ def test_tower_prints_classes_and_places(capsys, tmp_path):
     assert "place mu=2" in out
     payload = json.loads(out_file.read_text())
     assert [c["degree"] for c in payload["classes"]] == [3, 5, 7]
+    assert payload["config"] == tower_config_to_json(TowerConfig(2, 1, 3, (), (1, 3, 1)))
 
 
 def test_tower_requires_modulus_and_depth(capsys):
@@ -134,14 +137,30 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"reduce": 5},
         {"tower": {"quantum_modulus": 2, "offset": 1, "depth": 6,
                    "multiplicity": [1, None, 1, 1, 2, 1]}},
+        {"covering_depths": [3]},
+        {"covering_depths": [3, 2, 1]},
+        {"covering_depths": []},
+        {"amplitude": {"table": {"1,1": None}}},
+        {"amplitude": {"table": {"1,1": [1.0]}}},
+        {"amplitude": {"table": 5}},
+        {"amplitude": {"table": {k: True for k in GOLDEN_CLASSES}}},
+        {"even_classes": "no"},
+        {"even_classes": None},
     ],
-    ids=["covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null"],
+    ids=[
+        "covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null",
+        "covering-depths-one", "covering-depths-three", "covering-depths-empty",
+        "amplitude-null", "amplitude-list", "amplitude-table-int", "amplitude-bool",
+        "even-classes-string", "even-classes-null",
+    ],
 )
 def test_config_type_errors_are_config_errors(capsys, tmp_path, changes):
     cfg = golden_variant(tmp_path, **changes)
     code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("configuration error:") and err.count("\n") == 1
+    (key,) = changes
+    assert (key if key != "tower" else "multiplicity") in err
 
 
 @pytest.mark.parametrize("amplitude", [1e200, 1e150])
@@ -248,6 +267,41 @@ def test_correspond_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_correspond_flags_and_config_write_identical_reports(capsys, tmp_path):
+    amplitude = {"table": {
+        "1,1": 1.0, "1,2": 2.0, "2,1": 0.5, "3,1": 1.5, "4,1": 1, "4,2": "2.5", "5,1": 3,
+        "6,1": 1, "7,1": 2, "8,1": 0.25, "8,2": 4,
+    }}
+    table = tmp_path / "amplitude.json"
+    table.write_text(json.dumps(amplitude))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "tower": {"quantum_modulus": 2, "offset": 1, "depth": 8,
+                  "multiplicity": [2, 1, 1, 2, 1, 1, 1, 2]},
+        "scenario": "swallowtail",
+        "reduce": "mu<=2",
+        "amplitude": amplitude,
+        "covering_depths": [7, 6],
+        "even_classes": True,
+    }))
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config-report.json"
+    flag_run = run_cli(
+        capsys,
+        "correspond", "-N", "2", "--offset", "1", "--depth", "8",
+        "--multiplicity", "2,1,1,2,1,1,1,2", "--scenario", "swallowtail", "--reduce", "mu<=2",
+        "--amplitude", str(table), "--covering-depths", "7,6", "--even-classes",
+        "--out", str(by_flags),
+    )
+    config_run = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(by_config))
+    assert flag_run == config_run
+    assert flag_run[0] == EXIT_OK and "diagnostics: 4/4 passed" in flag_run[1]
+    assert by_flags.read_bytes() == by_config.read_bytes()
+    # both covering truncations bite, and the even-class filter is on
+    levels = json.loads(by_flags.read_text())["levels"]
+    assert [level["tower"]["depth"] for level in levels] == [8, 7, 6]
+    assert all(w["mu"] % 2 == 0 for level in levels for w in level["weil_side"])
+
+
 def test_correspond_config_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -312,10 +366,26 @@ def test_samples_to_stdout_and_file(capsys, tmp_path):
 
 
 def test_samples_bad_modes_file(capsys, tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text("[]")
-    code, _, err = run_cli(capsys, "samples", "--modes-file", str(empty))
-    assert code == EXIT_CONFIG
+    mode = {"mu": 1, "m": 1, "amplitude": 1.0, "sign": 1}
+    path = tmp_path / "modes.json"
+    for modes in (
+        [],
+        {"modes": [mode]},
+        [5],
+        [mode, dict(mode, mu=2, sign=-1)],  # mixed signs
+        [dict(mode, amplitude="inf")],
+        [dict(mode, amplitude=1e400)],  # read back as inf
+        [dict(mode, amplitude=None)],
+        [dict(mode, amplitude=True)],
+        [{"mu": 1, "m": 1, "sign": 1}],
+        [dict(mode, mu="1")],
+        [dict(mode, m=1.5)],
+        [dict(mode, sign=True)],
+    ):
+        path.write_text(json.dumps(modes))
+        code, out, err = run_cli(capsys, "samples", "--modes-file", str(path))
+        assert (code, out) == (EXIT_CONFIG, ""), modes
+        assert err.startswith("configuration error:") and err.count("\n") == 1, modes
     missing = tmp_path / "nope.json"
     code, _, _ = run_cli(capsys, "samples", "--modes-file", str(missing))
     assert code == EXIT_CONFIG

@@ -17,6 +17,7 @@ from germtower import (
     config_from_json,
     config_to_json,
     dumps_canonical,
+    level_record,
     run_pipeline,
 )
 from germtower.cuspidal import EllipticSemimodule
@@ -239,6 +240,27 @@ def test_report_rows_reflect_level_towers():
         n, off = row["tower"]["quantum_modulus"], row["tower"]["offset"]
         for w in row["weil_side"]:
             assert w["degree"] == off + w["mu"] * n
+
+
+@pytest.mark.parametrize("reduce_rule", ["mu<=H", "mu%2==1"])
+@pytest.mark.parametrize(
+    "scenario",
+    [None, "fold", "cusp", "swallowtail", "elliptic-umbilic", "hyperbolic-umbilic"],
+)
+def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rule):
+    tower = TowerConfig(2, 1, 6, (1, 2, 1, 1, 2, 1))
+    config = make_config(scenario=scenario, tower=tower, reduce_rule=reduce_rule)
+    report = run_pipeline(config)
+    for level, row in zip(report.stack.levels, report.level_rows, strict=True):
+        record = level_record(level.label, level.reduced, level.orthogonal)
+        weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
+        assert record.cusp_mode_indices() == weil == level.carrier_indices()
+        assert [(w["mu"], w["m"]) for w in row["weil_side"]] == list(weil)
+        for side in ("right", "left"):
+            modes = row["reduced"][side]
+            if row["orthogonal"] is not None:
+                modes = modes + row["orthogonal"][side]
+            assert sorted((m["mu"], m["m"]) for m in modes) == list(weil)
 
 
 def test_report_bytes_deterministic():

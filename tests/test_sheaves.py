@@ -19,7 +19,6 @@ from germtower import (
     endo_split,
     inject_singularity,
     shift,
-    split_diag_offdiag,
     tensor,
 )
 from germtower.bisemigroup import MG, ST
@@ -115,15 +114,6 @@ def test_tensor_requires_matching_pair():
         tensor(r, make_sheaf(LEFT, nature=SPACE))
     with pytest.raises(ValueError):
         tensor(r, make_sheaf(LEFT, depth=3))
-
-
-def test_split_diag_offdiag_counts():
-    b = tensor(make_sheaf(RIGHT, depth=3), make_sheaf(LEFT, depth=3))
-    split = split_diag_offdiag(b)
-    assert len(split.diagonal) == 2 * len(b)
-    assert len(split.off_diagonal) == 2 * len(b)
-    assert {(p.alpha, p.beta) for p in split.diagonal} == {(1, 1), (2, 2)}
-    assert {(p.alpha, p.beta) for p in split.off_diagonal} == {(1, 2), (2, 1)}
 
 
 def test_default_reduce_keeps_lower_half():

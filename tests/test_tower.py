@@ -73,15 +73,6 @@ def test_class_count_sums_multiplicities():
     assert len(tower.class_indices()) == sum((1, 2, 3, 4)) == 10
 
 
-def test_completions_both_sides_share_degrees():
-    tower = build_tower(TowerConfig(quantum_modulus=3, offset=1, depth=3, multiplicity=(2, 1, 2)))
-    left = tower.completions(LEFT)
-    right = tower.completions(RIGHT)
-    assert [c.degree for c in left] == [c.degree for c in right]
-    assert all(c.side == LEFT for c in left)
-    assert len(left) == len(tower.class_indices())
-
-
 @given(
     modulus=st.integers(min_value=1, max_value=9),
     depth=st.integers(min_value=1, max_value=8),
