@@ -6,6 +6,9 @@ those monomial sheaves whole (the maximal blowup) and glues them into a
 covering sheaf.  A swallowtail covering still carries the cubic monomial, so
 it is detected as a fold and deformed again, producing a second covering: the
 three-level cascade.  Levels embed inner to outer as ST then MG then M.
+
+The cascade runs on the right semisheaf of the base only; every level's
+bisemisheaves are its right parts paired with their ``mirror``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .sheaves import (
     emergent_project,
     endo_split,
     inject_singularity,
-    tensor,
+    mirror,
 )
 from .tower import ClassIndex
 
@@ -105,7 +108,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
         glued = zeros[sec.dims]
         for germs in fiber_germs:
             glued = glued + germs[sec.index]
-        covering_sections.append(Section(sec.index, sec.side, glued, sec.dims, sec.orth_axis))
+        covering_sections.append(Section(sec.index, sec.side, glued, sec.dims))
         base_degree = max(sec.germ.total_degree, 1)
         coverage.append((sec.index, min(1.0, glued.total_degree / base_degree)))
 
@@ -139,9 +142,7 @@ def desingularize(s: Semisheaf) -> Semisheaf:
 
 
 def time_space_lift(
-    space: Semisheaf,
-    reduce: Callable[[ClassIndex], bool] | None = None,
-    orth_dims: int = 3,
+    space: Semisheaf, reduce: Callable[[ClassIndex], bool] | None = None
 ) -> tuple[Semisheaf, Semisheaf]:
     """Lift a shifted space semisheaf to (time part, space residual).
 
@@ -152,7 +153,7 @@ def time_space_lift(
     if space.nature != SPACE_SHIFTED:
         raise ValueError("the time lift expects a shifted space semisheaf (Sp)")
     residual, complementary = endo_split(space, reduce)
-    time = emergent_project(complementary, orth_dims)
+    time = emergent_project(complementary)
     return time, residual
 
 
@@ -227,10 +228,8 @@ def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
     return tuple(out)
 
 
-def _pair_or_none(right: Semisheaf, left: Semisheaf) -> Bisemisheaf | None:
-    if not right.sections:
-        return None
-    return tensor(right, left)
+def _mirror_or_none(right: Semisheaf) -> Bisemisheaf | None:
+    return mirror(right) if right.sections else None
 
 
 def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
@@ -241,35 +240,26 @@ def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
 
 
 def _covering_level(
-    label: str,
-    seeds: tuple[Semisheaf, Semisheaf],
-    depth: int | None,
-    lower: Level,
-    orth_dims: int,
-) -> tuple[Level, tuple[BlowupResult, ...], tuple[Semisheaf, ...]]:
-    """Build one covering level from a starred (right, left) seed pair.
+    label: str, seed: Semisheaf, depth: int | None, lower: Level
+) -> tuple[Level, BlowupResult, Semisheaf]:
+    """Build one covering level from a starred right seed.
 
-    Deform and blow up each side, truncate the coverings to ``depth`` when
-    given, split them at the lower half of their mu values and lift the
-    upper half to time.  Returns the level, the two blowup results and the
-    two (truncated) coverings.
+    Deform and blow up the seed, truncate the covering to ``depth`` when
+    given, split it at the lower half of its mu values and lift the upper
+    half to time; the level pairs each part with its mirror.  Returns the
+    level, the blowup result and the (truncated) covering.
     """
-    results = tuple(blow_up(deform(seed)) for seed in seeds)
-    coverings = tuple(
-        r.covering if depth is None else _truncate(r.covering, depth) for r in results
-    )
-    predicate = _half_split_predicate(coverings[0].indices())
-    (time_r, resid_r), (time_l, resid_l) = (
-        time_space_lift(cov, predicate, orth_dims) for cov in coverings
-    )
+    result = blow_up(deform(seed))
+    covering = result.covering if depth is None else _truncate(result.covering, depth)
+    time, residual = time_space_lift(covering, _half_split_predicate(covering.indices()))
     level = Level(
         label,
-        tensor(resid_r, resid_l),
-        _pair_or_none(time_r, time_l),
-        cover=_cover_map(lower.carrier_indices(), coverings[0].indices()),
-        coverage=results[0].coverage,
+        mirror(residual),
+        _mirror_or_none(time),
+        cover=_cover_map(lower.carrier_indices(), covering.indices()),
+        coverage=result.coverage,
     )
-    return level, results, coverings
+    return level, result, covering
 
 
 def _rule_for(cls: SingularityClass) -> int:
@@ -286,7 +276,6 @@ def generate_levels(
     base: Bisemisheaf,
     singularity: SingularityClass | str | None = None,
     reduce: Callable[[ClassIndex], bool] | None = None,
-    orth_dims: int = 3,
     covering_depths: tuple[int | None, int | None] | None = None,
 ) -> LevelStack:
     """Generate the embedded level stack for a singularity scenario.
@@ -299,8 +288,9 @@ def generate_levels(
     3. corank 1 with codimension 3 (the swallowtail) -> the covering still
        carries the cubic monomial, so a second deformation adds the M level.
 
-    The base must be a shifted ST bisemisheaf; its endomorphism split makes
-    the ST space part, which hosts the injected singularity.
+    The base must be a shifted ST bisemisheaf.  The endomorphism split of
+    its right semisheaf makes the ST space part, which hosts the injected
+    singularity; the left side of every level is the mirror of the right.
     """
     if base.level != ST:
         raise ValueError("level generation starts from an ST bisemisheaf")
@@ -311,15 +301,13 @@ def generate_levels(
         if d is not None and not 1 <= d <= base.tower.depth:
             raise ValueError(f"covering depth {d} outside 1..{base.tower.depth}")
 
-    red_r, comp_r = endo_split(base.right, reduce)
-    red_l, comp_l = endo_split(base.left, reduce)
-    if not red_r.sections:
+    reduced, complementary = endo_split(base.right, reduce)
+    if not reduced.sections:
         raise ValueError("the reduce rule left the reduced part empty")
-    orth_r = emergent_project(comp_r, orth_dims)
-    orth_l = emergent_project(comp_l, orth_dims)
+    orthogonal = emergent_project(complementary)
 
     if singularity is None:
-        st = Level(ST, tensor(red_r, red_l), _pair_or_none(orth_r, orth_l))
+        st = Level(ST, mirror(reduced), _mirror_or_none(orthogonal))
         return LevelStack((st,), Provenance(None, None, 1, ()))
 
     cls = CATALOGUE.get(
@@ -328,47 +316,42 @@ def generate_levels(
     if cls is None:
         raise ValueError("level generation needs a catalogue singularity class")
     rule = _rule_for(cls)
-    if not orth_r.sections:
+    if not orthogonal.sections:
         raise ValueError(
             "the scenario needs a nonempty space part; loosen the reduce rule"
         )
-    if orth_r.nature != SPACE_SHIFTED:
+    if orthogonal.nature != SPACE_SHIFTED:
         raise ValueError(
             "singularity scenarios start from a time-natured base: the projected part hosts the spatial germ"
         )
 
     cascade: list[str] = []
-    starred_r = inject_singularity(orth_r, cls)
-    starred_l = inject_singularity(orth_l, cls)
+    starred = inject_singularity(orthogonal, cls)
     cascade.append(
-        f"inject {cls.name} germ {format_germ(starred_r.sections[0].germ)} "
-        f"on {len(starred_r)} space sections"
+        f"inject {cls.name} germ {format_germ(starred.sections[0].germ)} "
+        f"on {len(starred)} space sections"
     )
-    levels = [Level(ST, tensor(red_r, red_l), tensor(starred_r, starred_l))]
+    levels = [Level(ST, mirror(reduced), mirror(starred))]
 
-    mg, (result_r, result_l), coverings = _covering_level(
-        MG, (starred_r, starred_l), d1, levels[0], orth_dims
-    )
+    mg, result, covering = _covering_level(MG, starred, d1, levels[0])
     cascade.append(
-        f"blowup {cls.name}: covering germ {format_germ(result_r.covering.sections[0].germ)}"
+        f"blowup {cls.name}: covering germ {format_germ(result.covering.sections[0].germ)}"
     )
     levels.append(mg)
 
     if rule == 3:
-        detected = detect_resingularization(result_r)
-        if detected is None or detect_resingularization(result_l) is None:
+        detected = detect_resingularization(result)
+        if detected is None:
             raise ValueError("expected the swallowtail covering to keep its cubic")
         cascade.append(
             f"resingularization: covering keeps the cubic monomial x^3, classified {detected.name}"
         )
         cubic = Germ.monomial(1, (3,))
-        seeds = tuple(
-            replace(cov.map_germs(lambda sec: cubic), singular=True) for cov in coverings
-        )
-        m, (result2_r, _), _ = _covering_level(M, seeds, d2, mg, orth_dims)
+        seed = replace(covering.map_germs(lambda sec: cubic), singular=True)
+        m, result, _ = _covering_level(M, seed, d2, mg)
         cascade.append(
             f"blowup {detected.name}: covering germ "
-            f"{format_germ(result2_r.covering.sections[0].germ)}"
+            f"{format_germ(result.covering.sections[0].germ)}"
         )
         levels.append(m)
 

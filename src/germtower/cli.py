@@ -129,7 +129,7 @@ def _cmd_tower(args) -> int:
     for idx in tower.class_indices():
         print(f"  class ({idx.mu},{idx.m})  degree {tower.real_degree(idx)}")
     for mu in range(1, tower.depth + 1):
-        place = ", ".join(f"({i.mu},{i.m})" for i in tower.place(mu, LEFT))
+        place = ", ".join(f"({i.mu},{i.m})" for i in tower.place(mu))
         print(f"  place mu={mu}: {place}  complex degree {tower.complex_degree(mu)}")
     if args.out:
         payload = {
@@ -254,7 +254,7 @@ def _modes_from_json(data) -> tuple[Mode, ...]:
 def _cmd_samples(args) -> int:
     modes = _modes_from_json(_load_json(args.modes_file))
     side = LEFT if modes[0].sign == 1 else RIGHT
-    esm = EllipticSemimodule(side, modes, "ST", "Tp", 1)
+    esm = EllipticSemimodule(side, modes, "ST", "Tp")
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)
     if args.csv:
         _out_path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -16,7 +16,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
+from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split, mirror
 from .tower import LEFT, ClassIndex
 
 AmplitudeRule = Callable[[ClassIndex], float]
@@ -50,7 +50,6 @@ class EllipticSemimodule:
     modes: tuple[Mode, ...]
     source_level: str
     source_nature: str
-    quantum_modulus: int
 
     def evaluate(self, x: float) -> complex:
         return sum(
@@ -60,10 +59,6 @@ class EllipticSemimodule:
             ),
             complex(0),
         )
-
-    def mode_degree(self, mode: Mode) -> int:
-        # Toroidal completions drop the offset: the compactified degree is mu*N.
-        return mode.mu * self.quantum_modulus
 
     def mode_indices(self) -> tuple[ClassIndex, ...]:
         return tuple(ClassIndex(mode.mu, mode.m) for mode in self.modes)
@@ -100,9 +95,7 @@ def compactify(
         modes.append(Mode(sec.index.mu, sec.index.m, amplitude, sign))
     if not modes:
         raise ValueError("the even-class convention removed every section")
-    return EllipticSemimodule(
-        s.side, tuple(modes), s.level, s.nature, s.tower.quantum_modulus
-    )
+    return EllipticSemimodule(s.side, tuple(modes), s.level, s.nature)
 
 
 def bistring_modulus(
@@ -220,27 +213,22 @@ def lgc(
 def lggc_st(
     b: Bisemisheaf,
     reduce: Callable[[ClassIndex], bool] | None = None,
-    orth_dims: int = 3,
     amplitude_rule: AmplitudeRule | None = None,
     even_only: bool = False,
 ) -> Correspondence:
     """Two-part correspondence: split first, then compactify each route.
 
-    The endomorphism split keeps the reduced part in place and projects the
-    complementary part to the orthogonal complement; both parts are then
-    compactified.  Splitting and compactifying commute on mode indices, so
-    the union of the two parts' modes equals the plain compactification's.
+    The endomorphism split of the right semisheaf keeps the reduced part in
+    place and projects the complementary part to the orthogonal complement;
+    each part is paired with its mirror and compactified.  Splitting and
+    compactifying commute on mode indices, so the union of the two parts'
+    modes equals the plain compactification's.
     """
-    red_r, comp_r = endo_split(b.right, reduce)
-    red_l, comp_l = endo_split(b.left, reduce)
-    if not red_r.sections:
+    reduced, complementary = endo_split(b.right, reduce)
+    if not reduced.sections:
         raise ValueError("the reduce predicate left the reduced part empty")
     orthogonal = None
-    if comp_r.sections:
-        orthogonal = Bisemisheaf(
-            emergent_project(comp_r, orth_dims), emergent_project(comp_l, orth_dims)
-        )
-    record = level_record(
-        b.level, Bisemisheaf(red_r, red_l), orthogonal, amplitude_rule, even_only
-    )
+    if complementary.sections:
+        orthogonal = mirror(emergent_project(complementary))
+    record = level_record(b.level, mirror(reduced), orthogonal, amplitude_rule, even_only)
     return Correspondence((record,))

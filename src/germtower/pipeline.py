@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
-from .blowup import Level, LevelStack, desingularize, generate_levels
+from .blowup import Level, LevelStack, _rule_for, desingularize, generate_levels
 from .cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus, level_record
 from .germs import (
     CATALOGUE,
@@ -32,9 +32,8 @@ from .germs import (
     germ_from_json,
     germ_to_json,
 )
-from .sheaves import TIME, attach_sections, shift, tensor
+from .sheaves import TIME, attach_sections, mirror, shift
 from .tower import (
-    LEFT,
     RIGHT,
     ClassIndex,
     TowerConfig,
@@ -123,7 +122,10 @@ def _parse_index_key(key: str) -> ClassIndex:
 
 @dataclass
 class PipelineConfig:
-    """Everything a run needs; validated on construction."""
+    """Everything a run needs; validated on construction.
+
+    ``orth_dims`` (2 or 3) is validated and echoed but changes no level.
+    """
 
     tower: TowerConfig
     scenario: str | None = None
@@ -144,13 +146,18 @@ class PipelineConfig:
                 raise ValueError(
                     f"covering_depths must be a pair [d1, d2], got {list(self.covering_depths)}"
                 )
+            self.covering_depths = tuple(int(d) for d in self.covering_depths)
             d1, d2 = self.covering_depths
             for d in (d1, d2):
-                if not 1 <= int(d) <= self.tower.depth:
+                if not 1 <= d <= self.tower.depth:
                     raise ValueError(
                         f"covering depth {d} outside 1..{self.tower.depth}"
                     )
-            self.covering_depths = (int(d1), int(d2))
+            if d2 > d1 and self.scenario and _rule_for(CATALOGUE[self.scenario]) == 3:
+                raise ValueError(
+                    f"covering_depths [{d1}, {d2}]: the second depth cuts the first "
+                    f"covering, so it may not exceed {d1} for {self.scenario}"
+                )
         self.amplitude = _normalize_amplitude(self.amplitude)
         if self.germ_template is not None:
             self.germ_template = {
@@ -437,14 +444,10 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
 
 
 def _desingularized(level: Level) -> Level:
-    reduced = tensor(
-        desingularize(level.reduced.right), desingularize(level.reduced.left)
-    )
+    reduced = mirror(desingularize(level.reduced.right))
     orthogonal = None
     if level.orthogonal is not None:
-        orthogonal = tensor(
-            desingularize(level.orthogonal.right), desingularize(level.orthogonal.left)
-        )
+        orthogonal = mirror(desingularize(level.orthogonal.right))
     return Level(level.label, reduced, orthogonal, level.cover, level.coverage)
 
 
@@ -526,15 +529,14 @@ def _diagnostics(
         }
     )
 
-    classify_ok = True
-    for level in desing:
-        parts = [level.reduced.right, level.reduced.left]
-        if level.orthogonal is not None:
-            parts.extend([level.orthogonal.right, level.orthogonal.left])
-        for part in parts:
-            for sec in part.sections:
-                if classify_germ(sec.germ).name not in (REGULAR, MORSE):
-                    classify_ok = False
+    # the left of every bisemisheaf holds the right's germs
+    classify_ok = all(
+        classify_germ(sec.germ).name in (REGULAR, MORSE)
+        for level in desing
+        for part in (level.reduced, level.orthogonal)
+        if part is not None
+        for sec in part.right.sections
+    )
     diags.append(
         {
             "name": "desingularized_sections",
@@ -557,13 +559,9 @@ def run_pipeline(config: PipelineConfig) -> Report:
     tower = stage("tower", build_tower, config.tower)
     template = config.germ_template or _default_template(config.scenario)
 
-    right = stage(
-        "sections", attach_sections, tower, RIGHT, ST, TIME, template
-    )
-    left = stage("sections", attach_sections, tower, LEFT, ST, TIME, template)
+    right = stage("sections", attach_sections, tower, RIGHT, ST, TIME, template)
     right = stage("shift", shift, right)
-    left = stage("shift", shift, left)
-    base = stage("tensor", tensor, right, left)
+    base = stage("tensor", mirror, right)
 
     predicate = parse_reduce_rule(config.reduce_rule, tower.depth)
     stack = stage(
@@ -572,7 +570,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
         base,
         config.scenario,
         predicate,
-        config.orth_dims,
         config.covering_depths,
     )
 

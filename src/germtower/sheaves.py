@@ -5,6 +5,10 @@ is a polynomial germ plus dimensional bookkeeping.  The morphisms here are
 the workhorses of the whole engine: tensor pairing, endomorphism splits,
 emergent orthogonal projection, the differential shift, biquantum moves and
 singularity injection.
+
+A bisemisheaf pairs a right semisheaf with a left one holding the same
+sections; only compactification (the mode sign) tells the sides apart, so
+the cascade runs on the right semisheaf and ``mirror`` derives the left.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class Section:
     side: str
     germ: Germ
     dims: int
-    orth_axis: str | None = None
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -106,7 +109,7 @@ class Semisheaf:
 
     def map_germs(self, fn: Callable[[Section], Germ]) -> "Semisheaf":
         sections = tuple(
-            Section(sec.index, sec.side, fn(sec), sec.dims, sec.orth_axis)
+            Section(sec.index, sec.side, fn(sec), sec.dims)
             for sec in self.sections
         )
         return replace(self, sections=sections)
@@ -140,7 +143,11 @@ def attach_sections(
 
 @dataclass(frozen=True)
 class Bisemisheaf:
-    """A (right, left) semisheaf pair over the same index set."""
+    """A (right, left) semisheaf pair; the left holds the right's sections.
+
+    Both sides carry the same ``(index, germ)`` sections, level and nature,
+    so anything that reads only ``right`` sees the whole pair.
+    """
 
     right: Semisheaf
     left: Semisheaf
@@ -148,8 +155,9 @@ class Bisemisheaf:
     def __post_init__(self):
         if self.right.side != RIGHT or self.left.side != LEFT:
             raise ValueError("tensor takes a right semisheaf and a left semisheaf")
-        if self.right.indices() != self.left.indices():
-            raise ValueError("paired semisheaves must share their class indices")
+        right = [(sec.index, sec.germ) for sec in self.right.sections]
+        if right != [(sec.index, sec.germ) for sec in self.left.sections]:
+            raise ValueError("paired semisheaves must hold the same (index, germ) sections")
         if (self.right.level, self.right.nature) != (self.left.level, self.left.nature):
             raise ValueError("paired semisheaves must share level and nature")
 
@@ -176,6 +184,14 @@ def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
     return Bisemisheaf(right, left)
 
 
+def mirror(right: Semisheaf) -> Bisemisheaf:
+    """Pair a right semisheaf with its left mirror: the same sections, side LEFT."""
+    if right.side != RIGHT:
+        raise ValueError("only a right semisheaf is mirrored")
+    sections = tuple(Section(sec.index, LEFT, sec.germ, sec.dims) for sec in right.sections)
+    return Bisemisheaf(right, replace(right, side=LEFT, sections=sections))
+
+
 def default_reduce(depth: int) -> Callable[[ClassIndex], bool]:
     """Module-default reduction predicate: keep classes with mu <= ceil(depth/2)."""
     cut = math.ceil(depth / 2)
@@ -198,25 +214,15 @@ def endo_split(
     return reduced, complementary
 
 
-def emergent_project(complementary: Semisheaf, target_dims: int = 3) -> Semisheaf:
+def emergent_project(complementary: Semisheaf) -> Semisheaf:
     """Project a complementary part onto the orthogonal complement.
 
-    The projection flips the nature (time <-> space, shifted or not) and tags
-    every section with the target axis label.  The dimensionality of the
-    complement (2 or 3) is the caller's choice.
+    The projection keeps the sections and flips the nature (time <-> space,
+    shifted or not).
     """
     if complementary.role != COMPLEMENTARY:
         raise ValueError("only a complementary split part can be projected")
-    if target_dims not in (2, 3):
-        raise ValueError("the orthogonal complement is 2- or 3-dimensional")
-    nature = _FLIPPED[complementary.nature]
-    axis = "t" if nature in (TIME, TIME_SHIFTED) else f"r{target_dims}"
-    sections = tuple(
-        replace(sec, orth_axis=axis) for sec in complementary.sections
-    )
-    return replace(
-        complementary, nature=nature, role=ORTHOGONAL, sections=sections
-    )
+    return replace(complementary, nature=_FLIPPED[complementary.nature], role=ORTHOGONAL)
 
 
 def shift(s: Semisheaf) -> Semisheaf:
@@ -246,14 +252,10 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
     if target in b.indices():
         raise ValueError(f"target class {target} already carries a bisection")
 
-    def move(side: Semisheaf) -> Semisheaf:
-        sections = tuple(
-            replace(sec, index=target) if sec.index == at else sec
-            for sec in side.sections
-        )
-        return replace(side, sections=sections)
-
-    return Bisemisheaf(move(b.right), move(b.left))
+    sections = tuple(
+        replace(sec, index=target) if sec.index == at else sec for sec in b.right.sections
+    )
+    return mirror(replace(b.right, sections=sections))
 
 
 def create_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:

@@ -24,11 +24,6 @@ class ClassIndex(NamedTuple):
     m: int
 
 
-def _check_side(side: str) -> None:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-
-
 def _normalize_multiplicity(values, depth: int, name: str) -> tuple[int, ...]:
     if values is None or values == ():
         return (1,) * depth
@@ -141,9 +136,8 @@ class Tower:
         self._check_mu(mu)
         return self.offset + mu * self.quantum_modulus * self.complex_multiplicity(mu)
 
-    def place(self, mu: int, side: str = LEFT) -> tuple[ClassIndex, ...]:
+    def place(self, mu: int) -> tuple[ClassIndex, ...]:
         """The equivalent-completion indices {(mu, 1) .. (mu, m(mu))} at one class."""
-        _check_side(side)
         self._check_mu(mu)
         return tuple(ClassIndex(mu, m) for m in range(1, self.multiplicity(mu) + 1))
 

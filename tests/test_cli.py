@@ -140,6 +140,7 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"covering_depths": [3]},
         {"covering_depths": [3, 2, 1]},
         {"covering_depths": []},
+        {"covering_depths": [3, 5]},
         {"amplitude": {"table": {"1,1": None}}},
         {"amplitude": {"table": {"1,1": [1.0]}}},
         {"amplitude": {"table": 5}},
@@ -150,6 +151,7 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
     ids=[
         "covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null",
         "covering-depths-one", "covering-depths-three", "covering-depths-empty",
+        "covering-depths-swallowtail-d2-above-d1",
         "amplitude-null", "amplitude-list", "amplitude-table-int", "amplitude-bool",
         "even-classes-string", "even-classes-null",
     ],

@@ -55,14 +55,6 @@ def test_compactify_one_mode_per_section():
     assert all(m.amplitude == 1.0 for m in right.modes)
 
 
-def test_compactified_degree_drops_offset():
-    b = bisheaf(depth=3, modulus=3, offset=2)
-    esm = compactify(b.right)
-    assert [esm.mode_degree(m) for m in esm.modes] == [3, 6, 9]
-    # the uncompactified tower degrees keep the offset
-    assert [b.tower.real_degree(mu) for mu in (1, 2, 3)] == [5, 8, 11]
-
-
 def test_amplitude_rule_applied_per_class():
     b = bisheaf(depth=3)
     esm = compactify(b.left, amplitude_rule=lambda idx: idx.mu / 2)
@@ -75,7 +67,6 @@ def test_even_class_convention():
     b = bisheaf(depth=5)
     esm = compactify(b.right, even_only=True)
     assert [m.mu for m in esm.modes] == [2, 4]
-    assert [esm.mode_degree(m) for m in esm.modes] == [4, 8]
     single = bisheaf(depth=1)
     with pytest.raises(ValueError):
         compactify(single.right, even_only=True)
@@ -103,7 +94,7 @@ def test_evaluate_matches_naive_sum():
 
 
 def test_single_left_mode_is_unit_phasor():
-    esm = EllipticSemimodule(LEFT, (Mode(2, 1, 1.0, 1),), ST, TIME, 2)
+    esm = EllipticSemimodule(LEFT, (Mode(2, 1, 1.0, 1),), ST, TIME)
     z = esm.evaluate(0.25)
     assert z == pytest.approx(cmath.exp(1j * cmath.pi * 0.5))
     assert abs(esm.evaluate(0.77)) == pytest.approx(1.0)

@@ -29,7 +29,7 @@ from germtower.pipeline import (
     sample_rows,
     samples_csv,
 )
-from germtower.tower import ClassIndex, LEFT
+from germtower.tower import ClassIndex, LEFT, RIGHT
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -261,6 +261,61 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
             if row["orthogonal"] is not None:
                 modes = modes + row["orthogonal"][side]
             assert sorted((m["mu"], m["m"]) for m in modes) == list(weil)
+        # the left modes mirror the right ones: same classes, sign +1 for -1
+        for part in (row["reduced"], row["orthogonal"]):
+            if part is not None:
+                assert all(m["sign"] == -1 for m in part["right"])
+                assert part["left"] == [dict(m, sign=1) for m in part["right"]]
+
+
+def test_cascade_runs_on_the_right_semisheaf_only(monkeypatch):
+    import germtower.blowup as blowup_module
+    import germtower.pipeline as pipeline_module
+
+    sides = {}
+
+    def count(module, name, side_of):
+        fn = getattr(module, name)
+        sides[name] = []
+
+        def counted(*args, **kwargs):
+            sides[name].append(side_of(*args, **kwargs))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(pipeline_module, "attach_sections", lambda tower, side, *rest: side)
+    count(pipeline_module, "shift", lambda s: s.side)
+    count(blowup_module, "deform", lambda s: s.side)
+    count(blowup_module, "blow_up", lambda bundle: bundle.base.side)
+    count(pipeline_module, "desingularize", lambda s: s.side)
+    golden = json.loads((DATA_DIR / "golden_config.json").read_text())
+    expected = (DATA_DIR / "golden_report.json").read_text(encoding="utf-8")
+    assert run_pipeline(config_from_json(golden)).json_text() == expected
+    # one call per level part on the golden swallowtail: ST, MG and M
+    assert {name: len(calls) for name, calls in sides.items()} == {
+        "attach_sections": 1,
+        "shift": 1,
+        "deform": 2,
+        "blow_up": 2,
+        "desingularize": 6,
+    }
+    assert {side for calls in sides.values() for side in calls} == {RIGHT}
+
+
+def test_per_class_template_keeps_the_sides_mirrored():
+    template = {
+        f"{mu},1": {"nvars": 1, "coeffs": [[[2], "1"], [[3], f"{mu}/7"]]}
+        for mu in range(1, 7)
+    }
+    report = run_pipeline(make_config(germ_template=template))
+    st_reduced = report.stack.levels[0].reduced.right
+    assert len({sec.germ for sec in st_reduced.sections}) == len(st_reduced) > 1
+    for level in report.stack.levels:
+        for part in (level.reduced, level.orthogonal):
+            if part is not None:
+                right = [(sec.index, sec.germ) for sec in part.right.sections]
+                assert right == [(sec.index, sec.germ) for sec in part.left.sections]
 
 
 def test_report_bytes_deterministic():
@@ -340,7 +395,7 @@ def test_memoized_germ_work_does_not_leak_between_runs():
 
 
 def sample_esm():
-    return EllipticSemimodule(LEFT, (Mode(1, 1, 1.0, 1), Mode(2, 1, 0.5, 1)), "ST", "T", 2)
+    return EllipticSemimodule(LEFT, (Mode(1, 1, 1.0, 1), Mode(2, 1, 0.5, 1)), "ST", "T")
 
 
 def test_sample_rows_spacing_and_values():

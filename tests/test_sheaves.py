@@ -32,6 +32,7 @@ from germtower.sheaves import (
     TIME,
     TIME_SHIFTED,
     default_reduce,
+    mirror,
 )
 from germtower.tower import ClassIndex, LEFT, RIGHT
 
@@ -108,12 +109,19 @@ def test_tensor_requires_matching_pair():
     b = tensor(r, l)
     assert b.level == ST and b.nature == TIME
     assert b.indices() == r.indices()
+    assert mirror(r) == b
+    with pytest.raises(ValueError):
+        mirror(l)
     with pytest.raises(ValueError):
         tensor(l, r)
     with pytest.raises(ValueError):
         tensor(r, make_sheaf(LEFT, nature=SPACE))
     with pytest.raises(ValueError):
         tensor(r, make_sheaf(LEFT, depth=3))
+    # a left that differs from the right in one germ is no mirror
+    cubic_at_3 = lambda idx: Germ.monomial(1, (3,)) if idx.mu == 3 else quad(idx)
+    with pytest.raises(ValueError):
+        tensor(r, make_sheaf(LEFT, template=cubic_at_3))
 
 
 def test_default_reduce_keeps_lower_half():
@@ -142,19 +150,15 @@ def test_endo_split_partition_any_predicate(depth, cut):
     assert all(idx.mu > cut for idx in comp.indices())
 
 
-def test_emergent_project_flips_nature_and_tags_axis():
+def test_emergent_project_flips_nature_and_sets_role():
     _, comp = endo_split(make_sheaf(nature=TIME, depth=4))
     proj = emergent_project(comp)
     assert proj.nature == SPACE
     assert proj.role == ORTHOGONAL
-    assert all(sec.orth_axis == "r3" for sec in proj.sections)
-    proj2 = emergent_project(comp, target_dims=2)
-    assert all(sec.orth_axis == "r2" for sec in proj2.sections)
 
     _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4))
     proj_t = emergent_project(comp_s)
     assert proj_t.nature == TIME_SHIFTED
-    assert all(sec.orth_axis == "t" for sec in proj_t.sections)
 
 
 def test_emergent_project_requires_complementary():
@@ -164,8 +168,6 @@ def test_emergent_project_requires_complementary():
     reduced, comp = endo_split(s)
     with pytest.raises(ValueError):
         emergent_project(reduced)
-    with pytest.raises(ValueError):
-        emergent_project(comp, target_dims=4)
 
 
 def test_shift_differentiates_and_primes():

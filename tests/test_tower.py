@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germtower import ClassIndex, Tower, TowerConfig, build_tower
-from germtower.tower import LEFT, RIGHT, tower_config_from_json
+from germtower.tower import tower_config_from_json
 
 
 def oracle_degree(offset: int, step: int, times: int) -> int:
@@ -51,10 +51,9 @@ def test_real_degree_accepts_class_index():
 
 def test_place_lists_equivalent_completions():
     tower = build_tower(TowerConfig(quantum_modulus=2, offset=0, depth=2, multiplicity=(1, 3)))
-    place = tower.place(2, LEFT)
+    place = tower.place(2)
     assert place == (ClassIndex(2, 1), ClassIndex(2, 2), ClassIndex(2, 3))
     assert len(set(place)) == 3
-    assert tower.place(2, LEFT) == tower.place(2, RIGHT)
 
 
 def test_class_indices_lexicographic():
@@ -124,8 +123,6 @@ def test_out_of_range_lookups_rejected():
         tower.real_degree(3)
     with pytest.raises(ValueError):
         tower.place(0)
-    with pytest.raises(ValueError):
-        tower.place(1, "middle")
 
 
 def test_json_roundtrip():

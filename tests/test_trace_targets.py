@@ -1,15 +1,24 @@
-"""The benchmark tracer's targets all exist in the package.
+"""The benchmark tracer's targets and stage names all exist in the package.
 
 ``perfbench/tracer.py`` wraps functions and methods by name from outside the
 package; a target that no longer resolves breaks ``perfbench/run.py --trace 1``.
-The tracer file is read and executed here, never imported or written.
+``perfbench/run.py`` counts rejections per ``PipelineError`` stage name; a
+stage renamed in ``run_pipeline`` would leave its counter at zero.  The
+benchmark files are read here, never imported or written.
 """
 
+import ast
 import importlib
+import inspect
+import textwrap
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from germtower.pipeline import run_pipeline
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+RUNNER = PERFBENCH / "run.py"
 
 
 def load_tracer() -> types.ModuleType:
@@ -30,3 +39,23 @@ def test_every_traced_function_and_method_resolves():
         raw = cls.__dict__.get(attr)
         assert raw is not None, (module, cls_name, attr)
         assert isinstance(raw, staticmethod) == static, (module, cls_name, attr)
+
+
+def test_every_benchmark_stage_is_a_pipeline_stage():
+    runner = ast.parse(RUNNER.read_text(encoding="utf-8"))
+    (stages,) = [
+        ast.literal_eval(node.value)
+        for node in runner.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
+    ]
+    pipeline = ast.parse(textwrap.dedent(inspect.getsource(run_pipeline)))
+    names = {
+        node.args[0].value
+        for node in ast.walk(pipeline)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "stage"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert stages and set(stages) <= names, sorted(set(stages) - names)
