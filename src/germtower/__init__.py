@@ -1,8 +1,8 @@
 """germtower: exact bookkeeping for completion towers, germ cascades, and
 cuspidal correspondences.
 
-The engine is organized in layers: index towers (`tower`), triangular matrix
-pairs and labeled expansions (`bisemigroup`), polynomial jets with their
+The engine is organized in layers: index towers (`tower`), level tags and
+labeled sum-product expansions (`bisemigroup`), polynomial jets with their
 catastrophe classification (`germs`), germ-valued semisheaves and their
 morphisms (`sheaves`), exponential-sum compactification and correspondences
 (`cuspidal`), versal deformation with the blowup cascade (`blowup`), and the
@@ -13,10 +13,7 @@ from .bisemigroup import (
     FREE,
     INTERACTION,
     LEVELS,
-    Bielement,
     LabeledTerm,
-    TriangularElement,
-    cross_compose,
     expand_sum_product,
 )
 from .blowup import (
@@ -24,7 +21,6 @@ from .blowup import (
     DeformedBundle,
     Level,
     LevelStack,
-    Provenance,
     blow_up,
     deform,
     desingularize,
@@ -63,7 +59,6 @@ from .germs import (
     germ_from_json,
     germ_to_json,
     normal_form,
-    quotient_basis,
     versal_unfold,
 )
 from .pipeline import (

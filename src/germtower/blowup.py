@@ -1,14 +1,15 @@
 """Versal deformation, blowup coverings, and the embedded level cascade.
 
-A marked singular semisheaf is deformed into a contracting fiber bundle with
-one monomial semisheaf per unfolding slot.  Blowing the bundle up detaches
-those monomial sheaves whole (the maximal blowup) and glues them into a
-covering sheaf.  A swallowtail covering still carries the cubic monomial, so
-it is detected as a fold and deformed again, producing a second covering: the
-three-level cascade.  Levels embed inner to outer as ST then MG then M.
+A marked singular semisheaf is deformed into a contracting fiber bundle whose
+fiber holds one monomial germ per unfolding slot, constant over the base.
+Blowing the bundle up detaches those monomials whole (the maximal blowup)
+and glues their sum into a covering sheaf.  A swallowtail covering still
+carries the cubic monomial, so it is detected as a fold and deformed again,
+producing a second covering: the three-level cascade.  Levels embed inner to
+outer as ST then MG then M.
 
 The cascade runs on the right semisheaf of the base only; every level's
-bisemisheaves are its right parts paired with their ``mirror``.
+bisemisheaves are built from its right parts, which carry the left mirrors.
 """
 
 from __future__ import annotations
@@ -36,50 +37,41 @@ from .sheaves import (
     emergent_project,
     endo_split,
     inject_singularity,
-    mirror,
 )
 from .tower import ClassIndex
 
 
 @dataclass(frozen=True)
 class DeformedBundle:
-    """A singular base with its versal fiber of monomial semisheaves.
+    """A singular base with its versal fiber of monomial germs.
 
-    ``fiber`` holds one (slot name, monomial semisheaf) entry per unfolding
-    slot, so its length equals the codimension.
+    ``fiber`` holds the (slot name, monomial germ) pairs of the base class's
+    unfolding, one per slot, so its length equals the codimension; each
+    monomial is constant over the base.
     """
 
     base: Semisheaf
-    fiber: tuple[tuple[str, Semisheaf], ...]
+    fiber: tuple[tuple[str, Germ], ...]
     singularity: SingularityClass
-
-
-def _constant_sheaf(base: Semisheaf, germ: Germ) -> Semisheaf:
-    out = base.map_germs(lambda sec: germ)
-    return replace(out, singular=False, role=None)
 
 
 def deform(base: Semisheaf) -> DeformedBundle:
     """Versally deform a starred semisheaf along its classified germ.
 
-    Every section must carry the same catalogue-classified germ; the fiber
-    then holds one monomial sheaf per unfolding slot over the same indices.
+    Every section must carry the same catalogue-classified germ; each
+    distinct germ is classified once.
     """
     if not base.singular:
         raise ValueError("versal deformation starts from a starred (singular) semisheaf")
     if not base.sections:
         raise ValueError("cannot deform an empty semisheaf")
-    classes = {classify_germ(sec.germ) for sec in base.sections}
+    classes = {classify_germ(germ) for germ in {sec.germ for sec in base.sections}}
     if len(classes) != 1:
         raise ValueError("sections carry singularities of different kinds")
     cls = classes.pop()
     if cls.name not in CATALOGUE:
         raise ValueError(f"{cls.name} germs have no tabulated versal deformation")
-    unfolding = versal_unfold(cls)
-    fiber = tuple(
-        (name, _constant_sheaf(base, mono)) for name, mono in unfolding.parameters
-    )
-    return DeformedBundle(base, fiber, cls)
+    return DeformedBundle(base, versal_unfold(cls).parameters, cls)
 
 
 @dataclass(frozen=True)
@@ -91,34 +83,24 @@ class BlowupResult:
 def blow_up(bundle: DeformedBundle) -> BlowupResult:
     """Detach the fiber monomials and glue them into a covering sheaf.
 
-    The blowup is maximal: every monomial sheaf is detached whole, so the
-    covering gains one glued section per base section, the sum of the
-    monomials at that index.  ``coverage`` keeps each section's glued degree
-    as a fraction of its base degree, capped at 1.
+    The blowup is maximal: every monomial is detached whole, so the covering
+    carries their sum at every base index.  ``coverage`` keeps each
+    section's glued degree as a fraction of its base degree, capped at 1.
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
-    fiber_germs = [
-        {sec.index: sec.germ for sec in msheaf.sections} for _, msheaf in bundle.fiber
-    ]
-    zeros = {dims: Germ.zero(dims) for dims in {sec.dims for sec in bundle.base.sections}}
-    covering_sections = []
-    coverage = []
-    for sec in bundle.base.sections:
-        glued = zeros[sec.dims]
-        for germs in fiber_germs:
-            glued = glued + germs[sec.index]
-        covering_sections.append(Section(sec.index, sec.side, glued, sec.dims))
-        base_degree = max(sec.germ.total_degree, 1)
-        coverage.append((sec.index, min(1.0, glued.total_degree / base_degree)))
-
-    covering = replace(
-        bundle.base,
-        sections=tuple(covering_sections),
-        singular=False,
-        role=None,
+    glued = Germ.zero(bundle.fiber[0][1].nvars)
+    for _, mono in bundle.fiber:
+        glued = glued + mono
+    sections = tuple(
+        Section(sec.index, sec.side, glued, sec.dims) for sec in bundle.base.sections
     )
-    return BlowupResult(covering, tuple(coverage))
+    coverage = tuple(
+        (sec.index, min(1.0, glued.total_degree / max(sec.germ.total_degree, 1)))
+        for sec in bundle.base.sections
+    )
+    covering = replace(bundle.base, sections=sections, singular=False, role=None)
+    return BlowupResult(covering, coverage)
 
 
 def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
@@ -186,25 +168,17 @@ class Level:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    corank: int | None
-    codim: int | None
+class LevelStack:
+    """The levels inner to outer, the selection rule and the cascade log."""
+
+    levels: tuple[Level, ...]
     rule: int
     cascade: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class LevelStack:
-    levels: tuple[Level, ...]
-    provenance: Provenance
 
     def __post_init__(self):
         labels = tuple(level.label for level in self.levels)
         if labels != LEVELS[: len(labels)] or not labels:
             raise ValueError(f"levels must run {LEVELS} inner to outer, got {labels}")
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(level.label for level in self.levels)
 
 
 def _half_split_predicate(indices) -> Callable[[ClassIndex], bool]:
@@ -228,8 +202,8 @@ def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
     return tuple(out)
 
 
-def _mirror_or_none(right: Semisheaf) -> Bisemisheaf | None:
-    return mirror(right) if right.sections else None
+def _pair_or_none(right: Semisheaf) -> Bisemisheaf | None:
+    return Bisemisheaf(right) if right.sections else None
 
 
 def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
@@ -246,7 +220,7 @@ def _covering_level(
 
     Deform and blow up the seed, truncate the covering to ``depth`` when
     given, split it at the lower half of its mu values and lift the upper
-    half to time; the level pairs each part with its mirror.  Returns the
+    half to time; the level pairs each part with its left mirror.  Returns the
     level, the blowup result and the (truncated) covering.
     """
     result = blow_up(deform(seed))
@@ -254,8 +228,8 @@ def _covering_level(
     time, residual = time_space_lift(covering, _half_split_predicate(covering.indices()))
     level = Level(
         label,
-        mirror(residual),
-        _mirror_or_none(time),
+        Bisemisheaf(residual),
+        _pair_or_none(time),
         cover=_cover_map(lower.carrier_indices(), covering.indices()),
         coverage=result.coverage,
     )
@@ -307,8 +281,8 @@ def generate_levels(
     orthogonal = emergent_project(complementary)
 
     if singularity is None:
-        st = Level(ST, mirror(reduced), _mirror_or_none(orthogonal))
-        return LevelStack((st,), Provenance(None, None, 1, ()))
+        st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
+        return LevelStack((st,), 1, ())
 
     cls = CATALOGUE.get(
         singularity if isinstance(singularity, str) else singularity.name
@@ -331,7 +305,7 @@ def generate_levels(
         f"inject {cls.name} germ {format_germ(starred.sections[0].germ)} "
         f"on {len(starred)} space sections"
     )
-    levels = [Level(ST, mirror(reduced), mirror(starred))]
+    levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(starred))]
 
     mg, result, covering = _covering_level(MG, starred, d1, levels[0])
     cascade.append(
@@ -355,4 +329,4 @@ def generate_levels(
         )
         levels.append(m)
 
-    return LevelStack(tuple(levels), Provenance(cls.corank, cls.codim, rule, tuple(cascade)))
+    return LevelStack(tuple(levels), rule, tuple(cascade))

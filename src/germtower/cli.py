@@ -254,7 +254,7 @@ def _modes_from_json(data) -> tuple[Mode, ...]:
 def _cmd_samples(args) -> int:
     modes = _modes_from_json(_load_json(args.modes_file))
     side = LEFT if modes[0].sign == 1 else RIGHT
-    esm = EllipticSemimodule(side, modes, "ST", "Tp")
+    esm = EllipticSemimodule(side, modes)
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)
     if args.csv:
         _out_path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -16,7 +16,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split, mirror
+from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
 from .tower import LEFT, ClassIndex
 
 AmplitudeRule = Callable[[ClassIndex], float]
@@ -48,8 +48,6 @@ class EllipticSemimodule:
 
     side: str
     modes: tuple[Mode, ...]
-    source_level: str
-    source_nature: str
 
     def evaluate(self, x: float) -> complex:
         return sum(
@@ -95,7 +93,7 @@ def compactify(
         modes.append(Mode(sec.index.mu, sec.index.m, amplitude, sign))
     if not modes:
         raise ValueError("the even-class convention removed every section")
-    return EllipticSemimodule(s.side, tuple(modes), s.level, s.nature)
+    return EllipticSemimodule(s.side, tuple(modes))
 
 
 def bistring_modulus(
@@ -148,12 +146,6 @@ class LevelRecord:
                 len(self.orthogonal[0].modes) == len(self.orthogonal[1].modes)
             )
         return pairs_match and len(self.weil_side) == self.mode_pair_count()
-
-    def cusp_mode_indices(self) -> tuple[ClassIndex, ...]:
-        indices = list(self.reduced[1].mode_indices())
-        if self.orthogonal is not None:
-            indices.extend(self.orthogonal[1].mode_indices())
-        return tuple(sorted(indices))
 
 
 @dataclass(frozen=True)
@@ -220,7 +212,7 @@ def lggc_st(
 
     The endomorphism split of the right semisheaf keeps the reduced part in
     place and projects the complementary part to the orthogonal complement;
-    each part is paired with its mirror and compactified.  Splitting and
+    each part is paired with its left mirror and compactified.  Splitting and
     compactifying commute on mode indices, so the union of the two parts'
     modes equals the plain compactification's.
     """
@@ -229,6 +221,6 @@ def lggc_st(
         raise ValueError("the reduce predicate left the reduced part empty")
     orthogonal = None
     if complementary.sections:
-        orthogonal = mirror(emergent_project(complementary))
-    record = level_record(b.level, mirror(reduced), orthogonal, amplitude_rule, even_only)
+        orthogonal = Bisemisheaf(emergent_project(complementary))
+    record = level_record(b.level, Bisemisheaf(reduced), orthogonal, amplitude_rule, even_only)
     return Correspondence((record,))

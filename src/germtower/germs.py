@@ -471,16 +471,6 @@ def versal_unfold(c: SingularityClass | str) -> Unfolding:
     return Unfolding(normal_form(name), _UNFOLDINGS[name], CATALOGUE[name].codim)
 
 
-def quotient_basis(c: SingularityClass | str) -> tuple[Germ, ...]:
-    """Monomial basis {x, x^2, ..., x^codim} of a corank-1 class quotient."""
-    cls = CATALOGUE.get(c if isinstance(c, str) else c.name)
-    if cls is None:
-        raise ValueError("quotient basis is tabulated for catalogue classes only")
-    if cls.corank != 1:
-        raise ValueError(f"{cls.name} has corank {cls.corank}; expected corank 1")
-    return tuple(Germ.monomial(1, (k,)) for k in range(1, cls.codim + 1))
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

@@ -32,7 +32,7 @@ from .germs import (
     germ_from_json,
     germ_to_json,
 )
-from .sheaves import TIME, attach_sections, mirror, shift
+from .sheaves import TIME, Bisemisheaf, attach_sections, shift
 from .tower import (
     RIGHT,
     ClassIndex,
@@ -444,10 +444,10 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
 
 
 def _desingularized(level: Level) -> Level:
-    reduced = mirror(desingularize(level.reduced.right))
+    reduced = Bisemisheaf(desingularize(level.reduced.right))
     orthogonal = None
     if level.orthogonal is not None:
-        orthogonal = mirror(desingularize(level.orthogonal.right))
+        orthogonal = Bisemisheaf(desingularize(level.orthogonal.right))
     return Level(level.label, reduced, orthogonal, level.cover, level.coverage)
 
 
@@ -529,14 +529,16 @@ def _diagnostics(
         }
     )
 
-    # the left of every bisemisheaf holds the right's germs
-    classify_ok = all(
-        classify_germ(sec.germ).name in (REGULAR, MORSE)
+    # the left of every bisemisheaf holds the right's germs; each distinct
+    # germ is classified once
+    germs = {
+        sec.germ
         for level in desing
         for part in (level.reduced, level.orthogonal)
         if part is not None
         for sec in part.right.sections
-    )
+    }
+    classify_ok = all(classify_germ(germ).name in (REGULAR, MORSE) for germ in germs)
     diags.append(
         {
             "name": "desingularized_sections",
@@ -561,7 +563,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
     right = stage("sections", attach_sections, tower, RIGHT, ST, TIME, template)
     right = stage("shift", shift, right)
-    base = stage("tensor", mirror, right)
+    base = stage("tensor", Bisemisheaf, right)
 
     predicate = parse_reduce_rule(config.reduce_rule, tower.depth)
     stack = stage(
@@ -594,9 +596,9 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
     return Report(
         config=config_to_json(config),
-        rule=stack.provenance.rule,
+        rule=stack.rule,
         level_rows=rows,
-        cascade=stack.provenance.cascade,
+        cascade=stack.cascade,
         expansions=expansions,
         diagnostics=diagnostics,
         stack=stack,
@@ -613,6 +615,8 @@ def sample_rows(
     """Evaluate the semimodule on n evenly spaced points of [x0, x1]."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"sample range must be finite, got [{x0}, {x1}]")
     if n > 1 and not x1 > x0:
         raise ValueError("degenerate sample range: need x1 > x0")
     rows = []

@@ -2,13 +2,13 @@
 
 A semisheaf holds one section per selected class index of a tower; a section
 is a polynomial germ plus dimensional bookkeeping.  The morphisms here are
-the workhorses of the whole engine: tensor pairing, endomorphism splits,
-emergent orthogonal projection, the differential shift, biquantum moves and
-singularity injection.
+the workhorses of the whole engine: endomorphism splits, emergent orthogonal
+projection, the differential shift, biquantum moves and singularity
+injection.
 
-A bisemisheaf pairs a right semisheaf with a left one holding the same
-sections; only compactification (the mode sign) tells the sides apart, so
-the cascade runs on the right semisheaf and ``mirror`` derives the left.
+A bisemisheaf stores a right semisheaf and derives its left mirror, which
+holds the same sections; only compactification (the mode sign) tells the
+sides apart, so the cascade runs on the right semisheaf alone.
 """
 
 from __future__ import annotations
@@ -143,26 +143,28 @@ def attach_sections(
 
 @dataclass(frozen=True)
 class Bisemisheaf:
-    """A (right, left) semisheaf pair; the left holds the right's sections.
+    """A right semisheaf paired with its left mirror.
 
-    Both sides carry the same ``(index, germ)`` sections, level and nature,
-    so anything that reads only ``right`` sees the whole pair.
+    Only the right side is stored; ``left`` is built when it is read and
+    holds the same sections, level and nature with side LEFT, so anything
+    that reads only ``right`` sees the whole pair.
     """
 
     right: Semisheaf
-    left: Semisheaf
 
     def __post_init__(self):
-        if self.right.side != RIGHT or self.left.side != LEFT:
-            raise ValueError("tensor takes a right semisheaf and a left semisheaf")
-        right = [(sec.index, sec.germ) for sec in self.right.sections]
-        if right != [(sec.index, sec.germ) for sec in self.left.sections]:
-            raise ValueError("paired semisheaves must hold the same (index, germ) sections")
-        if (self.right.level, self.right.nature) != (self.left.level, self.left.nature):
-            raise ValueError("paired semisheaves must share level and nature")
+        if self.right.side != RIGHT:
+            raise ValueError("a bisemisheaf is built from a right semisheaf")
 
     def __len__(self) -> int:
         return len(self.right)
+
+    @property
+    def left(self) -> Semisheaf:
+        sections = tuple(
+            Section(sec.index, LEFT, sec.germ, sec.dims) for sec in self.right.sections
+        )
+        return replace(self.right, side=LEFT, sections=sections)
 
     @property
     def level(self) -> str:
@@ -181,15 +183,14 @@ class Bisemisheaf:
 
 
 def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
-    return Bisemisheaf(right, left)
-
-
-def mirror(right: Semisheaf) -> Bisemisheaf:
-    """Pair a right semisheaf with its left mirror: the same sections, side LEFT."""
-    if right.side != RIGHT:
-        raise ValueError("only a right semisheaf is mirrored")
-    sections = tuple(Section(sec.index, LEFT, sec.germ, sec.dims) for sec in right.sections)
-    return Bisemisheaf(right, replace(right, side=LEFT, sections=sections))
+    """Pair a right semisheaf with a left one that must be its mirror."""
+    pair = Bisemisheaf(right)
+    if left != pair.left:
+        raise ValueError(
+            "tensor takes a right semisheaf and the left semisheaf with the same "
+            "sections, tower and tags"
+        )
+    return pair
 
 
 def default_reduce(depth: int) -> Callable[[ClassIndex], bool]:
@@ -255,7 +256,7 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
     sections = tuple(
         replace(sec, index=target) if sec.index == at else sec for sec in b.right.sections
     )
-    return mirror(replace(b.right, sections=sections))
+    return Bisemisheaf(replace(b.right, sections=sections))
 
 
 def create_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:

@@ -1,98 +1,11 @@
-"""Triangular pair composition and labeled product expansion."""
-
-from fractions import Fraction
+"""Labeled product expansion."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germtower import (
-    Bielement,
-    LabeledTerm,
-    TriangularElement,
-    cross_compose,
-    expand_sum_product,
-)
+from germtower import LabeledTerm, expand_sum_product
 from germtower.bisemigroup import FREE, INTERACTION, MG, M, ST
-from germtower.tower import LEFT, RIGHT
-
-
-def right_el(a, b, c):
-    return TriangularElement(RIGHT, ((a, 0), (b, c)))
-
-
-def left_el(a, b, c):
-    return TriangularElement(LEFT, ((a, b), (0, c)))
-
-
-def test_cross_compose_worked_example():
-    x = Bielement(right_el(1, 2, 3), left_el(4, 5, 6))
-    y = Bielement(right_el(Fraction(1, 2), 0, 1), left_el(1, 1, 1))
-    z = cross_compose(x, y)
-    assert z.right.entries == ((Fraction(3, 2), 0), (2, 4))
-    assert z.left.entries == ((5, 6), (0, 7))
-
-
-def test_triangularity_enforced():
-    with pytest.raises(ValueError):
-        TriangularElement(LEFT, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        TriangularElement(RIGHT, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        TriangularElement("middle", ((1, 0), (0, 1)))
-
-
-def test_bielement_orientation_enforced():
-    r, l = right_el(1, 0, 1), left_el(1, 0, 1)
-    with pytest.raises(ValueError):
-        Bielement(l, r)
-    with pytest.raises(ValueError):
-        Bielement(r, r)
-
-
-def test_mixed_side_addition_rejected():
-    with pytest.raises(ValueError):
-        right_el(1, 0, 1) + left_el(1, 0, 1)
-
-
-def test_entries_snap_to_exact_rationals():
-    el = right_el(0.5, 0.25, 2)
-    assert el.entries[0][0] == Fraction(1, 2)
-    assert isinstance(el.entries[1][0], Fraction)
-
-
-fractions_st = st.fractions(
-    min_value=-100, max_value=100, max_denominator=50
-)
-
-
-def bielements():
-    return st.tuples(*(fractions_st,) * 6).map(
-        lambda v: Bielement(right_el(v[0], v[1], v[2]), left_el(v[3], v[4], v[5]))
-    )
-
-
-@given(bielements(), bielements())
-def test_cross_compose_commutative(a, b):
-    assert cross_compose(a, b) == cross_compose(b, a)
-
-
-@given(bielements(), bielements(), bielements())
-def test_cross_compose_associative(a, b, c):
-    assert cross_compose(cross_compose(a, b), c) == cross_compose(a, cross_compose(b, c))
-
-
-@given(bielements())
-def test_zero_pair_is_identity(a):
-    zero = Bielement(TriangularElement.zero(RIGHT), TriangularElement.zero(LEFT))
-    assert cross_compose(a, zero) == a
-
-
-@given(bielements(), bielements())
-def test_cross_compose_stays_triangular(a, b):
-    z = cross_compose(a, b)
-    assert z.right.entries[0][1] == 0
-    assert z.left.entries[1][0] == 0
 
 
 def test_expand_two_levels():

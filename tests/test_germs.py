@@ -12,7 +12,6 @@ from germtower import (
     corank,
     format_germ,
     normal_form,
-    quotient_basis,
     versal_unfold,
 )
 from germtower.germs import (
@@ -305,15 +304,6 @@ def test_unfolding_rejects_off_catalogue():
     for bad in (REGULAR, MORSE, UNCLASSIFIED, "NotAClass"):
         with pytest.raises(ValueError):
             versal_unfold(bad)
-
-
-def test_quotient_basis():
-    assert [format_germ(g) for g in quotient_basis(SWALLOWTAIL)] == ["x", "x^2", "x^3"]
-    assert [format_germ(g) for g in quotient_basis(FOLD)] == ["x"]
-    with pytest.raises(ValueError):
-        quotient_basis(ELLIPTIC_UMBILIC)
-    with pytest.raises(ValueError):
-        quotient_basis(MORSE)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,9 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
     for level, row in zip(report.stack.levels, report.level_rows, strict=True):
         record = level_record(level.label, level.reduced, level.orthogonal)
         weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
-        assert record.cusp_mode_indices() == weil == level.carrier_indices()
+        parts = [part for part in (record.reduced, record.orthogonal) if part is not None]
+        cusp = tuple(sorted(idx for _, left in parts for idx in left.mode_indices()))
+        assert cusp == weil == level.carrier_indices()
         assert [(w["mu"], w["m"]) for w in row["weil_side"]] == list(weil)
         for side in ("right", "left"):
             modes = row["reduced"][side]
@@ -289,9 +291,22 @@ def test_cascade_runs_on_the_right_semisheaf_only(monkeypatch):
     count(blowup_module, "deform", lambda s: s.side)
     count(blowup_module, "blow_up", lambda bundle: bundle.base.side)
     count(pipeline_module, "desingularize", lambda s: s.side)
+    # classify_germ is called from deform and from the diagnostics
+    classified = {}
+    for module in (blowup_module, pipeline_module):
+        classify, calls = module.classify_germ, classified.setdefault(module.__name__, [])
+
+        def counted(germ, classify=classify, calls=calls):
+            calls.append(germ)
+            return classify(germ)
+
+        monkeypatch.setattr(module, "classify_germ", counted)
     golden = json.loads((DATA_DIR / "golden_config.json").read_text())
     expected = (DATA_DIR / "golden_report.json").read_text(encoding="utf-8")
     assert run_pipeline(config_from_json(golden)).json_text() == expected
+    # no call site classifies the same germ twice
+    for site, calls in classified.items():
+        assert calls and len(calls) == len(set(calls)), (site, calls)
     # one call per level part on the golden swallowtail: ST, MG and M
     assert {name: len(calls) for name, calls in sides.items()} == {
         "attach_sections": 1,
@@ -395,7 +410,7 @@ def test_memoized_germ_work_does_not_leak_between_runs():
 
 
 def sample_esm():
-    return EllipticSemimodule(LEFT, (Mode(1, 1, 1.0, 1), Mode(2, 1, 0.5, 1)), "ST", "T")
+    return EllipticSemimodule(LEFT, (Mode(1, 1, 1.0, 1), Mode(2, 1, 0.5, 1)))
 
 
 def test_sample_rows_spacing_and_values():
@@ -412,6 +427,9 @@ def test_sample_rows_spacing_and_values():
         sample_rows(esm, 0, 0, 1)
     with pytest.raises(ValueError):
         sample_rows(esm, 3, 1.0, 1.0)
+    for n, x0, x1 in ((100, 0.0, math.inf), (100, -math.inf, 1.0), (1, math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            sample_rows(esm, n, x0, x1)
 
 
 def test_samples_csv_shape():

@@ -1,5 +1,7 @@
 """Semisheaf construction and the morphisms acting on them."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,7 +34,6 @@ from germtower.sheaves import (
     TIME,
     TIME_SHIFTED,
     default_reduce,
-    mirror,
 )
 from germtower.tower import ClassIndex, LEFT, RIGHT
 
@@ -109,9 +110,9 @@ def test_tensor_requires_matching_pair():
     b = tensor(r, l)
     assert b.level == ST and b.nature == TIME
     assert b.indices() == r.indices()
-    assert mirror(r) == b
+    assert Bisemisheaf(r) == b and b.left == l
     with pytest.raises(ValueError):
-        mirror(l)
+        Bisemisheaf(l)
     with pytest.raises(ValueError):
         tensor(l, r)
     with pytest.raises(ValueError):
@@ -122,6 +123,9 @@ def test_tensor_requires_matching_pair():
     cubic_at_3 = lambda idx: Germ.monomial(1, (3,)) if idx.mu == 3 else quad(idx)
     with pytest.raises(ValueError):
         tensor(r, make_sheaf(LEFT, template=cubic_at_3))
+    # nor is one that differs only in a tag the pair cannot hold
+    with pytest.raises(ValueError):
+        tensor(r, replace(l, singular=True))
 
 
 def test_default_reduce_keeps_lower_half():
