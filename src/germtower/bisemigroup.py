@@ -7,8 +7,7 @@ label) and interaction (mixed label) terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 # Level tags, inner to outer.  Expansion output is ordered by this sequence.
 ST = "ST"
@@ -20,8 +19,7 @@ FREE = "free"
 INTERACTION = "interaction"
 
 
-@dataclass(frozen=True)
-class LabeledTerm:
+class LabeledTerm(NamedTuple):
     """One term of an expanded product of labeled sums."""
 
     right_label: str

@@ -15,8 +15,7 @@ bisemisheaves are built from its right parts, which carry the left mirrors.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bisemigroup import LEVELS, M, MG, ST
 from .germs import (
@@ -38,11 +37,10 @@ from .sheaves import (
     endo_split,
     inject_singularity,
 )
-from .tower import ClassIndex
+from .tower import ClassIndex, Record, _set
 
 
-@dataclass(frozen=True)
-class DeformedBundle:
+class DeformedBundle(NamedTuple):
     """A singular base with its versal fiber of monomial germs.
 
     ``fiber`` holds the (slot name, monomial germ) pairs of the base class's
@@ -74,8 +72,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
     return DeformedBundle(base, versal_unfold(cls).parameters, cls)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     covering: Semisheaf
     coverage: tuple[tuple[ClassIndex, float], ...]
 
@@ -99,7 +96,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
         (sec.index, min(1.0, glued.total_degree / max(sec.germ.total_degree, 1)))
         for sec in bundle.base.sections
     )
-    covering = replace(bundle.base, sections=sections, singular=False, role=None)
+    covering = bundle.base.replace(sections=sections, singular=False, role=None)
     return BlowupResult(covering, coverage)
 
 
@@ -120,7 +117,7 @@ def desingularize(s: Semisheaf) -> Semisheaf:
     It is idempotent and its output classifies Regular or Morse.
     """
     out = s.map_germs(lambda sec: sec.germ.truncated(2))
-    return replace(out, singular=False)
+    return out.replace(singular=False)
 
 
 def time_space_lift(
@@ -143,8 +140,7 @@ def time_space_lift(
 # level generation
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One shell of the cascade: a reduced/orthogonal bisemisheaf pair.
 
     The two parts carry complementary shifted natures (one time, one space),
@@ -167,18 +163,18 @@ class Level:
         return tuple(sorted(indices))
 
 
-@dataclass(frozen=True)
-class LevelStack:
+class LevelStack(Record):
     """The levels inner to outer, the selection rule and the cascade log."""
 
-    levels: tuple[Level, ...]
-    rule: int
-    cascade: tuple[str, ...]
+    __slots__ = ("levels", "rule", "cascade")
 
-    def __post_init__(self):
-        labels = tuple(level.label for level in self.levels)
+    def __init__(self, levels: tuple[Level, ...], rule: int, cascade: tuple[str, ...]):
+        labels = tuple(level.label for level in levels)
         if labels != LEVELS[: len(labels)] or not labels:
             raise ValueError(f"levels must run {LEVELS} inner to outer, got {labels}")
+        _set(self, "levels", levels)
+        _set(self, "rule", rule)
+        _set(self, "cascade", cascade)
 
 
 def _half_split_predicate(indices) -> Callable[[ClassIndex], bool]:
@@ -210,7 +206,7 @@ def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
     kept = tuple(sec for sec in side.sections if sec.index.mu <= depth)
     if not kept:
         raise ValueError(f"covering truncated to depth {depth} keeps no section")
-    return replace(side, tower=side.tower.truncated(depth), sections=kept)
+    return side.replace(tower=side.tower.truncated(depth), sections=kept)
 
 
 def _covering_level(
@@ -321,7 +317,7 @@ def generate_levels(
             f"resingularization: covering keeps the cubic monomial x^3, classified {detected.name}"
         )
         cubic = Germ.monomial(1, (3,))
-        seed = replace(covering.map_germs(lambda sec: cubic), singular=True)
+        seed = covering.map_germs(lambda sec: cubic).replace(singular=True)
         m, result, _ = _covering_level(M, seed, d2, mg)
         cascade.append(
             f"blowup {detected.name}: covering germ "

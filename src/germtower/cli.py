@@ -167,6 +167,8 @@ def _cmd_unfold(args) -> int:
         name = normalize_scenario(args.name)
         if name is None:
             raise ValueError("unfold needs a catalogue class name")
+    elif args.germ is None:
+        raise ValueError("unfold needs --name or --germ")
     else:
         cls = classify_germ(germ_from_json(json.loads(args.germ)))
         if cls.name not in CATALOGUE:

@@ -13,11 +13,10 @@ cuspidal parts; the pipeline calls it per level, and ``lgc`` (no split) and
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
-from .tower import LEFT, ClassIndex
+from .tower import LEFT, ClassIndex, Record, _set
 
 AmplitudeRule = Callable[[ClassIndex], float]
 
@@ -26,24 +25,23 @@ def unit_amplitude(_: ClassIndex) -> float:
     return 1.0
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Record):
     """One exponential mode ``amplitude * exp(sign * pi * i * mu * x)``."""
 
-    mu: int
-    m: int
-    amplitude: float
-    sign: int
+    __slots__ = ("mu", "m", "amplitude", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    def __init__(self, mu: int, m: int, amplitude: float, sign: int):
+        if sign not in (-1, 1):
             raise ValueError("mode sign must be +1 (left) or -1 (right)")
-        if self.amplitude < 0:
+        if amplitude < 0:
             raise ValueError("mode amplitude must be non-negative")
+        _set(self, "mu", mu)
+        _set(self, "m", m)
+        _set(self, "amplitude", amplitude)
+        _set(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class EllipticSemimodule:
+class EllipticSemimodule(NamedTuple):
     """A one-sided sum of semicircle phasor modes."""
 
     side: str
@@ -116,8 +114,7 @@ def bistring_modulus(
     return out
 
 
-@dataclass(frozen=True)
-class WeilDescriptor:
+class WeilDescriptor(NamedTuple):
     """One Weil-side class: an index with its completion degree."""
 
     mu: int
@@ -125,8 +122,7 @@ class WeilDescriptor:
     degree: int
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     label: str
     weil_side: tuple[WeilDescriptor, ...]
     reduced: tuple[EllipticSemimodule, EllipticSemimodule]
@@ -148,8 +144,7 @@ class LevelRecord:
         return pairs_match and len(self.weil_side) == self.mode_pair_count()
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(NamedTuple):
     levels: tuple[LevelRecord, ...]
 
     def bijection_holds(self) -> bool:

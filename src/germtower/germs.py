@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from .tower import Record, _set
 
 # Floats are snapped to rationals before exact arithmetic.  The snap is lossy:
 # only the nearest fraction with denominator <= 10^9 is kept.
@@ -70,8 +71,7 @@ def snap_to_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational coefficient")
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(Record):
     """A polynomial jet at the origin.
 
     Attributes
@@ -91,9 +91,25 @@ class Germ:
     different truncation orders give results with different orders.
     """
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    max_degree: int = field(compare=False, default=0)
+    __slots__ = ("nvars", "terms", "max_degree")
+
+    def __init__(
+        self,
+        nvars: int,
+        terms: tuple[tuple[tuple[int, ...], Fraction], ...],
+        max_degree: int = 0,
+    ):
+        _set(self, "nvars", nvars)
+        _set(self, "terms", terms)
+        _set(self, "max_degree", max_degree)
+
+    def __eq__(self, other):
+        if type(other) is not Germ:
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, self.terms))
 
     @staticmethod
     def from_coeffs(nvars: int, coeffs, max_degree: int | None = None) -> "Germ":
@@ -265,8 +281,7 @@ def format_germ(g: Germ) -> str:
 # classification
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(NamedTuple):
     """A catalogue label with its corank and codimension."""
 
     name: str
@@ -417,8 +432,7 @@ def _classify(nvars: int, terms) -> SingularityClass:
 # versal unfolding
 
 
-@dataclass(frozen=True)
-class Unfolding:
+class Unfolding(NamedTuple):
     """A base germ together with its ordered coefficient slots.
 
     ``parameters`` holds (slot name, attached monomial germ) pairs; the slot

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
@@ -120,24 +119,32 @@ def _parse_index_key(key: str) -> ClassIndex:
     return ClassIndex(int(parts[0]), int(parts[1]))
 
 
-@dataclass
 class PipelineConfig:
     """Everything a run needs; validated on construction.
 
     ``orth_dims`` (2 or 3) is validated and echoed but changes no level.
+    Two configs are equal when all their normalized fields are.
     """
 
-    tower: TowerConfig
-    scenario: str | None = None
-    reduce_rule: str = "mu<=H"
-    orth_dims: int = 3
-    amplitude: object = "unit"
-    covering_depths: tuple[int, int] | None = None
-    even_classes: bool = False
-    germ_template: dict | None = None
-
-    def __post_init__(self):
-        self.scenario = normalize_scenario(self.scenario)
+    def __init__(
+        self,
+        tower: TowerConfig,
+        scenario: str | None = None,
+        reduce_rule: str = "mu<=H",
+        orth_dims: int = 3,
+        amplitude: object = "unit",
+        covering_depths: tuple[int, int] | None = None,
+        even_classes: bool = False,
+        germ_template: dict | None = None,
+    ):
+        self.tower = tower
+        self.scenario = normalize_scenario(scenario)
+        self.reduce_rule = reduce_rule
+        self.orth_dims = orth_dims
+        self.amplitude = amplitude
+        self.covering_depths = covering_depths
+        self.even_classes = even_classes
+        self.germ_template = germ_template
         if self.orth_dims not in (2, 3):
             raise ValueError("orth_dims must be 2 or 3")
         parse_reduce_rule(self.reduce_rule, self.tower.depth)
@@ -164,6 +171,11 @@ class PipelineConfig:
                 _parse_index_key(k): (germ_from_json(v) if isinstance(v, dict) else v)
                 for k, v in self.germ_template.items()
             }
+
+    def __eq__(self, other):
+        if type(other) is not PipelineConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _normalize_amplitude(value) -> object:
@@ -362,15 +374,26 @@ def dumps_canonical(obj) -> str:
 _DIAG_SAMPLES = (0.0, 0.37, 0.75, 1.5, 2.25, -0.6)
 
 
-@dataclass
 class Report:
-    config: dict
-    rule: int
-    level_rows: list[dict]
-    cascade: tuple[str, ...]
-    expansions: dict
-    diagnostics: list[dict]
-    stack: LevelStack = field(repr=False)
+    """The report's sections, plus the level stack they were read from."""
+
+    def __init__(
+        self,
+        config: dict,
+        rule: int,
+        level_rows: list[dict],
+        cascade: tuple[str, ...],
+        expansions: dict,
+        diagnostics: list[dict],
+        stack: LevelStack,
+    ):
+        self.config = config
+        self.rule = rule
+        self.level_rows = level_rows
+        self.cascade = cascade
+        self.expansions = expansions
+        self.diagnostics = diagnostics
+        self.stack = stack
 
     def all_diagnostics_passed(self) -> bool:
         return all(d["passed"] for d in self.diagnostics)
@@ -612,7 +635,11 @@ def run_pipeline(config: PipelineConfig) -> Report:
 def sample_rows(
     esm: EllipticSemimodule, n: int, x0: float, x1: float
 ) -> list[tuple[float, float, float, float]]:
-    """Evaluate the semimodule on n evenly spaced points of [x0, x1]."""
+    """Evaluate the semimodule on n evenly spaced points of [x0, x1].
+
+    A value that leaves the float range, in a part or in its modulus, raises
+    ValueError naming the point.
+    """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if not (math.isfinite(x0) and math.isfinite(x1)):
@@ -623,7 +650,13 @@ def sample_rows(
     for i in range(n):
         x = x0 if n == 1 else x0 + i * (x1 - x0) / (n - 1)
         z = esm.evaluate(x)
-        rows.append((x, z.real, z.imag, abs(z)))
+        try:
+            modulus = abs(z)  # inf or nan when a part is
+        except OverflowError:  # finite parts, modulus beyond the float range
+            modulus = math.inf
+        if not math.isfinite(modulus):
+            raise ValueError(f"the semimodule value at x={x} is not finite")
+        rows.append((x, z.real, z.imag, modulus))
     return rows
 
 

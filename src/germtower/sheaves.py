@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .bisemigroup import LEVELS
 from .germs import CATALOGUE, Germ, SingularityClass, normal_form
-from .tower import LEFT, RIGHT, SIDES, ClassIndex, Tower
+from .tower import LEFT, RIGHT, SIDES, ClassIndex, Record, Tower, _set
 
 # Nature tags: plain time/space fields and their shifted (primed) versions.
 TIME = "T"
@@ -43,35 +42,54 @@ ORTHOGONAL = "orthogonal"
 ROLES = (None, REDUCED, COMPLEMENTARY, ORTHOGONAL)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """One germ attached at a class index."""
 
-    index: ClassIndex
-    side: str
-    germ: Germ
-    dims: int
+    __slots__ = ("index", "side", "germ", "dims")
 
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"section side must be left or right, got {self.side!r}")
-        if self.dims not in (1, 2):
+    def __init__(self, index: ClassIndex, side: str, germ: Germ, dims: int):
+        if side not in SIDES:
+            raise ValueError(f"section side must be left or right, got {side!r}")
+        if dims not in (1, 2):
             raise ValueError("sections are 1- or 2-dimensional")
-        if self.dims != self.germ.nvars:
+        if dims != germ.nvars:
             raise ValueError(
-                f"section dims {self.dims} does not match germ in {self.germ.nvars} variable(s)"
+                f"section dims {dims} does not match germ in {germ.nvars} variable(s)"
             )
+        _set(self, "index", index)
+        _set(self, "side", side)
+        _set(self, "germ", germ)
+        _set(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class Semisheaf:
-    side: str
-    level: str
-    nature: str
-    tower: Tower
-    sections: tuple[Section, ...]
-    role: str | None = None
-    singular: bool = False
+class Semisheaf(Record):
+    """Sections over a tower with their side, level, nature and role tags.
+
+    ``__init__`` sets the fields and calls ``__post_init__``, which checks
+    the tags and sorts the sections by index.  The benchmark's tracer counts
+    sheaf builds by wrapping ``__post_init__``.
+    """
+
+    __slots__ = ("side", "level", "nature", "tower", "sections", "role", "singular")
+
+    def __init__(
+        self,
+        side: str,
+        level: str,
+        nature: str,
+        tower: Tower,
+        sections: tuple[Section, ...],
+        role: str | None = None,
+        singular: bool = False,
+    ):
+        _set(self, "side", side)
+        _set(self, "level", level)
+        _set(self, "nature", nature)
+        _set(self, "tower", tower)
+        _set(self, "sections", sections)
+        _set(self, "role", role)
+        _set(self, "singular", singular)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -83,7 +101,7 @@ class Semisheaf:
         if self.role not in ROLES:
             raise ValueError(f"bad role {self.role!r}")
         ordered = tuple(sorted(self.sections, key=lambda s: s.index))
-        object.__setattr__(self, "sections", ordered)
+        _set(self, "sections", ordered)
         seen = set()
         for sec in ordered:
             if sec.side != self.side:
@@ -112,7 +130,7 @@ class Semisheaf:
             Section(sec.index, sec.side, fn(sec), sec.dims)
             for sec in self.sections
         )
-        return replace(self, sections=sections)
+        return self.replace(sections=sections)
 
 
 def attach_sections(
@@ -141,8 +159,7 @@ def attach_sections(
     return Semisheaf(side, level, nature, tower, tuple(sections))
 
 
-@dataclass(frozen=True)
-class Bisemisheaf:
+class Bisemisheaf(Record):
     """A right semisheaf paired with its left mirror.
 
     Only the right side is stored; ``left`` is built when it is read and
@@ -150,11 +167,12 @@ class Bisemisheaf:
     that reads only ``right`` sees the whole pair.
     """
 
-    right: Semisheaf
+    __slots__ = ("right",)
 
-    def __post_init__(self):
-        if self.right.side != RIGHT:
+    def __init__(self, right: Semisheaf):
+        if right.side != RIGHT:
             raise ValueError("a bisemisheaf is built from a right semisheaf")
+        _set(self, "right", right)
 
     def __len__(self) -> int:
         return len(self.right)
@@ -164,7 +182,7 @@ class Bisemisheaf:
         sections = tuple(
             Section(sec.index, LEFT, sec.germ, sec.dims) for sec in self.right.sections
         )
-        return replace(self.right, side=LEFT, sections=sections)
+        return self.right.replace(side=LEFT, sections=sections)
 
     @property
     def level(self) -> str:
@@ -210,8 +228,8 @@ def endo_split(
     kept, rest = [], []
     for sec in s.sections:
         (kept if pred(sec.index) else rest).append(sec)
-    reduced = replace(s, sections=tuple(kept), role=REDUCED)
-    complementary = replace(s, sections=tuple(rest), role=COMPLEMENTARY)
+    reduced = s.replace(sections=tuple(kept), role=REDUCED)
+    complementary = s.replace(sections=tuple(rest), role=COMPLEMENTARY)
     return reduced, complementary
 
 
@@ -223,7 +241,7 @@ def emergent_project(complementary: Semisheaf) -> Semisheaf:
     """
     if complementary.role != COMPLEMENTARY:
         raise ValueError("only a complementary split part can be projected")
-    return replace(complementary, nature=_FLIPPED[complementary.nature], role=ORTHOGONAL)
+    return complementary.replace(nature=_FLIPPED[complementary.nature], role=ORTHOGONAL)
 
 
 def shift(s: Semisheaf) -> Semisheaf:
@@ -235,7 +253,7 @@ def shift(s: Semisheaf) -> Semisheaf:
     if s.nature not in _SHIFTED:
         raise ValueError(f"semisheaf of nature {s.nature!r} is already shifted")
     shifted = s.map_germs(lambda sec: sec.germ.derivative(0))
-    return replace(shifted, nature=_SHIFTED[s.nature])
+    return shifted.replace(nature=_SHIFTED[s.nature])
 
 
 def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
@@ -254,9 +272,9 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
         raise ValueError(f"target class {target} already carries a bisection")
 
     sections = tuple(
-        replace(sec, index=target) if sec.index == at else sec for sec in b.right.sections
+        sec.replace(index=target) if sec.index == at else sec for sec in b.right.sections
     )
-    return Bisemisheaf(replace(b.right, sections=sections))
+    return Bisemisheaf(b.right.replace(sections=sections))
 
 
 def create_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:
@@ -285,4 +303,4 @@ def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
                 f"{cls.name} lives in {germ.nvars} variable(s) but section {sec.index} is {sec.dims}-dimensional"
             )
     out = s.map_germs(lambda sec: germ)
-    return replace(out, singular=True)
+    return out.replace(singular=True)

@@ -9,12 +9,66 @@ degree in a tower is therefore congruent to the offset modulo ``N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 LEFT = "left"
 RIGHT = "right"
 SIDES = (LEFT, RIGHT)
+
+# A tower holds at most this many classes, counted as the depth and as the
+# sum of the multiplicities.  Every layer allocates per class, so a larger
+# tower would exhaust memory before it failed; the bound is fixed, not a
+# setting.
+MAX_CLASSES = 100_000
+
+# Records set their fields once, in __init__, past their own __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the validated immutable records.
+
+    A subclass lists its fields in ``__slots__``, takes them as the
+    ``__init__`` parameters of the same names and order, validates them and
+    sets them with ``_set``; assigning to a field afterwards raises
+    AttributeError.
+    Records are equal only to records of the same type with equal fields,
+    and hash and print by their fields.  ``replace`` builds a new record
+    through ``__init__``, so validation runs again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; use replace()")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past __setattr__
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with some fields changed, validated like a new record."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return type(self)(**values)
 
 
 class ClassIndex(NamedTuple):
@@ -39,8 +93,7 @@ def _normalize_multiplicity(values, depth: int, name: str) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class TowerConfig:
+class TowerConfig(Record):
     """Validated description of a completion tower.
 
     Parameters
@@ -56,37 +109,53 @@ class TowerConfig:
     complex_multiplicity : sequence of int, optional
         Degree dilation ``m^(mu)`` of the complex completions; all ones by
         default.  Kept independent of ``multiplicity``.
+
+    The depth and the sum of the multiplicities may not exceed
+    ``MAX_CLASSES``.
     """
 
-    quantum_modulus: int
-    offset: int = 0
-    depth: int = 1
-    multiplicity: tuple[int, ...] = ()
-    complex_multiplicity: tuple[int, ...] = ()
+    __slots__ = (
+        "quantum_modulus",
+        "offset",
+        "depth",
+        "multiplicity",
+        "complex_multiplicity",
+    )
 
-    def __post_init__(self):
-        if self.quantum_modulus < 1:
+    def __init__(
+        self,
+        quantum_modulus: int,
+        offset: int = 0,
+        depth: int = 1,
+        multiplicity: tuple[int, ...] = (),
+        complex_multiplicity: tuple[int, ...] = (),
+    ):
+        if quantum_modulus < 1:
             raise ValueError("quantum_modulus must be >= 1")
-        if not 0 <= self.offset < self.quantum_modulus:
+        if not 0 <= offset < quantum_modulus:
             raise ValueError("offset must satisfy 0 <= offset < quantum_modulus")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        object.__setattr__(
-            self,
-            "multiplicity",
-            _normalize_multiplicity(self.multiplicity, self.depth, "multiplicity"),
-        )
-        object.__setattr__(
+        if depth > MAX_CLASSES:
+            raise ValueError(f"tower depth {depth} exceeds the budget of {MAX_CLASSES} classes")
+        multiplicity = _normalize_multiplicity(multiplicity, depth, "multiplicity")
+        if sum(multiplicity) > MAX_CLASSES:
+            raise ValueError(
+                f"tower multiplicities sum to {sum(multiplicity)} classes, "
+                f"beyond the budget of {MAX_CLASSES}"
+            )
+        _set(self, "quantum_modulus", quantum_modulus)
+        _set(self, "offset", offset)
+        _set(self, "depth", depth)
+        _set(self, "multiplicity", multiplicity)
+        _set(
             self,
             "complex_multiplicity",
-            _normalize_multiplicity(
-                self.complex_multiplicity, self.depth, "complex_multiplicity"
-            ),
+            _normalize_multiplicity(complex_multiplicity, depth, "complex_multiplicity"),
         )
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     config: TowerConfig
 
     @property

@@ -74,9 +74,7 @@ def test_deform_requires_starred_uniform_catalogue():
     plain = space_sheaf()
     with pytest.raises(ValueError):
         deform(plain)  # not starred
-    from dataclasses import replace
-
-    fake = replace(plain, singular=True)
+    fake = plain.replace(singular=True)
     with pytest.raises(ValueError):
         deform(fake)  # Morse germs are off the catalogue
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from germtower.cli import (
 from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
 
 
@@ -57,6 +59,10 @@ def test_tower_requires_modulus_and_depth(capsys):
     code, out, err = run_cli(capsys, "tower", "--offset", "1")
     assert code == EXIT_CONFIG
     assert "configuration error" in err
+    # a depth beyond the class budget is refused before anything is built
+    code, out, err = run_cli(capsys, "tower", "-N", "2", "--depth", str(10**12))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error:") and "budget" in err
 
 
 def test_tower_config_file(capsys, tmp_path):
@@ -219,6 +225,10 @@ def test_unfold_rejects_off_catalogue_germ(capsys):
     code, _, err = run_cli(capsys, "unfold", "--germ", germ)
     assert code == EXIT_CONFIG
     assert "Morse" in err
+    # neither --name nor --germ
+    code, out, err = run_cli(capsys, "unfold")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_levels_summary(capsys):
@@ -401,3 +411,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "total 4" in proc.stdout
+
+
+def test_cli_import_stays_off_the_introspection_modules():
+    # Every CLI op is a fresh process that starts with this import;
+    # dataclasses would bring inspect, ast, dis and tokenize with it.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, germtower.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

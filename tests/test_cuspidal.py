@@ -92,6 +92,13 @@ def test_mode_validation():
         Mode(1, 1, 1.0, 0)
     with pytest.raises(ValueError):
         Mode(1, 1, -0.5, 1)
+    mode = Mode(1, 1, 1.0, 1)
+    with pytest.raises(AttributeError):
+        mode.sign = -1
+    with pytest.raises(ValueError):
+        mode.replace(sign=0)
+    assert mode.replace(sign=-1) == Mode(1, 1, 1.0, -1)
+    assert mode != (1, 1, 1.0, 1)
 
 
 def test_evaluate_matches_naive_sum():

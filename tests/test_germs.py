@@ -137,7 +137,7 @@ def test_operation_results_keep_their_own_max_degree():
     low = Germ.from_coeffs(1, terms, 5)
     high = Germ.from_coeffs(1, terms, 9)
     other = Germ.from_coeffs(1, {(2,): 1}, 2)
-    assert low == high
+    assert low == high and hash(low) == hash(high) and len({low, high}) == 1
     for germ in (low, high):
         assert germ.derivative(0).max_degree == germ.max_degree - 1
         assert germ.truncated(7).max_degree == min(germ.max_degree, 7)

@@ -430,6 +430,12 @@ def test_sample_rows_spacing_and_values():
     for n, x0, x1 in ((100, 0.0, math.inf), (100, -math.inf, 1.0), (1, math.nan, 1.0)):
         with pytest.raises(ValueError):
             sample_rows(esm, n, x0, x1)
+    # finite amplitudes whose sum leaves the float range: at x = 0 the real
+    # part overflows; at x = 0.25 both parts stay finite but the modulus does not
+    huge = EllipticSemimodule(LEFT, (Mode(1, 1, 1e308, 1), Mode(1, 2, 1e308, 1)))
+    for x in (0.0, 0.25):
+        with pytest.raises(ValueError, match=f"x={x}"):
+            sample_rows(huge, 1, x, x)
 
 
 def test_samples_csv_shape():

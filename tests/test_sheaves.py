@@ -1,7 +1,5 @@
 """Semisheaf construction and the morphisms acting on them."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,6 +76,13 @@ def test_section_validation():
         Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 3)
     with pytest.raises(ValueError):
         Section(ClassIndex(1, 1), LEFT, Germ.zero(2), 1)
+    sec = Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 1)
+    with pytest.raises(AttributeError):
+        sec.dims = 2
+    with pytest.raises(ValueError):
+        sec.replace(dims=2)
+    assert sec.replace(index=ClassIndex(2, 1)).index == ClassIndex(2, 1)
+    assert sec != (sec.index, sec.side, sec.germ, sec.dims)
 
 
 def test_semisheaf_rejects_duplicates_and_strays():
@@ -111,6 +116,9 @@ def test_tensor_requires_matching_pair():
     assert b.level == ST and b.nature == TIME
     assert b.indices() == r.indices()
     assert Bisemisheaf(r) == b and b.left == l
+    assert b != r and b != (r,) and hash(Bisemisheaf(r)) == hash(b)
+    with pytest.raises(AttributeError):
+        b.right = l
     with pytest.raises(ValueError):
         Bisemisheaf(l)
     with pytest.raises(ValueError):
@@ -125,7 +133,7 @@ def test_tensor_requires_matching_pair():
         tensor(r, make_sheaf(LEFT, template=cubic_at_3))
     # nor is one that differs only in a tag the pair cannot hold
     with pytest.raises(ValueError):
-        tensor(r, replace(l, singular=True))
+        tensor(r, l.replace(singular=True))
 
 
 def test_default_reduce_keeps_lower_half():

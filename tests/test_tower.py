@@ -1,11 +1,14 @@
 """Tower construction, degree arithmetic, and JSON ingestion."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from germtower import ClassIndex, Tower, TowerConfig, build_tower
-from germtower.tower import tower_config_from_json
+from germtower.tower import MAX_CLASSES, tower_config_from_json
 
 
 def oracle_degree(offset: int, step: int, times: int) -> int:
@@ -110,11 +113,20 @@ def test_truncated_keeps_prefix():
         dict(quantum_modulus=3, offset=0, depth=0),
         dict(quantum_modulus=3, offset=0, depth=3, multiplicity=(1, 2)),
         dict(quantum_modulus=3, offset=0, depth=2, multiplicity=(1, 0)),
+        # beyond the class budget
+        dict(quantum_modulus=3, offset=0, depth=10**12),
+        dict(quantum_modulus=3, offset=0, depth=1, multiplicity=(MAX_CLASSES + 1,)),
+        dict(quantum_modulus=3, offset=0, depth=2, multiplicity=(MAX_CLASSES, 1)),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         TowerConfig(**kwargs)
+
+
+def test_class_budget_admits_towers_at_the_bound():
+    assert TowerConfig(3, 0, MAX_CLASSES).depth == MAX_CLASSES
+    assert sum(TowerConfig(3, 0, 2, (MAX_CLASSES - 1, 1)).multiplicity) == MAX_CLASSES
 
 
 def test_out_of_range_lookups_rejected():
@@ -136,6 +148,7 @@ def test_json_roundtrip():
         }
     )
     assert cfg == TowerConfig(3, 2, 2, (2, 1), (1, 3))
+    assert copy.deepcopy(cfg) == cfg == pickle.loads(pickle.dumps(cfg))
 
 
 @pytest.mark.parametrize(
