@@ -26,6 +26,7 @@ from .blowup import (
     desingularize,
     detect_resingularization,
     generate_levels,
+    plan_levels,
     time_space_lift,
 )
 from .cuspidal import (

@@ -8,8 +8,11 @@ carries the cubic monomial, so it is detected as a fold and deformed again,
 producing a second covering: the three-level cascade.  Levels embed inner to
 outer as ST then MG then M.
 
-The cascade runs on the right semisheaf of the base only; every level's
-bisemisheaves are built from its right parts, which carry the left mirrors.
+Which classes each level holds follows from the config alone:
+``plan_levels`` works them out before the run, and ``generate_levels``
+builds the sheaves along that plan.  The cascade runs on the right
+semisheaf of the base only; every level's bisemisheaves are built from its
+right parts, which carry the left mirrors.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .sheaves import (
     endo_split,
     inject_singularity,
 )
-from .tower import ClassIndex, Record, _set
+from .tower import ClassIndex, Record, Tower, _set
 
 
 class DeformedBundle(NamedTuple):
@@ -177,14 +180,6 @@ class LevelStack(Record):
         _set(self, "cascade", cascade)
 
 
-def _half_split_predicate(indices) -> Callable[[ClassIndex], bool]:
-    # Carrier-relative split: the lower half of the mu values present stays
-    # reduced, so a covering carrier always keeps a nonempty reduced part.
-    mus = sorted({idx.mu for idx in indices})
-    cut = mus[(len(mus) - 1) // 2]
-    return lambda idx: idx.mu <= cut
-
-
 def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
     upper = sorted(upper)
     upper_set = set(upper)
@@ -202,36 +197,6 @@ def _pair_or_none(right: Semisheaf) -> Bisemisheaf | None:
     return Bisemisheaf(right) if right.sections else None
 
 
-def _truncate(side: Semisheaf, depth: int) -> Semisheaf:
-    kept = tuple(sec for sec in side.sections if sec.index.mu <= depth)
-    if not kept:
-        raise ValueError(f"covering truncated to depth {depth} keeps no section")
-    return side.replace(tower=side.tower.truncated(depth), sections=kept)
-
-
-def _covering_level(
-    label: str, seed: Semisheaf, depth: int | None, lower: Level
-) -> tuple[Level, BlowupResult, Semisheaf]:
-    """Build one covering level from a starred right seed.
-
-    Deform and blow up the seed, truncate the covering to ``depth`` when
-    given, split it at the lower half of its mu values and lift the upper
-    half to time; the level pairs each part with its left mirror.  Returns the
-    level, the blowup result and the (truncated) covering.
-    """
-    result = blow_up(deform(seed))
-    covering = result.covering if depth is None else _truncate(result.covering, depth)
-    time, residual = time_space_lift(covering, _half_split_predicate(covering.indices()))
-    level = Level(
-        label,
-        Bisemisheaf(residual),
-        _pair_or_none(time),
-        cover=_cover_map(lower.carrier_indices(), covering.indices()),
-        coverage=result.coverage,
-    )
-    return level, result, covering
-
-
 def _rule_for(cls: SingularityClass) -> int:
     if cls.corank == 1 and cls.codim == 3:
         return 3
@@ -242,15 +207,27 @@ def _rule_for(cls: SingularityClass) -> int:
     )
 
 
-def generate_levels(
-    base: Bisemisheaf,
-    singularity: SingularityClass | str | None = None,
-    reduce: Callable[[ClassIndex], bool] | None = None,
-    covering_depths: tuple[int | None, int | None] | None = None,
-) -> LevelStack:
-    """Generate the embedded level stack for a singularity scenario.
+class LevelPlan(NamedTuple):
+    """A level's tower depth, the sorted classes of its two parts (the
+    orthogonal one may be empty) and its cover map (None on ST)."""
 
-    The selection table:
+    label: str
+    depth: int
+    reduced: tuple[ClassIndex, ...]
+    orthogonal: tuple[ClassIndex, ...]
+    cover: tuple[tuple[ClassIndex, ClassIndex], ...] | None
+
+
+def plan_levels(
+    tower: Tower,
+    singularity: str | None,
+    reduce: Callable[[ClassIndex], bool],
+    covering_depths: tuple[int, int] | None,
+    even_only: bool,
+) -> tuple[LevelPlan, ...]:
+    """Every level's classes for a scenario, by index arithmetic alone.
+
+    The selection table, whose rule is the number of levels:
 
     1. no degenerate singularity -> the single ST level;
     2. corank 1 with codimension < 3, or corank 2 with codimension <= 3 ->
@@ -258,71 +235,103 @@ def generate_levels(
     3. corank 1 with codimension 3 (the swallowtail) -> the covering still
        carries the cubic monomial, so a second deformation adds the M level.
 
+    The reduce predicate splits the tower into ST's reduced and space
+    parts.  The MG covering carries the space part, the M covering the MG
+    covering; each is truncated to its covering depth, if given, and keeps
+    the lower half of its mu values reduced.  With ``even_only`` every
+    nonempty part needs an even class.  Failures name the config key.
+    """
+    for cut in covering_depths or ():
+        if not 1 <= cut <= tower.depth:
+            raise ValueError(f"covering_depths: depth {cut} outside 1..{tower.depth}")
+    classes = tower.class_indices()
+    reduced = tuple(idx for idx in classes if reduce(idx))
+    space = tuple(idx for idx in classes if not reduce(idx))
+    if not reduced:
+        raise ValueError("reduce: the rule leaves the reduced part empty")
+    levels = [LevelPlan(ST, tower.depth, reduced, space, None)]
+    if singularity is not None:
+        cls = CATALOGUE.get(singularity)
+        if cls is None:
+            raise ValueError(f"scenario {singularity!r} is not a catalogue singularity class")
+        if not space:
+            raise ValueError(f"reduce: the rule leaves no space part for the {cls.name} scenario")
+        covering, depth = space, tower.depth
+        labels = (MG, M)[: _rule_for(cls) - 1]
+        for label, cut in zip(labels, covering_depths or (None, None)):
+            if cut is not None:
+                if cut > depth:
+                    raise ValueError(f"covering_depths: d2 = {cut} may not exceed d1 = {depth}")
+                covering = tuple(idx for idx in covering if idx.mu <= cut)
+                depth = cut
+                if not covering:
+                    raise ValueError(f"covering_depths: depth {cut} empties the {label} covering")
+            mus = sorted({idx.mu for idx in covering})
+            half = mus[(len(mus) - 1) // 2]
+            kept = tuple(idx for idx in covering if idx.mu <= half)
+            lifted = tuple(idx for idx in covering if idx.mu > half)
+            cover = _cover_map(sorted(levels[-1].reduced + levels[-1].orthogonal), covering)
+            levels.append(LevelPlan(label, depth, kept, lifted, cover))
+    for level in levels if even_only else ():
+        for name, part in (("reduced", level.reduced), ("orthogonal", level.orthogonal)):
+            if part and all(idx.mu % 2 for idx in part):
+                raise ValueError(f"even_classes: the {level.label} {name} part has no even class")
+    return tuple(levels)
+
+
+def generate_levels(
+    base: Bisemisheaf, singularity: str | None, plan: tuple[LevelPlan, ...]
+) -> LevelStack:
+    """Build the embedded level stack that ``plan_levels`` laid out.
+
     The base must be a shifted ST bisemisheaf.  The endomorphism split of
     its right semisheaf makes the ST space part, which hosts the injected
-    singularity; the left side of every level is the mirror of the right.
+    singularity; each covering is truncated to its planned depth and lifts
+    its planned orthogonal part to time.  The left side of every level is
+    the mirror of the right.
     """
     if base.level != ST:
         raise ValueError("level generation starts from an ST bisemisheaf")
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
-    d1, d2 = covering_depths if covering_depths is not None else (None, None)
-    for d in (d1, d2):
-        if d is not None and not 1 <= d <= base.tower.depth:
-            raise ValueError(f"covering depth {d} outside 1..{base.tower.depth}")
 
-    reduced, complementary = endo_split(base.right, reduce)
-    if not reduced.sections:
-        raise ValueError("the reduce rule left the reduced part empty")
+    reduced, complementary = endo_split(base.right, set(plan[0].reduced).__contains__)
     orthogonal = emergent_project(complementary)
-
     if singularity is None:
         st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
         return LevelStack((st,), 1, ())
-
-    cls = CATALOGUE.get(
-        singularity if isinstance(singularity, str) else singularity.name
-    )
-    if cls is None:
-        raise ValueError("level generation needs a catalogue singularity class")
-    rule = _rule_for(cls)
-    if not orthogonal.sections:
-        raise ValueError(
-            "the scenario needs a nonempty space part; loosen the reduce rule"
-        )
     if orthogonal.nature != SPACE_SHIFTED:
         raise ValueError(
             "singularity scenarios start from a time-natured base: the projected part hosts the spatial germ"
         )
 
-    cascade: list[str] = []
-    starred = inject_singularity(orthogonal, cls)
-    cascade.append(
-        f"inject {cls.name} germ {format_germ(starred.sections[0].germ)} "
-        f"on {len(starred)} space sections"
-    )
-    levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(starred))]
-
-    mg, result, covering = _covering_level(MG, starred, d1, levels[0])
-    cascade.append(
-        f"blowup {cls.name}: covering germ {format_germ(result.covering.sections[0].germ)}"
-    )
-    levels.append(mg)
-
-    if rule == 3:
-        detected = detect_resingularization(result)
-        if detected is None:
-            raise ValueError("expected the swallowtail covering to keep its cubic")
+    cls = CATALOGUE[singularity]
+    seed = inject_singularity(orthogonal, cls)
+    cascade = [
+        f"inject {cls.name} germ {format_germ(seed.sections[0].germ)} "
+        f"on {len(seed)} space sections"
+    ]
+    levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(seed))]
+    for step in plan[1:]:
+        if step.label == M:
+            cls = detect_resingularization(result)
+            if cls is None:
+                raise ValueError("expected the swallowtail covering to keep its cubic")
+            cascade.append(
+                f"resingularization: covering keeps the cubic monomial x^3, classified {cls.name}"
+            )
+            cubic = Germ.monomial(1, (3,))
+            seed = covering.map_germs(lambda sec: cubic).replace(singular=True)
+        result = blow_up(deform(seed))
         cascade.append(
-            f"resingularization: covering keeps the cubic monomial x^3, classified {detected.name}"
+            f"blowup {cls.name}: covering germ {format_germ(result.covering.sections[0].germ)}"
         )
-        cubic = Germ.monomial(1, (3,))
-        seed = covering.map_germs(lambda sec: cubic).replace(singular=True)
-        m, result, _ = _covering_level(M, seed, d2, mg)
-        cascade.append(
-            f"blowup {detected.name}: covering germ "
-            f"{format_germ(result.covering.sections[0].germ)}"
-        )
-        levels.append(m)
+        covering = result.covering
+        if step.depth < covering.tower.depth:
+            kept = tuple(sec for sec in covering.sections if sec.index.mu <= step.depth)
+            covering = covering.replace(tower=covering.tower.truncated(step.depth), sections=kept)
+        time, residual = time_space_lift(covering, set(step.reduced).__contains__)
+        parts = Bisemisheaf(residual), _pair_or_none(time)
+        levels.append(Level(step.label, *parts, step.cover, result.coverage))
 
-    return LevelStack(tuple(levels), rule, tuple(cascade))
+    return LevelStack(tuple(levels), len(plan), tuple(cascade))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from .pipeline import (
     config_from_json,
     dumps_canonical,
     emit_expansion,
+    finite_float,
     normalize_scenario,
     run_pipeline,
     samples_csv,
@@ -228,8 +228,14 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+_MODE_KEYS = {"mu", "m", "amplitude", "sign"}
+
+
 def _modes_from_json(data) -> tuple[Mode, ...]:
-    """A non-empty JSON list of modes: integer mu, m and one shared sign, finite amplitudes."""
+    """A non-empty JSON list of modes: integer mu, m and one shared sign, finite amplitudes.
+
+    ``mu`` must fit a float, as evaluation multiplies it into a phase.
+    """
     if not isinstance(data, list):
         raise ValueError("the modes file must hold a JSON list of modes")
     if not data:
@@ -240,14 +246,17 @@ def _modes_from_json(data) -> tuple[Mode, ...]:
             type(item.get(key)) is not int for key in ("mu", "m", "sign")
         ):
             raise ValueError(f"each mode needs integer mu, m and sign, got {item!r}")
-        amplitude = item.get("amplitude")
-        if (
-            isinstance(amplitude, bool)
-            or not isinstance(amplitude, (int, float, str))
-            or not math.isfinite(float(amplitude))
-        ):
-            raise ValueError(f"mode amplitude must be a finite number, got {amplitude!r}")
-        modes.append(Mode(item["mu"], item["m"], float(amplitude), item["sign"]))
+        unknown = set(item) - _MODE_KEYS
+        if unknown:
+            raise ValueError(f"unknown mode keys: {sorted(unknown)}")
+        if finite_float(item["mu"]) is None:
+            raise ValueError("mode mu is beyond the float range")
+        amplitude = finite_float(item.get("amplitude"))
+        if amplitude is None:
+            raise ValueError(
+                f"mode amplitude must be a finite number, got {item.get('amplitude')!r}"
+            )
+        modes.append(Mode(item["mu"], item["m"], amplitude, item["sign"]))
     if len({mode.sign for mode in modes}) != 1:
         raise ValueError("the modes in one file must share one sign")
     return tuple(modes)

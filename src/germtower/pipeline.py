@@ -20,7 +20,7 @@ import statistics
 from typing import Callable, Mapping, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
-from .blowup import Level, LevelStack, _rule_for, desingularize, generate_levels
+from .blowup import Level, LevelStack, desingularize, generate_levels, plan_levels
 from .cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus, level_record
 from .germs import (
     CATALOGUE,
@@ -30,6 +30,7 @@ from .germs import (
     classify_germ,
     germ_from_json,
     germ_to_json,
+    normal_form,
 )
 from .sheaves import TIME, Bisemisheaf, attach_sections, shift
 from .tower import (
@@ -123,7 +124,9 @@ class PipelineConfig:
     """Everything a run needs; validated on construction.
 
     ``orth_dims`` (2 or 3) is validated and echoed but changes no level.
-    Two configs are equal when all their normalized fields are.
+    ``plan`` is derived: every level's classes from ``plan_levels``, so a
+    config that cannot run raises ValueError here, before the run.  Two
+    configs are equal when all their normalized fields are.
     """
 
     def __init__(
@@ -147,35 +150,56 @@ class PipelineConfig:
         self.germ_template = germ_template
         if self.orth_dims not in (2, 3):
             raise ValueError("orth_dims must be 2 or 3")
-        parse_reduce_rule(self.reduce_rule, self.tower.depth)
+        predicate = parse_reduce_rule(self.reduce_rule, self.tower.depth)
         if self.covering_depths is not None:
             if len(self.covering_depths) != 2:
                 raise ValueError(
                     f"covering_depths must be a pair [d1, d2], got {list(self.covering_depths)}"
                 )
             self.covering_depths = tuple(int(d) for d in self.covering_depths)
-            d1, d2 = self.covering_depths
-            for d in (d1, d2):
-                if not 1 <= d <= self.tower.depth:
-                    raise ValueError(
-                        f"covering depth {d} outside 1..{self.tower.depth}"
-                    )
-            if d2 > d1 and self.scenario and _rule_for(CATALOGUE[self.scenario]) == 3:
-                raise ValueError(
-                    f"covering_depths [{d1}, {d2}]: the second depth cuts the first "
-                    f"covering, so it may not exceed {d1} for {self.scenario}"
-                )
         self.amplitude = _normalize_amplitude(self.amplitude)
         if self.germ_template is not None:
             self.germ_template = {
                 _parse_index_key(k): (germ_from_json(v) if isinstance(v, dict) else v)
                 for k, v in self.germ_template.items()
             }
+        tower = build_tower(self.tower)
+        self.plan = plan_levels(
+            tower, self.scenario, predicate, self.covering_depths, self.even_classes
+        )
+        if self.germ_template is not None:
+            for idx in tower.class_indices():
+                if idx not in self.germ_template:
+                    raise ValueError(f"germ_template has no entry for class {idx.mu},{idx.m}")
+            if self.scenario is not None:
+                nvars = normal_form(self.scenario).nvars
+                for idx in self.plan[0].orthogonal:
+                    if self.germ_template[idx].nvars != nvars:
+                        raise ValueError(
+                            f"germ_template: class {idx.mu},{idx.m} hosts the "
+                            f"{self.scenario} germ in {nvars} variable(s)"
+                        )
+        if isinstance(self.amplitude, dict):
+            for level in self.plan:
+                for idx in level.reduced + level.orthogonal:
+                    if idx not in self.amplitude and not (self.even_classes and idx.mu % 2):
+                        raise ValueError(f"amplitude table has no entry for class {idx.mu},{idx.m}")
 
     def __eq__(self, other):
         if type(other) is not PipelineConfig:
             return NotImplemented
         return vars(self) == vars(other)
+
+
+def finite_float(value) -> float | None:
+    """A number or numeric string as a finite float; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        out = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return out if math.isfinite(out) else None
 
 
 def _normalize_amplitude(value) -> object:
@@ -192,9 +216,12 @@ def _normalize_amplitude(value) -> object:
         out = {}
         for key, amp in table.items():
             index = _parse_index_key(key)
-            if isinstance(amp, bool) or not isinstance(amp, (int, float, str)):
-                raise ValueError(f"amplitude of class {key!r} must be a number, got {amp!r}")
-            out[index] = float(amp)
+            value = finite_float(amp)
+            if value is None or value < 0:
+                raise ValueError(
+                    f"amplitude of class {key!r} must be a finite number >= 0, got {amp!r}"
+                )
+            out[index] = value
         return out
     raise ValueError("amplitude must be 'unit', 'mu', or a class table")
 
@@ -204,14 +231,8 @@ def _amplitude_callable(value) -> Callable[[ClassIndex], float]:
         return lambda idx: 1.0
     if value == "mu":
         return lambda idx: float(idx.mu)
-    table = dict(value)
-
-    def rule(idx: ClassIndex) -> float:
-        if idx not in table:
-            raise ValueError(f"amplitude table has no entry for class {tuple(idx)}")
-        return table[idx]
-
-    return rule
+    # the config checked that the table covers every compactified class
+    return dict(value).__getitem__
 
 
 _CONFIG_KEYS = {
@@ -588,15 +609,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
     right = stage("shift", shift, right)
     base = stage("tensor", Bisemisheaf, right)
 
-    predicate = parse_reduce_rule(config.reduce_rule, tower.depth)
-    stack = stage(
-        "levels",
-        generate_levels,
-        base,
-        config.scenario,
-        predicate,
-        config.covering_depths,
-    )
+    stack = stage("levels", generate_levels, base, config.scenario, config.plan)
 
     desing = [stage("desingularize", _desingularized, level) for level in stack.levels]
     amplitude_rule = _amplitude_callable(config.amplitude)

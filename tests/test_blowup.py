@@ -9,12 +9,14 @@ from germtower import (
     blow_up,
     build_tower,
     classify_germ,
+    default_reduce,
     deform,
     desingularize,
     detect_resingularization,
     format_germ,
     generate_levels,
     inject_singularity,
+    plan_levels,
     tensor,
     time_space_lift,
 )
@@ -171,12 +173,21 @@ def base_for(scenario):
     return shifted_base(nvars=nvars)
 
 
+def plan_for(base, scenario=None, reduce=None, covering_depths=None):
+    predicate = reduce or default_reduce(base.tower.depth)
+    return plan_levels(base.tower, scenario, predicate, covering_depths, False)
+
+
+def levels_for(base, scenario=None, **plan_options):
+    return generate_levels(base, scenario, plan_for(base, scenario, **plan_options))
+
+
 def labels(stack):
     return tuple(level.label for level in stack.levels)
 
 
 def test_generate_levels_no_scenario():
-    stack = generate_levels(shifted_base())
+    stack = levels_for(shifted_base())
     assert labels(stack) == (ST,)
     assert stack.rule == 1
     assert stack.cascade == ()
@@ -186,7 +197,7 @@ def test_generate_levels_no_scenario():
 
 
 def test_generate_levels_swallowtail_cascade():
-    stack = generate_levels(shifted_base(), SWALLOWTAIL)
+    stack = levels_for(shifted_base(), SWALLOWTAIL)
     assert labels(stack) == (ST, MG, M)
     assert stack.rule == 3
     assert stack.cascade == (
@@ -199,7 +210,7 @@ def test_generate_levels_swallowtail_cascade():
 
 def test_generate_levels_two_level_classes():
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
-        stack = generate_levels(base_for(name), name)
+        stack = levels_for(base_for(name), name)
         assert labels(stack) == (ST, MG), name
         assert stack.rule == 2
 
@@ -214,11 +225,12 @@ def test_level_table_sweep():
         HYPERBOLIC_UMBILIC: 2,
     }
     for scenario, count in expected.items():
-        assert len(generate_levels(base_for(scenario), scenario).levels) == count
+        assert len(plan_for(base_for(scenario), scenario)) == count
+        assert len(levels_for(base_for(scenario), scenario).levels) == count
 
 
 def test_level_natures_are_paired():
-    stack = generate_levels(shifted_base(), SWALLOWTAIL)
+    stack = levels_for(shifted_base(), SWALLOWTAIL)
     st, mg, m = stack.levels
     # ST: reduced keeps the base time nature, the projected part is spatial
     assert st.reduced.nature == TIME_SHIFTED
@@ -231,7 +243,7 @@ def test_level_natures_are_paired():
 
 
 def test_st_orthogonal_holds_injected_germ():
-    stack = generate_levels(shifted_base(), CUSP)
+    stack = levels_for(shifted_base(), CUSP)
     st = stack.levels[0]
     assert st.orthogonal.right.singular
     assert all(
@@ -241,7 +253,7 @@ def test_st_orthogonal_holds_injected_germ():
 
 
 def test_cover_map_targets_present_classes():
-    stack = generate_levels(shifted_base(depth=6), SWALLOWTAIL)
+    stack = levels_for(shifted_base(depth=6), SWALLOWTAIL)
     mg = stack.levels[1]
     carrier = set(mg.carrier_indices())
     for src, dst in mg.cover:
@@ -250,11 +262,26 @@ def test_cover_map_targets_present_classes():
     assert sources == sorted(stack.levels[0].carrier_indices())
 
 
+def test_plan_matches_the_built_levels():
+    base = shifted_base(depth=7)
+    plan = plan_for(base, SWALLOWTAIL, covering_depths=(6, 5))
+    stack = generate_levels(base, SWALLOWTAIL, plan)
+    for step, level in zip(plan, stack.levels, strict=True):
+        assert step.label == level.label
+        assert step.depth == level.reduced.tower.depth
+        assert step.reduced == level.reduced.indices()
+        orthogonal = () if level.orthogonal is None else level.orthogonal.indices()
+        assert step.orthogonal == orthogonal
+        assert step.cover == level.cover
+    # the M covering {5} keeps its only class reduced
+    assert plan[-1].orthogonal == () and stack.levels[-1].orthogonal is None
+
+
 def test_covering_depths_truncate():
     # complementary (covering) classes must survive the truncation, so keep
     # the upper classes reduced and the low ones spatial
     low_space = lambda idx: idx.mu > 2
-    stack = generate_levels(
+    stack = levels_for(
         shifted_base(depth=6), SWALLOWTAIL, reduce=low_space, covering_depths=(3, 2)
     )
     mg, m = stack.levels[1], stack.levels[2]
@@ -262,30 +289,46 @@ def test_covering_depths_truncate():
     assert m.reduced.tower.depth == 2
     assert all(idx.mu <= 3 for idx in mg.carrier_indices())
     assert all(idx.mu <= 2 for idx in m.carrier_indices())
-    with pytest.raises(ValueError):
-        generate_levels(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(9, 2))
+    with pytest.raises(ValueError, match="covering_depths"):
+        plan_for(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(9, 2))
     # default reduce leaves the covering on classes 4..6; depth 3 empties it
-    with pytest.raises(ValueError):
-        generate_levels(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(3, 2))
+    with pytest.raises(ValueError, match="covering_depths"):
+        plan_for(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(3, 2))
+    # the M covering is cut from the depth-4 MG covering
+    with pytest.raises(ValueError, match="covering_depths"):
+        plan_for(shifted_base(depth=6), SWALLOWTAIL, reduce=low_space, covering_depths=(4, 5))
 
 
 def test_generate_levels_input_validation():
     base = shifted_base()
     with pytest.raises(ValueError):
-        generate_levels(base, "Morse")
+        plan_for(base, "Morse")
     unshifted = tensor(
         attach_sections(base.tower, RIGHT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
         attach_sections(base.tower, LEFT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
     )
     with pytest.raises(ValueError):
-        generate_levels(unshifted)
-    with pytest.raises(ValueError):
-        generate_levels(base, FOLD, reduce=lambda idx: True)  # empty space part
-    with pytest.raises(ValueError):
-        generate_levels(base, reduce=lambda idx: False)  # empty reduced part
+        generate_levels(unshifted, None, plan_for(unshifted))
+    with pytest.raises(ValueError, match="reduce"):
+        plan_for(base, FOLD, reduce=lambda idx: True)  # empty space part
+    with pytest.raises(ValueError, match="reduce"):
+        plan_for(base, reduce=lambda idx: False)  # empty reduced part
     sp_base = shifted_base(nature=SPACE_SHIFTED)
     with pytest.raises(ValueError):
-        generate_levels(sp_base, FOLD)  # projected part would be temporal
+        levels_for(sp_base, FOLD)  # projected part would be temporal
+
+
+def test_plan_even_classes_needs_an_even_class_per_part():
+    tower = shifted_base(depth=6).tower
+    upto = lambda k: lambda idx: idx.mu <= k
+    plan = plan_levels(tower, CUSP, upto(2), None, True)
+    assert [step.label for step in plan] == [ST, MG]
+    # ST reduced {1}: no even class
+    with pytest.raises(ValueError, match="even_classes: the ST reduced part"):
+        plan_levels(tower, None, upto(1), None, True)
+    # the MG covering {4, 5} keeps 4 reduced and lifts 5 alone
+    with pytest.raises(ValueError, match="even_classes: the MG orthogonal part"):
+        plan_levels(tower, CUSP, upto(3), (5, 1), True)
 
 
 def test_unclassified_scenario_outside_table():
@@ -294,7 +337,7 @@ def test_unclassified_scenario_outside_table():
 
     base = shifted_base()
     with pytest.raises(ValueError):
-        generate_levels(base, SingularityClass("Unclassified", 1, 4))
+        plan_for(base, SingularityClass("Unclassified", 1, 4).name)
     with pytest.raises(ValueError):
         _rule_for(SingularityClass("Unclassified", 1, 4))
     with pytest.raises(ValueError):

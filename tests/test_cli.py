@@ -146,11 +146,19 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"covering_depths": [3]},
         {"covering_depths": [3, 2, 1]},
         {"covering_depths": []},
-        {"covering_depths": [3, 5]},
+        {"covering_depths": [4, 5]},
         {"amplitude": {"table": {"1,1": None}}},
         {"amplitude": {"table": {"1,1": [1.0]}}},
         {"amplitude": {"table": 5}},
         {"amplitude": {"table": {k: True for k in GOLDEN_CLASSES}}},
+        {"amplitude": {"table": dict.fromkeys(GOLDEN_CLASSES, -1.0)}},
+        {"amplitude": {"table": dict.fromkeys(GOLDEN_CLASSES, "inf")}},
+        {"amplitude": {"table": dict.fromkeys(GOLDEN_CLASSES, 10**400)}},
+        {"amplitude": {"table": dict.fromkeys(GOLDEN_CLASSES[1:], 1.0)}},
+        {"reduce": "mu<=0"},
+        {"reduce": "all"},
+        {"covering_depths": [3, 1]},
+        {"germ_template": {k: {"nvars": 2, "coeffs": [[[2, 0], "1"]]} for k in GOLDEN_CLASSES}},
         {"even_classes": "no"},
         {"even_classes": None},
     ],
@@ -159,6 +167,9 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         "covering-depths-one", "covering-depths-three", "covering-depths-empty",
         "covering-depths-swallowtail-d2-above-d1",
         "amplitude-null", "amplitude-list", "amplitude-table-int", "amplitude-bool",
+        "amplitude-negative", "amplitude-inf", "amplitude-beyond-float", "amplitude-missing-class",
+        "reduce-empties-reduced-part", "reduce-empties-space-part",
+        "covering-depths-empty-covering", "germ-template-nvars",
         "even-classes-string", "even-classes-null",
     ],
 )
@@ -189,9 +200,13 @@ def test_huge_amplitudes_fail_the_oscillator_diagnostic(capsys, tmp_path, amplit
 def test_nan_amplitudes_cannot_be_reported(capsys, tmp_path):
     cfg = golden_variant(tmp_path, amplitude={"table": {k: "nan" for k in GOLDEN_CLASSES}})
     out_file = tmp_path / "report.json"
-    code, _, err = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
-    assert code == EXIT_CONFIG
-    assert err == "configuration error: reports may not contain NaN or infinity\n"
+    code, out, err = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        "configuration error: amplitude of class '1,1' must be a finite number >= 0, "
+        "got 'nan'\n"
+    )
+    assert not out_file.exists()
 
 
 def test_report_escapes_control_characters_in_the_config_echo(capsys, tmp_path):
@@ -242,11 +257,19 @@ def test_levels_summary(capsys):
     assert "cascade: blowup Fold: covering germ x" in out
 
 
-def test_levels_contract_violation_exit(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "levels", "-N", "2", "--offset", "1", "--depth", "6", "--reduce", "none",
-    )
+def test_levels_contract_violation_exit(capsys, monkeypatch):
+    args = ["levels", "-N", "2", "--offset", "1", "--depth", "6"]
+    code, out, err = run_cli(capsys, *args, "--reduce", "none")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error: reduce") and err.count("\n") == 1
+    # exit 3 is left for a stage that breaks its contract inside the run
+    import germtower.pipeline as pipeline_module
+
+    def broken(*args):
+        raise ValueError("levels broke")
+
+    monkeypatch.setattr(pipeline_module, "generate_levels", broken)
+    code, _, err = run_cli(capsys, *args)
     assert code == EXIT_CONTRACT
     assert "pipeline error: [levels]" in err
 
@@ -393,6 +416,9 @@ def test_samples_bad_modes_file(capsys, tmp_path):
         [dict(mode, mu="1")],
         [dict(mode, m=1.5)],
         [dict(mode, sign=True)],
+        [dict(mode, mu=10**400)],  # beyond the float range
+        [dict(mode, amplitude=10**400)],
+        [dict(mode, extra=5)],
     ):
         path.write_text(json.dumps(modes))
         code, out, err = run_cli(capsys, "samples", "--modes-file", str(path))

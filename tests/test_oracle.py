@@ -3,12 +3,12 @@
 ``perfbench/check.py`` predicts from a config alone whether the pipeline
 rejects it and, if not, every level's reduced and orthogonal class indices.
 It shares no code with the package and is executed here from its text,
-never imported or edited.  Each generated config must run to a report,
-raise ValueError at config time, or raise PipelineError naming a stage
-that ``perfbench/run.py`` counts; the oracle must predict which.
+never imported or edited, as is the benchmark's config generator
+``perfbench/gen.py``.  Every config the oracle rejects must raise
+ValueError at config time; every config it accepts must run to a report
+that passes its diagnostics and replays from its own config echo.
 """
 
-import ast
 import json
 import types
 from pathlib import Path
@@ -21,26 +21,16 @@ from germtower import PipelineError, config_from_json, run_pipeline
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_check() -> types.ModuleType:
-    path = PERFBENCH / "check.py"
-    module = types.ModuleType("perfbench_check")
+def load(name: str) -> types.ModuleType:
+    path = PERFBENCH / name
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
-def benchmark_stages() -> tuple[str, ...]:
-    runner = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    (stages,) = [
-        ast.literal_eval(node.value)
-        for node in runner.body
-        if isinstance(node, ast.Assign)
-        and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
-    ]
-    return stages
-
-
-CHECK = load_check()
-STAGES = benchmark_stages()
+CHECK = load("check.py")
+GEN = load("gen.py")
 
 # None leaves the key out of the config.
 SCENARIOS = (
@@ -95,7 +85,7 @@ def configs(draw) -> dict:
         "scenario": st.sampled_from(SCENARIOS),
         "reduce": st.none() | reduce_rules(depth),
         "orth_dims": st.sampled_from([None, 2, 3]),
-        "amplitude": st.sampled_from([None, "unit", "mu"]),
+        "amplitude": st.sampled_from([None, "unit", "mu", "table"]),
         # Depths stay in 1..depth, the range perfbench/gen.py draws: out of
         # it the oracle predicts a run on one-level scenarios, while the
         # engine rejects such depths for every scenario (ROADMAP item 1).
@@ -106,24 +96,51 @@ def configs(draw) -> dict:
         value = draw(values)
         if value is not None:
             config[key] = value
+    if config.get("amplitude") == "table":
+        # complete, so the oracle's verdict stands; small, so the bistring
+        # variances stay below the diagnostic's bound
+        multiplicity = tower.get("multiplicity", [1] * depth)
+        keys = [
+            f"{mu},{m}" for mu in range(1, depth + 1) for m in range(1, multiplicity[mu - 1] + 1)
+        ]
+        amplitude = st.integers(0, 20) | st.floats(0, 20) | st.floats(0, 20).map(str)
+        config["amplitude"] = {"table": {key: draw(amplitude) for key in keys}}
     return config
 
 
-@settings(max_examples=300, deadline=None)
-@given(configs())
-def test_accept_reject_and_levels_match_the_oracle(config):
+def check_config(config: dict):
+    """Run one config and hold it to the oracle; return the report, if any."""
     levels = CHECK.expected_levels(config)
     try:
         parsed = config_from_json(config)
     except ValueError:
         assert levels is None, config
-        return
+        return None
+    assert levels is not None, config
     try:
         report = run_pipeline(parsed)
     except PipelineError as exc:
-        assert exc.stage in STAGES, exc
-        assert levels is None, (config, str(exc))
-        return
-    assert levels is not None, config
-    assert report.all_diagnostics_passed()
+        raise AssertionError(f"accepted config failed in the run: {exc}; {config}") from exc
+    assert report.all_diagnostics_passed(), config
     assert CHECK.check_report(config, json.loads(report.json_text()), levels) == []
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_accept_reject_and_levels_match_the_oracle(config):
+    report = check_config(config)
+    if report is not None:
+        text = report.json_text()
+        echo = json.loads(text)["config"]
+        assert run_pipeline(config_from_json(echo)).json_text() == text
+
+
+def test_generated_cli_small_configs_never_fail_in_the_run():
+    reports = [
+        check_config(GEN.op_config("cli-small", seed, op))
+        for seed in (1, 2)
+        for op in range(64)
+    ]
+    # both verdicts occur, so neither branch of check_config is idle
+    assert any(r is None for r in reports) and any(r is not None for r in reports)

@@ -81,7 +81,8 @@ def test_config_validation():
         make_config(scenario="parabolic")
     with pytest.raises(ValueError):
         make_config(amplitude="loud")
-    cfg = make_config(amplitude={"1,1": 2.0, "2,1": 0.5})
+    # the table covers both classes of a 2-class tower
+    cfg = make_config(tower=TowerConfig(2, 1, 2), amplitude={"1,1": 2.0, "2,1": 0.5})
     assert cfg.amplitude == {ClassIndex(1, 1): 2.0, ClassIndex(2, 1): 0.5}
 
 
@@ -92,12 +93,12 @@ def test_config_json_roundtrip():
         "reduce": "mu<=3",
         "orth_dims": 2,
         "amplitude": "mu",
-        "covering_depths": [4, 2],
+        "covering_depths": [6, 5],
         "even_classes": False,
     }
     cfg = config_from_json(raw)
     assert cfg.scenario == "Swallowtail"
-    assert cfg.covering_depths == (4, 2)
+    assert cfg.covering_depths == (6, 5)
     echoed = config_to_json(cfg)
     assert config_from_json(echoed) == cfg
     with pytest.raises(ValueError):
@@ -350,10 +351,12 @@ def test_amplitude_mu_flows_into_modes():
 
 
 def test_amplitude_table_missing_class_fails():
-    cfg = make_config(scenario=None, amplitude={"1,1": 1.0})
-    with pytest.raises(PipelineError) as exc:
-        run_pipeline(cfg)
-    assert exc.value.stage == "compactify"
+    with pytest.raises(ValueError, match="amplitude table has no entry for class 2,1"):
+        make_config(scenario=None, amplitude={"1,1": 1.0})
+    # with the even-class convention only the even classes are compactified
+    evens = {"2,1": 1.0, "4,1": 2.0, "6,1": 3.0}
+    report = run_pipeline(make_config(scenario=None, amplitude=evens, even_classes=True))
+    assert report.all_diagnostics_passed()
 
 
 def test_even_classes_filter():
@@ -365,24 +368,36 @@ def test_even_classes_filter():
     assert report.all_diagnostics_passed()
 
 
-def test_pipeline_errors_carry_stage():
-    cfg = make_config(scenario=None, reduce_rule="none")
+def test_pipeline_errors_carry_stage(monkeypatch):
+    # an empty reduced part is decided by the config
+    with pytest.raises(ValueError, match="reduce"):
+        make_config(scenario=None, reduce_rule="none")
+    # a ValueError inside a stage is a contract violation named by its stage
+    import germtower.pipeline as pipeline_module
+
+    def broken(s):
+        raise ValueError("shift broke")
+
+    monkeypatch.setattr(pipeline_module, "shift", broken)
     with pytest.raises(PipelineError) as exc:
-        run_pipeline(cfg)
-    assert exc.value.stage == "levels"
-    assert str(exc.value).startswith("[levels]")
+        run_pipeline(make_config(scenario=None))
+    assert exc.value.stage == "shift"
+    assert str(exc.value).startswith("[shift]")
 
 
 def test_germ_template_must_cover_but_shape_free():
-    # a template mapping missing a class is a sections-stage error
-    cfg = make_config(
-        scenario=None,
-        tower=TowerConfig(2, 1, 2),
-        germ_template={"1,1": {"nvars": 1, "coeffs": [[[2], "1"]]}},
-    )
-    with pytest.raises(PipelineError) as exc:
-        run_pipeline(cfg)
-    assert exc.value.stage == "sections"
+    square = {"nvars": 1, "coeffs": [[[2], "1"]]}
+    quadric = {"nvars": 2, "coeffs": [[[2, 0], "1"], [[0, 2], "1"]]}
+    # a template mapping missing a class is a config error
+    with pytest.raises(ValueError, match="germ_template has no entry for class 2,1"):
+        make_config(scenario=None, tower=TowerConfig(2, 1, 2), germ_template={"1,1": square})
+    # only the space class 2 hosts the fold germ; the reduced class 1 may
+    # carry a germ in any number of variables
+    fold = dict(scenario="fold", tower=TowerConfig(2, 1, 2))
+    report = run_pipeline(make_config(**fold, germ_template={"1,1": quadric, "2,1": square}))
+    assert report.all_diagnostics_passed()
+    with pytest.raises(ValueError, match="germ_template: class 2,1 hosts the Fold germ"):
+        make_config(**fold, germ_template={"1,1": square, "2,1": quadric})
 
 
 def test_memoized_germ_work_does_not_leak_between_runs():
