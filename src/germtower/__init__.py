@@ -84,7 +84,6 @@ from .sheaves import (
     annihilate_biquantum,
     attach_sections,
     create_biquantum,
-    default_reduce,
     emergent_project,
     endo_split,
     inject_singularity,

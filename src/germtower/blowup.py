@@ -34,7 +34,6 @@ from .sheaves import (
     SPACE_SHIFTED,
     TIME_SHIFTED,
     Bisemisheaf,
-    Section,
     Semisheaf,
     emergent_project,
     endo_split,
@@ -92,14 +91,11 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     glued = Germ.zero(bundle.fiber[0][1].nvars)
     for _, mono in bundle.fiber:
         glued = glued + mono
-    sections = tuple(
-        Section(sec.index, sec.side, glued, sec.dims) for sec in bundle.base.sections
-    )
     coverage = tuple(
         (sec.index, min(1.0, glued.total_degree / max(sec.germ.total_degree, 1)))
         for sec in bundle.base.sections
     )
-    covering = bundle.base.replace(sections=sections, singular=False, role=None)
+    covering = bundle.base.map_germs(lambda _: glued, singular=False, role=None)
     return BlowupResult(covering, coverage)
 
 
@@ -119,12 +115,11 @@ def desingularize(s: Semisheaf) -> Semisheaf:
     Hessian at the origin, so the rule is a plain truncation at degree two.
     It is idempotent and its output classifies Regular or Morse.
     """
-    out = s.map_germs(lambda sec: sec.germ.truncated(2))
-    return out.replace(singular=False)
+    return s.map_germs(lambda germ: germ.truncated(2), singular=False)
 
 
 def time_space_lift(
-    space: Semisheaf, reduce: Callable[[ClassIndex], bool] | None = None
+    space: Semisheaf, reduce: Callable[[ClassIndex], bool]
 ) -> tuple[Semisheaf, Semisheaf]:
     """Lift a shifted space semisheaf to (time part, space residual).
 
@@ -321,7 +316,7 @@ def generate_levels(
                 f"resingularization: covering keeps the cubic monomial x^3, classified {cls.name}"
             )
             cubic = Germ.monomial(1, (3,))
-            seed = covering.map_germs(lambda sec: cubic).replace(singular=True)
+            seed = covering.map_germs(lambda _: cubic, singular=True)
         result = blow_up(deform(seed))
         cascade.append(
             f"blowup {cls.name}: covering germ {format_germ(result.covering.sections[0].germ)}"

@@ -199,7 +199,7 @@ def lgc(
 
 def lggc_st(
     b: Bisemisheaf,
-    reduce: Callable[[ClassIndex], bool] | None = None,
+    reduce: Callable[[ClassIndex], bool],
     amplitude_rule: AmplitudeRule | None = None,
     even_only: bool = False,
 ) -> Correspondence:

@@ -85,10 +85,9 @@ class Germ(Record):
         Truncation order of the jet.  Ignored by equality: two germs are
         equal when their variable counts and term lists agree.
 
-    ``derivative``, ``truncated``, ``scale``, ``+`` and ``classify_germ`` are
-    memoized by value, so the sections of a sheaf that share one germ share
-    its results.  The memo key holds ``max_degree`` because equal germs with
-    different truncation orders give results with different orders.
+    Germ operations build a new germ on every call; a sheaf morphism applies
+    one to each distinct germ object it holds, not to each section (see
+    ``Semisheaf.map_germs``).  Only ``classify_germ`` is memoized, by value.
     """
 
     __slots__ = ("nvars", "terms", "max_degree")
@@ -182,22 +181,34 @@ class Germ(Record):
         """Formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
-        return _derivative(self.nvars, self.terms, self.max_degree, var)
+        out = {}
+        for exps, coeff in self.terms:
+            if exps[var] == 0:
+                continue
+            new = list(exps)
+            new[var] -= 1
+            out[tuple(new)] = coeff * exps[var]
+        return Germ.from_coeffs(self.nvars, out, max(self.max_degree - 1, 0))
 
     def truncated(self, degree: int) -> "Germ":
         """Drop every monomial of total degree above ``degree``."""
-        return _truncated(self.nvars, self.terms, self.max_degree, degree)
+        kept = {e: c for e, c in self.terms if sum(e) <= degree}
+        return Germ.from_coeffs(self.nvars, kept, min(self.max_degree, degree))
 
     def scale(self, factor) -> "Germ":
         f = snap_to_fraction(factor)
-        return _scaled(self.nvars, self.terms, self.max_degree, f)
+        scaled = {e: c * f for e, c in self.terms}
+        return Germ.from_coeffs(self.nvars, scaled, self.max_degree)
 
     def __add__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("cannot add germs with different variable counts")
-        return _sum(self.nvars, self.terms, self.max_degree, other.terms, other.max_degree)
+        out = dict(self.terms)
+        for exps, coeff in other.terms:
+            out[exps] = out.get(exps, Fraction(0)) + coeff
+        return Germ.from_coeffs(self.nvars, out, max(self.max_degree, other.max_degree))
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the jet at ``point``."""
@@ -210,44 +221,6 @@ class Germ(Record):
                 term *= x**e
             total += term
         return total
-
-
-# The memoized operations take a germ's exact value, never the Germ itself:
-# Germ equality ignores max_degree, which the results carry.  ``typed`` keeps
-# an int and a float max_degree or argument apart.  The bound keeps a
-# long-lived process from growing without limit.
-_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _derivative(nvars: int, terms, max_degree: int, var: int) -> Germ:
-    out = {}
-    for exps, coeff in terms:
-        if exps[var] == 0:
-            continue
-        new = list(exps)
-        new[var] -= 1
-        out[tuple(new)] = coeff * exps[var]
-    return Germ.from_coeffs(nvars, out, max(max_degree - 1, 0))
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _truncated(nvars: int, terms, max_degree: int, degree: int) -> Germ:
-    kept = {e: c for e, c in terms if sum(e) <= degree}
-    return Germ.from_coeffs(nvars, kept, min(max_degree, degree))
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _scaled(nvars: int, terms, max_degree: int, factor: Fraction) -> Germ:
-    return Germ.from_coeffs(nvars, {e: c * factor for e, c in terms}, max_degree)
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _sum(nvars: int, terms, max_degree: int, other_terms, other_max_degree: int) -> Germ:
-    out = dict(terms)
-    for exps, coeff in other_terms:
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-    return Germ.from_coeffs(nvars, out, max(max_degree, other_max_degree))
 
 
 _VAR_NAMES = ("x", "y")
@@ -411,9 +384,10 @@ def classify_germ(g: Germ) -> SingularityClass:
     return _classify(g.nvars, g.terms)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=1024)
 def _classify(nvars: int, terms) -> SingularityClass:
-    # The decision tree reads no max_degree, so the key leaves it out.
+    # The decision tree reads no max_degree, so the key leaves it out.  The
+    # bound keeps a long-lived process from growing without limit.
     g = Germ(nvars, terms)
     if g.constant_term != 0 or any(g.gradient_at_zero()):
         return SingularityClass(REGULAR, 0, 0)

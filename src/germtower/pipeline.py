@@ -113,11 +113,12 @@ def parse_reduce_rule(text: str, depth: int) -> Callable[[ClassIndex], bool]:
     raise ValueError(f"cannot parse reduce rule {text!r}")
 
 
-def _parse_index_key(key: str) -> ClassIndex:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"class keys look like 'mu,m'; got {key!r}")
-    return ClassIndex(int(parts[0]), int(parts[1]))
+def _parse_index_key(key: str, field: str) -> ClassIndex:
+    try:
+        mu, m = (int(part) for part in key.split(","))
+    except ValueError:
+        raise ValueError(f"{field}: class keys look like 'mu,m', got {key!r}") from None
+    return ClassIndex(mu, m)
 
 
 class PipelineConfig:
@@ -160,10 +161,17 @@ class PipelineConfig:
         self.amplitude = _normalize_amplitude(self.amplitude)
         if self.germ_template is not None:
             self.germ_template = {
-                _parse_index_key(k): (germ_from_json(v) if isinstance(v, dict) else v)
+                _parse_index_key(k, "germ_template"): (
+                    germ_from_json(v) if isinstance(v, dict) else v
+                )
                 for k, v in self.germ_template.items()
             }
         tower = build_tower(self.tower)
+        tables = (("amplitude", self.amplitude), ("germ_template", self.germ_template))
+        for field, table in tables:
+            for idx in table if isinstance(table, dict) else ():
+                if not tower.contains(idx):
+                    raise ValueError(f"{field}: class {idx.mu},{idx.m} is not in the tower")
         self.plan = plan_levels(
             tower, self.scenario, predicate, self.covering_depths, self.even_classes
         )
@@ -215,7 +223,7 @@ def _normalize_amplitude(value) -> object:
             raise ValueError(f"amplitude table must be an object, got {table!r}")
         out = {}
         for key, amp in table.items():
-            index = _parse_index_key(key)
+            index = _parse_index_key(key, "amplitude")
             value = finite_float(amp)
             if value is None or value < 0:
                 raise ValueError(
@@ -487,14 +495,6 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
     }
 
 
-def _desingularized(level: Level) -> Level:
-    reduced = Bisemisheaf(desingularize(level.reduced.right))
-    orthogonal = None
-    if level.orthogonal is not None:
-        orthogonal = Bisemisheaf(desingularize(level.orthogonal.right))
-    return Level(level.label, reduced, orthogonal, level.cover, level.coverage)
-
-
 def _pvariance(values: Sequence[float]) -> float:
     """``statistics.pvariance`` of floats, bit for bit, without ``Fraction``.
 
@@ -533,7 +533,7 @@ def _bistring_variances(record: LevelRecord) -> list[float]:
 
 
 def _diagnostics(
-    stack: LevelStack, records: Sequence[LevelRecord], desing: Sequence[Level]
+    stack: LevelStack, records: Sequence[LevelRecord], desingularized: set[Germ]
 ) -> list[dict]:
     diags = []
 
@@ -573,16 +573,7 @@ def _diagnostics(
         }
     )
 
-    # the left of every bisemisheaf holds the right's germs; each distinct
-    # germ is classified once
-    germs = {
-        sec.germ
-        for level in desing
-        for part in (level.reduced, level.orthogonal)
-        if part is not None
-        for sec in part.right.sections
-    }
-    classify_ok = all(classify_germ(germ).name in (REGULAR, MORSE) for germ in germs)
+    classify_ok = all(classify_germ(germ).name in (REGULAR, MORSE) for germ in desingularized)
     diags.append(
         {
             "name": "desingularized_sections",
@@ -611,7 +602,15 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
     stack = stage("levels", generate_levels, base, config.scenario, config.plan)
 
-    desing = [stage("desingularize", _desingularized, level) for level in stack.levels]
+    # the left of every bisemisheaf holds the right's germs, so the right
+    # parts carry every germ; each distinct one is classified once
+    desingularized = {
+        sec.germ
+        for level in stack.levels
+        for part in (level.reduced, level.orthogonal)
+        if part is not None
+        for sec in stage("desingularize", desingularize, part.right).sections
+    }
     amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
         stage(
@@ -623,11 +622,11 @@ def run_pipeline(config: PipelineConfig) -> Report:
             amplitude_rule,
             config.even_classes,
         )
-        for level in desing
+        for level in stack.levels
     ]
 
-    diagnostics = _diagnostics(stack, records, desing)
-    rows = [_level_row(level, rec) for level, rec in zip(desing, records)]
+    diagnostics = _diagnostics(stack, records, desingularized)
+    rows = [_level_row(level, rec) for level, rec in zip(stack.levels, records)]
     expansions = emit_expansion([level.label for level in stack.levels])
 
     return Report(

@@ -14,7 +14,6 @@ sides apart, so the cascade runs on the right semisheaf alone.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Callable, Mapping
 
 from .bisemigroup import LEVELS
@@ -125,12 +124,22 @@ class Semisheaf(Record):
             return self.sections[pos]
         raise KeyError(index)
 
-    def map_germs(self, fn: Callable[[Section], Germ]) -> "Semisheaf":
-        sections = tuple(
-            Section(sec.index, sec.side, fn(sec), sec.dims)
-            for sec in self.sections
-        )
-        return self.replace(sections=sections)
+    def map_germs(self, fn: Callable[[Germ], Germ], **tags) -> "Semisheaf":
+        """A copy with each germ replaced by ``fn(germ)`` and ``tags`` changed.
+
+        ``fn`` runs once per distinct germ object, so a sheaf that holds one
+        germ at every index does the germ's work once.  Results are keyed by
+        object, never by value: equal germs may differ in ``max_degree``,
+        which their images carry.
+        """
+        images: dict[int, Germ] = {}
+        sections = []
+        for sec in self.sections:
+            image = images.get(id(sec.germ))
+            if image is None:
+                image = images[id(sec.germ)] = fn(sec.germ)
+            sections.append(Section(sec.index, sec.side, image, sec.dims))
+        return self.replace(sections=tuple(sections), **tags)
 
 
 def attach_sections(
@@ -211,23 +220,16 @@ def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
     return pair
 
 
-def default_reduce(depth: int) -> Callable[[ClassIndex], bool]:
-    """Module-default reduction predicate: keep classes with mu <= ceil(depth/2)."""
-    cut = math.ceil(depth / 2)
-    return lambda idx: idx.mu <= cut
-
-
 def endo_split(
-    s: Semisheaf, reduce: Callable[[ClassIndex], bool] | None = None
+    s: Semisheaf, reduce: Callable[[ClassIndex], bool]
 ) -> tuple[Semisheaf, Semisheaf]:
     """Endomorphism split into the reduced part and its complementary part.
 
     Every section lands in exactly one output; all other tags are preserved.
     """
-    pred = reduce if reduce is not None else default_reduce(s.tower.depth)
     kept, rest = [], []
     for sec in s.sections:
-        (kept if pred(sec.index) else rest).append(sec)
+        (kept if reduce(sec.index) else rest).append(sec)
     reduced = s.replace(sections=tuple(kept), role=REDUCED)
     complementary = s.replace(sections=tuple(rest), role=COMPLEMENTARY)
     return reduced, complementary
@@ -252,8 +254,7 @@ def shift(s: Semisheaf) -> Semisheaf:
     """
     if s.nature not in _SHIFTED:
         raise ValueError(f"semisheaf of nature {s.nature!r} is already shifted")
-    shifted = s.map_germs(lambda sec: sec.germ.derivative(0))
-    return shifted.replace(nature=_SHIFTED[s.nature])
+    return s.map_germs(lambda germ: germ.derivative(0), nature=_SHIFTED[s.nature])
 
 
 def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
@@ -302,5 +303,4 @@ def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
             raise ValueError(
                 f"{cls.name} lives in {germ.nvars} variable(s) but section {sec.index} is {sec.dims}-dimensional"
             )
-    out = s.map_germs(lambda sec: germ)
-    return out.replace(singular=True)
+    return s.map_germs(lambda _: germ, singular=True)

@@ -9,13 +9,13 @@ from germtower import (
     blow_up,
     build_tower,
     classify_germ,
-    default_reduce,
     deform,
     desingularize,
     detect_resingularization,
     format_germ,
     generate_levels,
     inject_singularity,
+    parse_reduce_rule,
     plan_levels,
     tensor,
     time_space_lift,
@@ -140,7 +140,7 @@ def test_desingularize_idempotent():
 
 def test_time_space_lift_orientation():
     s = space_sheaf(depth=4)
-    time, residual = time_space_lift(s)
+    time, residual = time_space_lift(s, parse_reduce_rule("mu<=H", 4))
     assert time.nature == TIME_SHIFTED
     assert residual.nature == SPACE_SHIFTED
     assert time.role == ORTHOGONAL
@@ -149,7 +149,7 @@ def test_time_space_lift_orientation():
     tower = build_tower(TowerConfig(2, 1, 2))
     t_sheaf = attach_sections(tower, RIGHT, ST, TIME_SHIFTED, lambda idx: Germ.monomial(1, (2,)))
     with pytest.raises(ValueError):
-        time_space_lift(t_sheaf)
+        time_space_lift(t_sheaf, parse_reduce_rule("mu<=H", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def base_for(scenario):
 
 
 def plan_for(base, scenario=None, reduce=None, covering_depths=None):
-    predicate = reduce or default_reduce(base.tower.depth)
+    predicate = reduce or parse_reduce_rule("mu<=H", base.tower.depth)
     return plan_levels(base.tower, scenario, predicate, covering_depths, False)
 
 

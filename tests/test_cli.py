@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, file emission."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germtower.cli import (
     EXIT_CONFIG,
@@ -21,6 +24,7 @@ from germtower.tower import TowerConfig, tower_config_to_json
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
+SQUARE = {"nvars": 1, "coeffs": [[[2], "1"]]}
 
 
 def golden_variant(tmp_path, **changes):
@@ -161,6 +165,10 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"germ_template": {k: {"nvars": 2, "coeffs": [[[2, 0], "1"]]} for k in GOLDEN_CLASSES}},
         {"even_classes": "no"},
         {"even_classes": None},
+        {"amplitude": {"table": {**dict.fromkeys(GOLDEN_CLASSES, 1.0), "99,7": 3.0}}},
+        {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "50,3": SQUARE}},
+        {"amplitude": {"table": {**dict.fromkeys(GOLDEN_CLASSES, 1.0), "1,x": 1.0}}},
+        {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "a,1": SQUARE}},
     ],
     ids=[
         "covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null",
@@ -171,6 +179,8 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         "reduce-empties-reduced-part", "reduce-empties-space-part",
         "covering-depths-empty-covering", "germ-template-nvars",
         "even-classes-string", "even-classes-null",
+        "amplitude-class-outside-tower", "germ-template-class-outside-tower",
+        "amplitude-key-not-integer", "germ-template-key-not-integer",
     ],
 )
 def test_config_type_errors_are_config_errors(capsys, tmp_path, changes):
@@ -215,6 +225,72 @@ def test_report_escapes_control_characters_in_the_config_echo(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
     assert code == EXIT_OK
     assert '  "reduce": "mu<=3\\u000a\\u0009",\n' in out_file.read_text()
+
+
+# Mutations of the golden config: class keys outside its tower or not
+# integers, and values of every JSON type in place of any key's value.
+CLASS_KEYS = GOLDEN_CLASSES + ("7,1", "99,7", "0,1", "1,x", "a,1", "1,1,1", "")
+TEXT = st.text('mu<=H%2,1x"\\\n\u00e9', max_size=4)
+SCALARS = st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | TEXT
+VALUES = (
+    SCALARS
+    | st.lists(SCALARS, max_size=3)
+    | st.dictionaries(TEXT, SCALARS, max_size=2)
+)
+# a new object per draw, as later edits may change it in place
+GERMS = st.integers(0, 3).map(lambda nvars: {"nvars": nvars, "coeffs": [[[2], "1"]]})
+
+
+def containers(value):
+    """Every object and list inside a JSON value, outermost first."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@st.composite
+def golden_mutants(draw) -> dict:
+    """The golden config after one to four edits.  An edit drops, replaces
+    or adds an entry of any object or list in it, or puts in an amplitude
+    table or a germ template over a random set of class keys."""
+    config = json.loads(GOLDEN_CONFIG.read_text())
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(["drop", "swap", "add", "amplitude", "germ_template"]))
+        if action in ("amplitude", "germ_template"):
+            keys = draw(st.lists(st.sampled_from(CLASS_KEYS), unique=True, max_size=10))
+            entries = st.integers(0, 3) if action == "amplitude" else GERMS
+            if draw(st.booleans()):
+                entries = entries | VALUES
+            table = {key: draw(entries) for key in keys}
+            config[action] = {"table": table} if action == "amplitude" else table
+            continue
+        target = draw(st.sampled_from(list(containers(config))))
+        keys = sorted(target) if isinstance(target, dict) else range(len(target))
+        if action == "add" or not keys:
+            if isinstance(target, dict):
+                target[draw(TEXT.filter(bool))] = draw(VALUES)
+            else:
+                target.append(draw(VALUES))
+        elif action == "drop":
+            del target[draw(st.sampled_from(keys))]
+        else:
+            target[draw(st.sampled_from(keys))] = draw(VALUES)
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=golden_mutants())
+def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["correspond", "--config", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC)
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("configuration error:")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_unfold_by_name(capsys):

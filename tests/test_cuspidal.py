@@ -17,6 +17,7 @@ from germtower import (
     compactify,
     lgc,
     lggc_st,
+    parse_reduce_rule,
     tensor,
 )
 from germtower.bisemigroup import ST
@@ -161,7 +162,7 @@ def test_lgc_even_convention_filters_both_sides():
 
 def test_lggc_st_splits_then_compactifies():
     b = bisheaf(depth=4)
-    corr = lggc_st(b)
+    corr = lggc_st(b, parse_reduce_rule("mu<=H", 4))
     (record,) = corr.levels
     assert record.orthogonal is not None
     assert [m.mu for m in record.reduced[0].modes] == [1, 2]

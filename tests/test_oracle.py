@@ -9,6 +9,7 @@ ValueError at config time; every config it accepts must run to a report
 that passes its diagnostics and replays from its own config echo.
 """
 
+import copy
 import json
 import types
 from pathlib import Path
@@ -70,6 +71,39 @@ def reduce_rules(draw, depth: int) -> str:
 
 
 @st.composite
+def germ_jsons(draw, nvars: int) -> dict:
+    """Germ JSON with a nonzero x^2 coefficient, so the shifted germ has a
+    nonzero gradient and every desingularized germ classifies Regular."""
+    square = [2] + [0] * (nvars - 1)
+    coeffs = [[square, draw(st.sampled_from(["1", "-2", "3/2"]))]]
+    for _ in range(draw(st.integers(0, 3))):
+        exps = draw(st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars))
+        if exps != square:
+            coeffs.append([exps, draw(st.sampled_from(["1", "-1", "5/7", "2"]))])
+    germ = {"nvars": nvars, "coeffs": coeffs}
+    max_degree = draw(st.none() | st.integers(2, 5))
+    if max_degree is not None:
+        germ["max_degree"] = max_degree
+    return germ
+
+
+@st.composite
+def germ_templates(draw, keys: list, scenario) -> dict:
+    """A germ per class in the scenario's variable count; classes drawn
+    from a small pool share one JSON object, the others get their own."""
+    name = str(scenario).lower()
+    if "umbilic" in name:
+        nvars = 2
+    elif scenario is None or name == "none":
+        nvars = draw(st.integers(1, 2))
+    else:
+        nvars = 1
+    pool = draw(st.lists(germ_jsons(nvars), min_size=1, max_size=2))
+    picks = st.sampled_from(pool) | germ_jsons(nvars)
+    return {key: draw(picks) for key in keys}
+
+
+@st.composite
 def configs(draw) -> dict:
     modulus = draw(st.integers(1, 4))
     depth = draw(st.integers(1, 8))
@@ -96,13 +130,17 @@ def configs(draw) -> dict:
         value = draw(values)
         if value is not None:
             config[key] = value
+    multiplicity = tower.get("multiplicity", [1] * depth)
+    keys = [
+        f"{mu},{m}" for mu in range(1, depth + 1) for m in range(1, multiplicity[mu - 1] + 1)
+    ]
+    if draw(st.booleans()):
+        # complete and in the scenario's variable count, so the oracle's
+        # verdict stands
+        config["germ_template"] = draw(germ_templates(keys, config.get("scenario")))
     if config.get("amplitude") == "table":
         # complete, so the oracle's verdict stands; small, so the bistring
         # variances stay below the diagnostic's bound
-        multiplicity = tower.get("multiplicity", [1] * depth)
-        keys = [
-            f"{mu},{m}" for mu in range(1, depth + 1) for m in range(1, multiplicity[mu - 1] + 1)
-        ]
         amplitude = st.integers(0, 20) | st.floats(0, 20) | st.floats(0, 20).map(str)
         config["amplitude"] = {"table": {key: draw(amplitude) for key in keys}}
     return config
@@ -126,6 +164,18 @@ def check_config(config: dict):
     return report
 
 
+def interned(config):
+    """The parsed config with each template germ shared by every class whose
+    germ has its value and max_degree; parsing gives each class its own."""
+    pool = {}
+    out = copy.copy(config)
+    out.germ_template = {
+        idx: pool.setdefault((germ, germ.max_degree), germ)
+        for idx, germ in config.germ_template.items()
+    }
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(configs())
 def test_accept_reject_and_levels_match_the_oracle(config):
@@ -134,6 +184,8 @@ def test_accept_reject_and_levels_match_the_oracle(config):
         text = report.json_text()
         echo = json.loads(text)["config"]
         assert run_pipeline(config_from_json(echo)).json_text() == text
+        if "germ_template" in config:
+            assert run_pipeline(interned(config_from_json(config))).json_text() == text
 
 
 def test_generated_cli_small_configs_never_fail_in_the_run():

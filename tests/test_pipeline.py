@@ -62,6 +62,10 @@ def test_parse_reduce_rule_forms():
     assert le2(ClassIndex(2, 1)) and not le2(ClassIndex(3, 1))
     half = parse_reduce_rule("mu<=H", 7)  # H = ceil(7/2) = 4
     assert half(ClassIndex(4, 1)) and not half(ClassIndex(5, 1))
+    half = parse_reduce_rule("mu<=H", 4)
+    assert [half(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4)] == [True, True, False, False]
+    half = parse_reduce_rule("mu<=H", 5)
+    assert [half(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4, 5)] == [True, True, True, False, False]
     even = parse_reduce_rule("mu%2==0", 4)
     assert even(ClassIndex(2, 1)) and not even(ClassIndex(3, 1))
     gt = parse_reduce_rule("mu > 3", 4)
@@ -398,6 +402,30 @@ def test_germ_template_must_cover_but_shape_free():
     assert report.all_diagnostics_passed()
     with pytest.raises(ValueError, match="germ_template: class 2,1 hosts the Fold germ"):
         make_config(**fold, germ_template={"1,1": square, "2,1": quadric})
+
+
+@pytest.mark.parametrize(
+    "field, key, message",
+    [
+        ("amplitude", "3,1", "amplitude: class 3,1 is not in the tower"),
+        ("amplitude", "0,1", "amplitude: class 0,1 is not in the tower"),
+        ("amplitude", "1,x", "amplitude: class keys look like 'mu,m', got '1,x'"),
+        ("amplitude", "1,1,1", "amplitude: class keys look like 'mu,m', got '1,1,1'"),
+        ("germ_template", "50,3", "germ_template: class 50,3 is not in the tower"),
+        ("germ_template", "2,2", "germ_template: class 2,2 is not in the tower"),
+        ("germ_template", "a,1", "germ_template: class keys look like 'mu,m', got 'a,1'"),
+    ],
+)
+def test_class_keys_must_parse_and_lie_in_the_tower(field, key, message):
+    square = {"nvars": 1, "coeffs": [[[2], "1"]]}
+    tables = {
+        "amplitude": {"1,1": 1.0, "2,1": 2.0},
+        "germ_template": {"1,1": square, "2,1": square},
+    }
+    tables[field][key] = tables[field]["1,1"]
+    with pytest.raises(ValueError) as exc:
+        make_config(scenario="fold", tower=TowerConfig(2, 1, 2), **tables)
+    assert str(exc.value) == message
 
 
 def test_memoized_germ_work_does_not_leak_between_runs():

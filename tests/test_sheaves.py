@@ -18,6 +18,7 @@ from germtower import (
     emergent_project,
     endo_split,
     inject_singularity,
+    parse_reduce_rule,
     shift,
     tensor,
 )
@@ -31,7 +32,6 @@ from germtower.sheaves import (
     SPACE_SHIFTED,
     TIME,
     TIME_SHIFTED,
-    default_reduce,
 )
 from germtower.tower import ClassIndex, LEFT, RIGHT
 
@@ -42,6 +42,11 @@ def small_tower(depth=4, mult=()):
 
 def quad(idx):
     return Germ.from_coeffs(1, {(2,): idx.mu})
+
+
+def half(depth):
+    """The default reduce rule: keep the classes with mu <= ceil(depth/2)."""
+    return parse_reduce_rule("mu<=H", depth)
 
 
 def make_sheaf(side=RIGHT, nature=TIME, depth=4, template=quad, level=ST):
@@ -136,16 +141,9 @@ def test_tensor_requires_matching_pair():
         tensor(r, l.replace(singular=True))
 
 
-def test_default_reduce_keeps_lower_half():
-    pred = default_reduce(4)
-    assert [pred(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4)] == [True, True, False, False]
-    pred = default_reduce(5)
-    assert [pred(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4, 5)] == [True, True, True, False, False]
-
-
 def test_endo_split_partition_and_roles():
     s = make_sheaf(depth=5)
-    reduced, comp = endo_split(s)
+    reduced, comp = endo_split(s, half(5))
     assert reduced.role == REDUCED and comp.role == COMPLEMENTARY
     assert set(reduced.indices()) | set(comp.indices()) == set(s.indices())
     assert not set(reduced.indices()) & set(comp.indices())
@@ -163,12 +161,12 @@ def test_endo_split_partition_any_predicate(depth, cut):
 
 
 def test_emergent_project_flips_nature_and_sets_role():
-    _, comp = endo_split(make_sheaf(nature=TIME, depth=4))
+    _, comp = endo_split(make_sheaf(nature=TIME, depth=4), half(4))
     proj = emergent_project(comp)
     assert proj.nature == SPACE
     assert proj.role == ORTHOGONAL
 
-    _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4))
+    _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4), half(4))
     proj_t = emergent_project(comp_s)
     assert proj_t.nature == TIME_SHIFTED
 
@@ -177,7 +175,7 @@ def test_emergent_project_requires_complementary():
     s = make_sheaf()
     with pytest.raises(ValueError):
         emergent_project(s)
-    reduced, comp = endo_split(s)
+    reduced, comp = endo_split(s, half(4))
     with pytest.raises(ValueError):
         emergent_project(reduced)
 
@@ -259,3 +257,35 @@ def test_inject_singularity_dims_must_match():
     assert all(classify_germ(sec.germ).name == ELLIPTIC_UMBILIC for sec in out.sections)
     with pytest.raises(ValueError):
         inject_singularity(s, "Morse")
+
+
+def test_map_germs_runs_once_per_germ_object(monkeypatch):
+    cubic = Germ.monomial(1, (3,))
+    # three germs of equal value: one shared by two classes, and two whose
+    # truncation orders differ from it and from each other
+    deep = Germ.from_coeffs(1, {(3,): 1}, max_degree=5)
+    deeper = Germ.from_coeffs(1, {(3,): 1}, max_degree=7)
+    assert cubic == deep == deeper
+    template = {
+        ClassIndex(1, 1): cubic,
+        ClassIndex(2, 1): cubic,
+        ClassIndex(3, 1): deep,
+        ClassIndex(4, 1): deeper,
+    }
+    s = attach_sections(small_tower(4), RIGHT, ST, TIME, template)
+    calls = []
+
+    def derive(germ):
+        calls.append(germ)
+        return germ.derivative(0)
+
+    builds = []
+    post_init = Semisheaf.__post_init__
+    monkeypatch.setattr(Semisheaf, "__post_init__", lambda self: builds.append(post_init(self)))
+    out = s.map_germs(derive, nature=TIME_SHIFTED)
+    assert len(builds) == 1 and out.nature == TIME_SHIFTED
+    assert [id(germ) for germ in calls] == [id(cubic), id(deep), id(deeper)]
+    images = [sec.germ for sec in out.sections]
+    assert images[0] is images[1]
+    assert [germ.max_degree for germ in images] == [2, 2, 4, 6]
+    assert all(germ == Germ.monomial(1, (2,), 3) for germ in images)
