@@ -141,6 +141,13 @@ def test_tensor_requires_matching_pair():
         tensor(r, l.replace(singular=True))
 
 
+def test_default_reduce_keeps_lower_half():
+    pred = half(4)
+    assert [pred(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4)] == [True, True, False, False]
+    pred = half(5)
+    assert [pred(ClassIndex(mu, 1)) for mu in (1, 2, 3, 4, 5)] == [True, True, True, False, False]
+
+
 def test_endo_split_partition_and_roles():
     s = make_sheaf(depth=5)
     reduced, comp = endo_split(s, half(5))
