@@ -113,7 +113,11 @@ def desingularize(s: Semisheaf) -> Semisheaf:
 
     Monomials of total degree three and above contribute nothing to the
     Hessian at the origin, so the rule is a plain truncation at degree two.
-    It is idempotent and its output classifies Regular or Morse.
+    It is idempotent.  In one variable its output classifies Regular or
+    Morse; in two it need not: a jet with no constant or linear term and a
+    Hessian of rank 1, such as ``3x^2`` (the shift of ``x^3``), classifies
+    Unclassified with corank 1, and the report's ``desingularized_sections``
+    diagnostic fails on it.
     """
     return s.map_germs(lambda germ: germ.truncated(2), singular=False)
 

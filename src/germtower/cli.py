@@ -49,35 +49,43 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _parse_int_list(text: str | None) -> list[int]:
-    return [int(part) for part in (text or "").split(",") if part.strip() != ""]
+def _parse_int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip() != ""]
+
+
+# Each flag's dest is its config JSON key.
+_TOWER_FLAGS = ("quantum_modulus", "offset", "depth", "multiplicity", "complex_multiplicity")
+_RUN_FLAGS = ("scenario", "reduce", "orth_dims", "amplitude", "covering_depths", "even_classes")
+_LIST_FLAGS = ("multiplicity", "complex_multiplicity", "covering_depths")
+
+
+def _flag(parser: argparse.ArgumentParser, *names, **kwargs) -> None:
+    """A config flag, absent from the parsed args unless given, so a flag
+    left out takes the default that TowerConfig or PipelineConfig holds."""
+    parser.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
 
 
 def _tower_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--modulus", "-N", type=int, help="quantum size N")
-    parser.add_argument("--offset", type=int, default=0)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--multiplicity", help="comma list, one entry per class")
-    parser.add_argument("--complex-multiplicity", dest="complex_multiplicity")
+    _flag(parser, "--modulus", "-N", dest="quantum_modulus", type=int, help="quantum size N")
+    _flag(parser, "--offset", type=int)
+    _flag(parser, "--depth", type=int)
+    _flag(parser, "--multiplicity", help="comma list, one entry per class")
+    _flag(parser, "--complex-multiplicity")
 
 
 def _pipeline_flags(parser: argparse.ArgumentParser) -> None:
     _tower_flags(parser)
-    parser.add_argument(
+    _flag(
+        parser,
         "--scenario",
-        default="none",
         help="none | fold | cusp | swallowtail | elliptic-umbilic | hyperbolic-umbilic",
     )
-    parser.add_argument("--reduce", default="mu<=H", help="reduce rule, e.g. mu<=2")
-    parser.add_argument("--orth-dims", type=int, default=3, choices=(2, 3))
-    parser.add_argument(
-        "--amplitude", default="unit", help="unit | mu | path to a JSON class table"
-    )
-    parser.add_argument("--covering-depths", help="comma pair, e.g. 3,2")
-    parser.add_argument("--even-classes", action="store_true")
-    parser.add_argument(
-        "--config", help="JSON config file ('-' for stdin); overrides the flags"
-    )
+    _flag(parser, "--reduce", help="reduce rule, e.g. mu<=2")
+    _flag(parser, "--orth-dims", type=int, help="2 or 3")
+    _flag(parser, "--amplitude", help="unit | mu | path to a JSON amplitude object")
+    _flag(parser, "--covering-depths", help="comma pair, e.g. 3,2")
+    _flag(parser, "--even-classes", action="store_true")
+    parser.add_argument("--config", help="JSON config file ('-' for stdin); overrides the flags")
 
 
 def _load_json(path: str):
@@ -87,35 +95,31 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _tower_json_from_args(args) -> dict:
-    if args.modulus is None or args.depth is None:
-        raise ValueError("--modulus and --depth are required without --config")
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` given on the command line, as config JSON."""
+    given = vars(args)
     return {
-        "quantum_modulus": args.modulus,
-        "offset": args.offset,
-        "depth": args.depth,
-        "multiplicity": _parse_int_list(args.multiplicity),
-        "complex_multiplicity": _parse_int_list(args.complex_multiplicity),
+        key: _parse_int_list(given[key]) if key in _LIST_FLAGS else given[key]
+        for key in keys
+        if key in given
     }
+
+
+def _tower_json_from_args(args) -> dict:
+    data = _given(args, _TOWER_FLAGS)
+    if "quantum_modulus" not in data or "depth" not in data:
+        raise ValueError("--modulus and --depth are required without --config")
+    return data
 
 
 def _pipeline_config_from_args(args) -> PipelineConfig:
-    """The run config from ``--config``, or the flags written as the same JSON."""
+    """The run config from ``--config``, or the given flags written as the same JSON."""
     if args.config:
         return config_from_json(_load_json(args.config))
-    amplitude = args.amplitude
-    if amplitude not in ("unit", "mu"):
-        amplitude = _load_json(amplitude)
-    data = {
-        "tower": _tower_json_from_args(args),
-        "scenario": args.scenario,
-        "reduce": args.reduce,
-        "orth_dims": args.orth_dims,
-        "amplitude": amplitude,
-        "even_classes": args.even_classes,
-    }
-    if args.covering_depths:
-        data["covering_depths"] = _parse_int_list(args.covering_depths)
+    data = _given(args, _RUN_FLAGS)
+    data["tower"] = _tower_json_from_args(args)
+    if data.get("amplitude") not in (None, "unit", "mu"):
+        data["amplitude"] = _load_json(data["amplitude"])
     return config_from_json(data)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
 from .blowup import Level, LevelStack, desingularize, generate_levels, plan_levels
@@ -38,6 +38,8 @@ from .tower import (
     ClassIndex,
     TowerConfig,
     build_tower,
+    int_list,
+    require,
     tower_config_from_json,
     tower_config_to_json,
 )
@@ -68,9 +70,10 @@ _SCENARIO_ALIASES = {
 
 
 def normalize_scenario(value) -> str | None:
-    if value is None or value == "" or str(value).lower() == "none":
+    require(value is None or isinstance(value, str), "scenario", "a name or null", value)
+    if value is None or value.lower() in ("", "none"):
         return None
-    name = _SCENARIO_ALIASES.get(str(value).lower())
+    name = _SCENARIO_ALIASES.get(value.lower())
     if name is None:
         raise ValueError(f"unknown scenario {value!r}")
     return name
@@ -113,16 +116,27 @@ def parse_reduce_rule(text: str, depth: int) -> Callable[[ClassIndex], bool]:
     raise ValueError(f"cannot parse reduce rule {text!r}")
 
 
-def _parse_index_key(key: str, field: str) -> ClassIndex:
+def _class_key(key, field: str) -> ClassIndex:
+    """The class a table key names; it must read ``mu,m`` as the echo writes it."""
+    parts = key.split(",") if isinstance(key, str) else ()
     try:
-        mu, m = (int(part) for part in key.split(","))
-    except ValueError:
-        raise ValueError(f"{field}: class keys look like 'mu,m', got {key!r}") from None
-    return ClassIndex(mu, m)
+        index = ClassIndex(*map(int, parts))
+    except (TypeError, ValueError):
+        index = None
+    if index is None or f"{index.mu},{index.m}" != key:
+        raise ValueError(f"{field}: class keys look like 'mu,m', got {key!r}")
+    return index
 
 
 class PipelineConfig:
     """Everything a run needs; validated on construction.
+
+    The parameters take the JSON forms of the config keys (README's
+    config-keys table; ``reduce_rule`` is the key ``reduce``), and this is
+    the one place that holds each one's default and check, so Python and
+    JSON callers meet the same rules and nothing is coerced.  ``tower`` is a
+    ``TowerConfig``; lists may also be tuples.  ``germ_template`` left out
+    gives every class the scenario's default germ.
 
     ``orth_dims`` (2 or 3) is validated and echoed but changes no level.
     ``plan`` is derived: every level's classes from ``plan_levels``, so a
@@ -136,37 +150,28 @@ class PipelineConfig:
         scenario: str | None = None,
         reduce_rule: str = "mu<=H",
         orth_dims: int = 3,
-        amplitude: object = "unit",
-        covering_depths: tuple[int, int] | None = None,
+        amplitude: str | dict = "unit",
+        covering_depths: Sequence[int] | None = None,
         even_classes: bool = False,
-        germ_template: dict | None = None,
+        germ_template: dict | tuple = (),
     ):
+        require(isinstance(tower, TowerConfig), "tower", "a TowerConfig", tower)
+        require(isinstance(reduce_rule, str), "reduce", "a rule string", reduce_rule)
+        require(type(orth_dims) is int and orth_dims in (2, 3), "orth_dims", "2 or 3", orth_dims)
+        depths = covering_depths
+        pair = depths is None or (int_list(depths) and len(depths) == 2)
+        require(pair, "covering_depths", "null or a pair [d1, d2] of integers", depths)
+        require(type(even_classes) is bool, "even_classes", "true or false", even_classes)
         self.tower = tower
         self.scenario = normalize_scenario(scenario)
         self.reduce_rule = reduce_rule
         self.orth_dims = orth_dims
-        self.amplitude = amplitude
-        self.covering_depths = covering_depths
+        self.amplitude = _amplitude(amplitude)
+        self.covering_depths = None if depths is None else tuple(depths)
         self.even_classes = even_classes
-        self.germ_template = germ_template
-        if self.orth_dims not in (2, 3):
-            raise ValueError("orth_dims must be 2 or 3")
-        predicate = parse_reduce_rule(self.reduce_rule, self.tower.depth)
-        if self.covering_depths is not None:
-            if len(self.covering_depths) != 2:
-                raise ValueError(
-                    f"covering_depths must be a pair [d1, d2], got {list(self.covering_depths)}"
-                )
-            self.covering_depths = tuple(int(d) for d in self.covering_depths)
-        self.amplitude = _normalize_amplitude(self.amplitude)
-        if self.germ_template is not None:
-            self.germ_template = {
-                _parse_index_key(k, "germ_template"): (
-                    germ_from_json(v) if isinstance(v, dict) else v
-                )
-                for k, v in self.germ_template.items()
-            }
-        tower = build_tower(self.tower)
+        self.germ_template = _germ_template(germ_template)
+        predicate = parse_reduce_rule(reduce_rule, tower.depth)
+        tower = build_tower(tower)
         tables = (("amplitude", self.amplitude), ("germ_template", self.germ_template))
         for field, table in tables:
             for idx in table if isinstance(table, dict) else ():
@@ -200,38 +205,46 @@ class PipelineConfig:
 
 
 def finite_float(value) -> float | None:
-    """A number or numeric string as a finite float; None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """A JSON number (int or float, not bool) as a finite float; else None."""
+    if type(value) not in (int, float):
         return None
     try:
         out = float(value)
-    except (ValueError, OverflowError):
+    except OverflowError:
         return None
     return out if math.isfinite(out) else None
 
 
-def _normalize_amplitude(value) -> object:
-    if value is None:
-        return "unit"
-    if isinstance(value, str):
-        if value in ("unit", "mu"):
-            return value
-        raise ValueError(f"unknown amplitude rule {value!r}")
-    if isinstance(value, Mapping):
-        table = value.get("table", value)
-        if not isinstance(table, Mapping):
-            raise ValueError(f"amplitude table must be an object, got {table!r}")
-        out = {}
-        for key, amp in table.items():
-            index = _parse_index_key(key, "amplitude")
-            value = finite_float(amp)
-            if value is None or value < 0:
-                raise ValueError(
-                    f"amplitude of class {key!r} must be a finite number >= 0, got {amp!r}"
-                )
-            out[index] = value
-        return out
-    raise ValueError("amplitude must be 'unit', 'mu', or a class table")
+def _amplitude(value) -> str | dict[ClassIndex, float]:
+    """``unit``, ``mu``, or ``{"table": {"mu,m": number >= 0}}`` read as a class table."""
+    if value in ("unit", "mu"):
+        return value
+    if not (isinstance(value, dict) and set(value) == {"table"}):
+        got = f"keys {sorted(value)}" if isinstance(value, dict) else repr(value)
+        raise ValueError(
+            f"amplitude must be 'unit', 'mu' or an object whose only key is 'table', got {got}"
+        )
+    table = value["table"]
+    require(isinstance(table, dict), "amplitude table", "an object", table)
+    out = {}
+    for key, amp in table.items():
+        index = _class_key(key, "amplitude")
+        number = finite_float(amp)
+        if number is None or number < 0:
+            raise ValueError(
+                f"amplitude of class {key!r} must be a finite number >= 0, got {amp!r}"
+            )
+        out[index] = number
+    return out
+
+
+def _germ_template(value) -> dict[ClassIndex, Germ] | None:
+    """A germ per class key, from germ JSON objects; None when left out."""
+    if value == ():
+        return None
+    if not isinstance(value, dict) or not all(isinstance(g, dict) for g in value.values()):
+        raise ValueError("germ_template must map class keys to germ JSON objects")
+    return {_class_key(key, "germ_template"): germ_from_json(g) for key, g in value.items()}
 
 
 def _amplitude_callable(value) -> Callable[[ClassIndex], float]:
@@ -256,6 +269,11 @@ _CONFIG_KEYS = {
 
 
 def config_from_json(data: dict) -> PipelineConfig:
+    """A PipelineConfig from config JSON.
+
+    The keys are checked here (no unknown key, ``tower`` present); their
+    values by ``tower_config_from_json`` and ``PipelineConfig``.
+    """
     if not isinstance(data, dict):
         raise ValueError("pipeline config must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
@@ -263,36 +281,9 @@ def config_from_json(data: dict) -> PipelineConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "tower" not in data:
         raise ValueError("pipeline config is missing 'tower'")
-    reduce_rule = data.get("reduce", "mu<=H")
-    if not isinstance(reduce_rule, str):
-        raise ValueError(f"reduce must be a rule string, got {reduce_rule!r}")
-    orth_dims = data.get("orth_dims", 3)
-    if type(orth_dims) is not int:
-        raise ValueError(f"orth_dims must be an integer, got {orth_dims!r}")
-    depths = data.get("covering_depths")
-    if depths is not None and (
-        not isinstance(depths, list) or any(type(d) is not int for d in depths)
-    ):
-        raise ValueError(f"covering_depths must be a list of integers, got {depths!r}")
-    template = data.get("germ_template")
-    if template is not None and (
-        not isinstance(template, dict)
-        or not all(isinstance(g, dict) for g in template.values())
-    ):
-        raise ValueError("germ_template must map class keys to germ JSON objects")
-    even_classes = data.get("even_classes", False)
-    if type(even_classes) is not bool:
-        raise ValueError(f"even_classes must be true or false, got {even_classes!r}")
-    return PipelineConfig(
-        tower=tower_config_from_json(data["tower"]),
-        scenario=data.get("scenario"),
-        reduce_rule=reduce_rule,
-        orth_dims=orth_dims,
-        amplitude=data.get("amplitude", "unit"),
-        covering_depths=None if depths is None else tuple(depths),
-        even_classes=even_classes,
-        germ_template=template,
-    )
+    fields = {"reduce_rule" if key == "reduce" else key: value for key, value in data.items()}
+    fields["tower"] = tower_config_from_json(data["tower"])
+    return PipelineConfig(**fields)
 
 
 def config_to_json(config: PipelineConfig) -> dict:

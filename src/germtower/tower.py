@@ -25,6 +25,17 @@ MAX_CLASSES = 100_000
 _set = object.__setattr__
 
 
+def int_list(values) -> bool:
+    """Whether ``values`` is a list or tuple of ints (bools are not ints here)."""
+    return isinstance(values, (list, tuple)) and all(type(v) is int for v in values)
+
+
+def require(ok: bool, field: str, form: str, value) -> None:
+    """Raise ValueError naming ``field`` and its accepted form unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{field} must be {form}, got {value!r}")
+
+
 class Record:
     """Base of the validated immutable records.
 
@@ -78,19 +89,18 @@ class ClassIndex(NamedTuple):
     m: int
 
 
-def _normalize_multiplicity(values, depth: int, name: str) -> tuple[int, ...]:
-    if values is None or values == ():
+def _multiplicity(values, depth: int, name: str) -> tuple[int, ...]:
+    """One integer >= 1 per class; the empty default means one each."""
+    require(int_list(values), f"tower {name}", "a list of integers", values)
+    if not values:
         return (1,) * depth
-    if isinstance(values, int):
-        values = (values,) * depth
-    out = tuple(int(v) for v in values)
-    if len(out) != depth:
+    if len(values) != depth:
         raise ValueError(
-            f"{name} needs exactly {depth} entries (one per class), got {len(out)}"
+            f"{name} needs exactly {depth} entries (one per class), got {len(values)}"
         )
-    if any(v < 1 for v in out):
+    if any(v < 1 for v in values):
         raise ValueError(f"every {name} entry must be >= 1")
-    return out
+    return tuple(values)
 
 
 class TowerConfig(Record):
@@ -104,14 +114,15 @@ class TowerConfig(Record):
         Common residue ``0 <= offset < N`` of every degree.
     depth : int
         Number of classes ``mu = 1 .. depth``.
-    multiplicity : sequence of int, optional
-        Equivalent-completion count ``m(mu)`` per class; defaults to all ones.
-    complex_multiplicity : sequence of int, optional
+    multiplicity : list or tuple of int, optional
+        Equivalent-completion count ``m(mu)`` per class; empty (the default)
+        means all ones.
+    complex_multiplicity : list or tuple of int, optional
         Degree dilation ``m^(mu)`` of the complex completions; all ones by
         default.  Kept independent of ``multiplicity``.
 
-    The depth and the sum of the multiplicities may not exceed
-    ``MAX_CLASSES``.
+    Every number must be an ``int`` (not a bool); nothing is coerced.  The
+    depth and the sum of the multiplicities may not exceed ``MAX_CLASSES``.
     """
 
     __slots__ = (
@@ -130,6 +141,8 @@ class TowerConfig(Record):
         multiplicity: tuple[int, ...] = (),
         complex_multiplicity: tuple[int, ...] = (),
     ):
+        for name, value in zip(self.__slots__, (quantum_modulus, offset, depth)):
+            require(type(value) is int, f"tower {name}", "an integer", value)
         if quantum_modulus < 1:
             raise ValueError("quantum_modulus must be >= 1")
         if not 0 <= offset < quantum_modulus:
@@ -138,7 +151,7 @@ class TowerConfig(Record):
             raise ValueError("depth must be >= 1")
         if depth > MAX_CLASSES:
             raise ValueError(f"tower depth {depth} exceeds the budget of {MAX_CLASSES} classes")
-        multiplicity = _normalize_multiplicity(multiplicity, depth, "multiplicity")
+        multiplicity = _multiplicity(multiplicity, depth, "multiplicity")
         if sum(multiplicity) > MAX_CLASSES:
             raise ValueError(
                 f"tower multiplicities sum to {sum(multiplicity)} classes, "
@@ -151,7 +164,7 @@ class TowerConfig(Record):
         _set(
             self,
             "complex_multiplicity",
-            _normalize_multiplicity(complex_multiplicity, depth, "complex_multiplicity"),
+            _multiplicity(complex_multiplicity, depth, "complex_multiplicity"),
         )
 
 
@@ -242,8 +255,7 @@ def tower_config_from_json(data: dict) -> TowerConfig:
 
     Recognized keys: quantum_modulus (required), offset, depth (required),
     multiplicity, complex_multiplicity.  Unknown keys are rejected so typos
-    fail loudly.  The numbers must be JSON integers and the multiplicities
-    lists of them; anything else raises ValueError instead of being coerced.
+    fail loudly; the values are checked by ``TowerConfig``.
     """
     if not isinstance(data, dict):
         raise ValueError("tower config must be a JSON object")
@@ -253,20 +265,7 @@ def tower_config_from_json(data: dict) -> TowerConfig:
     for key in ("quantum_modulus", "depth"):
         if key not in data:
             raise ValueError(f"tower config is missing {key!r}")
-    for key in ("quantum_modulus", "offset", "depth"):
-        if key in data and type(data[key]) is not int:
-            raise ValueError(f"tower {key} must be an integer, got {data[key]!r}")
-    for key in ("multiplicity", "complex_multiplicity"):
-        values = data.get(key, [])
-        if not isinstance(values, list) or any(type(v) is not int for v in values):
-            raise ValueError(f"tower {key} must be a list of integers")
-    return TowerConfig(
-        quantum_modulus=data["quantum_modulus"],
-        offset=data.get("offset", 0),
-        depth=data["depth"],
-        multiplicity=tuple(data.get("multiplicity", ())),
-        complex_multiplicity=tuple(data.get("complex_multiplicity", ())),
-    )
+    return TowerConfig(**data)
 
 
 def tower_config_to_json(config: TowerConfig) -> dict:

@@ -1,8 +1,10 @@
 """Command line behavior: output shapes, exit codes, file emission."""
 
 import contextlib
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,12 +21,14 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
+from germtower.pipeline import PipelineConfig, run_pipeline
 from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
 SQUARE = {"nvars": 1, "coeffs": [[[2], "1"]]}
+UNIT_TABLE = dict.fromkeys(GOLDEN_CLASSES, 1.0)
 
 
 def golden_variant(tmp_path, **changes):
@@ -169,6 +173,15 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "50,3": SQUARE}},
         {"amplitude": {"table": {**dict.fromkeys(GOLDEN_CLASSES, 1.0), "1,x": 1.0}}},
         {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "a,1": SQUARE}},
+        {"amplitude": UNIT_TABLE},
+        {"amplitude": {"table": UNIT_TABLE, "scale": 2.0}},
+        {"amplitude": None},
+        {"amplitude": {"table": dict.fromkeys(GOLDEN_CLASSES, "1.5")}},
+        {"amplitude": {"table": {**UNIT_TABLE, "01,1": 2.0}}},
+        {"amplitude": {"table": {**UNIT_TABLE, " 1 , 1 ": 2.0}}},
+        {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "01,1": SQUARE}},
+        {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), " 1 , 1 ": SQUARE}},
+        {"germ_template": None},
     ],
     ids=[
         "covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null",
@@ -181,6 +194,9 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         "even-classes-string", "even-classes-null",
         "amplitude-class-outside-tower", "germ-template-class-outside-tower",
         "amplitude-key-not-integer", "germ-template-key-not-integer",
+        "amplitude-bare-table", "amplitude-key-beside-table", "amplitude-rule-null",
+        "amplitude-numeric-string", "amplitude-key-leading-zero", "amplitude-key-spaces",
+        "germ-template-key-leading-zero", "germ-template-key-spaces", "germ-template-null",
     ],
 )
 def test_config_type_errors_are_config_errors(capsys, tmp_path, changes):
@@ -208,13 +224,14 @@ def test_huge_amplitudes_fail_the_oscillator_diagnostic(capsys, tmp_path, amplit
 
 
 def test_nan_amplitudes_cannot_be_reported(capsys, tmp_path):
-    cfg = golden_variant(tmp_path, amplitude={"table": {k: "nan" for k in GOLDEN_CLASSES}})
+    # json writes and reads a float NaN as the bare token NaN
+    cfg = golden_variant(tmp_path, amplitude={"table": dict.fromkeys(GOLDEN_CLASSES, math.nan)})
     out_file = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "correspond", "--config", str(cfg), "--out", str(out_file))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == (
         "configuration error: amplitude of class '1,1' must be a finite number >= 0, "
-        "got 'nan'\n"
+        "got nan\n"
     )
     assert not out_file.exists()
 
@@ -249,6 +266,21 @@ def containers(value):
             yield from containers(item)
 
 
+def edit(draw, value, action: str) -> None:
+    """Drop, replace ("swap") or add an entry of one object or list in ``value``."""
+    target = draw(st.sampled_from(list(containers(value))))
+    keys = sorted(target) if isinstance(target, dict) else range(len(target))
+    if action == "add" or not keys:
+        if isinstance(target, dict):
+            target[draw(TEXT.filter(bool))] = draw(VALUES)
+        else:
+            target.append(draw(VALUES))
+    elif action == "drop":
+        del target[draw(st.sampled_from(keys))]
+    else:
+        target[draw(st.sampled_from(keys))] = draw(VALUES)
+
+
 @st.composite
 def golden_mutants(draw) -> dict:
     """The golden config after one to four edits.  An edit drops, replaces
@@ -264,19 +296,26 @@ def golden_mutants(draw) -> dict:
                 entries = entries | VALUES
             table = {key: draw(entries) for key in keys}
             config[action] = {"table": table} if action == "amplitude" else table
-            continue
-        target = draw(st.sampled_from(list(containers(config))))
-        keys = sorted(target) if isinstance(target, dict) else range(len(target))
-        if action == "add" or not keys:
-            if isinstance(target, dict):
-                target[draw(TEXT.filter(bool))] = draw(VALUES)
-            else:
-                target.append(draw(VALUES))
-        elif action == "drop":
-            del target[draw(st.sampled_from(keys))]
         else:
-            target[draw(st.sampled_from(keys))] = draw(VALUES)
+            edit(draw, config, action)
     return config
+
+
+@st.composite
+def mutants(draw, valid):
+    """A copy of the JSON value ``valid`` after one to four edits."""
+    value = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        edit(draw, value, draw(st.sampled_from(["drop", "swap", "add"])))
+    return value
+
+
+def quiet_main(argv) -> tuple[int, str]:
+    """Run the CLI with its output captured; return the exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,13 +323,35 @@ def golden_mutants(draw) -> dict:
 def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "mutant.json"
     path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["correspond", "--config", str(path)])
+    code, err = quiet_main(["correspond", "--config", str(path)])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC)
     if code == EXIT_CONFIG:
-        assert err.getvalue().startswith("configuration error:")
-        assert err.getvalue().count("\n") == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+ELLIPTIC = {"nvars": 2, "coeffs": [[[3, 0], "1"], [[1, 2], "-3"]]}
+MODES = [
+    {"mu": 1, "m": 1, "amplitude": 1.0, "sign": 1},
+    {"mu": 2, "m": 1, "amplitude": 0.5, "sign": 1},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(germ=mutants(ELLIPTIC), modes=mutants(MODES))
+def test_mutated_germ_and_modes_json_exit_0_or_2(tmp_path_factory, germ, modes):
+    germ_path = tmp_path_factory.getbasetemp() / "mutant.jsonl"
+    germ_path.write_text(json.dumps(germ) + "\n")
+    modes_path = tmp_path_factory.getbasetemp() / "mutant-modes.json"
+    modes_path.write_text(json.dumps(modes))
+    for argv in (
+        ["classify", "--file", str(germ_path)],
+        ["unfold", "--germ", json.dumps(germ)],
+        ["samples", "--modes-file", str(modes_path)],
+    ):
+        code, err = quiet_main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG), (argv, err)
+        if code == EXIT_CONFIG:
+            assert err.startswith("configuration error:") and err.count("\n") == 1, argv
 
 
 def test_unfold_by_name(capsys):
@@ -380,7 +441,7 @@ def test_correspond_byte_deterministic(capsys, tmp_path):
 
 def test_correspond_flags_and_config_write_identical_reports(capsys, tmp_path):
     amplitude = {"table": {
-        "1,1": 1.0, "1,2": 2.0, "2,1": 0.5, "3,1": 1.5, "4,1": 1, "4,2": "2.5", "5,1": 3,
+        "1,1": 1.0, "1,2": 2.0, "2,1": 0.5, "3,1": 1.5, "4,1": 1, "4,2": 2.5, "5,1": 3,
         "6,1": 1, "7,1": 2, "8,1": 0.25, "8,2": 4,
     }}
     table = tmp_path / "amplitude.json"
@@ -411,6 +472,45 @@ def test_correspond_flags_and_config_write_identical_reports(capsys, tmp_path):
     levels = json.loads(by_flags.read_text())["levels"]
     assert [level["tower"]["depth"] for level in levels] == [8, 7, 6]
     assert all(w["mu"] % 2 == 0 for level in levels for w in level["weil_side"])
+
+
+def test_left_out_fields_take_the_same_defaults_on_every_path(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tower": {"quantum_modulus": 2, "depth": 6}}))
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config-report.json"
+    assert main(["correspond", "-N", "2", "--depth", "6", "--out", str(by_flags)]) == EXIT_OK
+    assert main(["correspond", "--config", str(cfg), "--out", str(by_config)]) == EXIT_OK
+    capsys.readouterr()
+    by_library = run_pipeline(PipelineConfig(TowerConfig(2, 0, 6))).json_text()
+    assert by_flags.read_bytes() == by_config.read_bytes() == by_library.encode()
+    assert json.loads(by_library)["config"] == {
+        "tower": tower_config_to_json(TowerConfig(2, 0, 6, (1,) * 6, (1,) * 6)),
+        "scenario": None,
+        "reduce": "mu<=H",
+        "orth_dims": 3,
+        "amplitude": "unit",
+        "covering_depths": None,
+        "even_classes": False,
+    }
+
+
+def test_rank_one_desingularized_germs_fail_their_diagnostic(capsys, tmp_path):
+    # x^3 in two variables shifts to 3x^2, whose Hessian has rank 1, so the
+    # desingularized jet classifies Unclassified rather than Regular or Morse
+    cube = {"nvars": 2, "coeffs": [[[3, 0], "1"]]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "tower": {"quantum_modulus": 2, "depth": 4},
+        "scenario": "none",
+        "germ_template": {f"{mu},1": cube for mu in range(1, 5)},
+    }))
+    code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
+    assert code == EXIT_DIAGNOSTIC
+    assert "diagnostics: 3/4 passed" in out
+    assert err == (
+        "FAILED diagnostic: desingularized_sections "
+        "(post-desingularization germs classify Regular or Morse)\n"
+    )
 
 
 def test_correspond_config_overrides_flags(capsys, tmp_path):
@@ -495,6 +595,7 @@ def test_samples_bad_modes_file(capsys, tmp_path):
         [dict(mode, mu=10**400)],  # beyond the float range
         [dict(mode, amplitude=10**400)],
         [dict(mode, extra=5)],
+        [dict(mode, amplitude="1.5")],
     ):
         path.write_text(json.dumps(modes))
         code, out, err = run_cli(capsys, "samples", "--modes-file", str(path))

@@ -1,9 +1,12 @@
 """Jet arithmetic, catalogue classification, and versal unfoldings."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germtower import (
     CATALOGUE,
@@ -243,6 +246,43 @@ def test_unclassified_cases_stay_unclassified():
     assert (got.name, got.corank, got.codim) == (UNCLASSIFIED, 1, 4)
     # corank-1 germ with a shear quadratic is outside the search set
     assert classify_germ(Germ.from_coeffs(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 3): 1})).name == UNCLASSIFIED
+
+
+# Every monomial of degree at most 4 in one and in two variables.
+MONOMIALS = {
+    nvars: [e for e in product(range(5), repeat=nvars) if sum(e) <= 4] for nvars in (1, 2)
+}
+NONZERO = st.fractions(-9, 9, max_denominator=7).filter(bool)
+
+
+@st.composite
+def classifier_inputs(draw) -> Germ:
+    """A catalogue normal form, or a random jet of degree <= 4."""
+    if draw(st.booleans()):
+        return normal_form(draw(st.sampled_from(sorted(CATALOGUE))))
+    nvars = draw(st.integers(1, 2))
+    exps = st.sampled_from(MONOMIALS[nvars])
+    return Germ.from_coeffs(nvars, draw(st.dictionaries(exps, NONZERO, max_size=5)))
+
+
+def changed(g: Germ, swap=False, flip=None, scale=1) -> Germ:
+    """``g`` with its variables swapped, one variable's sign flipped, or scaled."""
+    out = {}
+    for exps, coeff in g.terms:
+        sign = -1 if flip is not None and exps[flip] % 2 else 1
+        out[exps[::-1] if swap else exps] = coeff * sign * scale
+    return Germ.from_coeffs(g.nvars, out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=classifier_inputs(), scale=NONZERO)
+def test_class_survives_swap_sign_flips_and_scaling(g, scale):
+    expected = classify_germ(g)
+    images = [changed(g, flip=0), changed(g, scale=scale)]
+    if g.nvars == 2:
+        images += [changed(g, swap=True), changed(g, flip=1)]
+    for image in images:
+        assert classify_germ(image) == expected, (format_germ(g), format_germ(image))
 
 
 def test_codim_tracks_power_degree():

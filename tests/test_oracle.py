@@ -140,8 +140,9 @@ def configs(draw) -> dict:
         config["germ_template"] = draw(germ_templates(keys, config.get("scenario")))
     if config.get("amplitude") == "table":
         # complete, so the oracle's verdict stands; small, so the bistring
-        # variances stay below the diagnostic's bound
-        amplitude = st.integers(0, 20) | st.floats(0, 20) | st.floats(0, 20).map(str)
+        # variances stay below the diagnostic's bound; JSON numbers only,
+        # as the oracle does not judge amplitudes (nor draws negative ones)
+        amplitude = st.integers(0, 20) | st.floats(0, 20)
         config["amplitude"] = {"table": {key: draw(amplitude) for key in keys}}
     return config
 

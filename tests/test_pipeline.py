@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germtower import (
+    Germ,
     Mode,
     PipelineConfig,
     PipelineError,
@@ -85,8 +86,23 @@ def test_config_validation():
         make_config(scenario="parabolic")
     with pytest.raises(ValueError):
         make_config(amplitude="loud")
+    # nothing is coerced: not strings or floats to integers, not a bare
+    # number to one entry per class, not a bare table to an amplitude object
+    with pytest.raises(ValueError, match="covering_depths"):
+        make_config(covering_depths=("6", 5.9))
+    with pytest.raises(ValueError, match="multiplicity"):
+        make_config(tower=TowerConfig(2, 1, 3, (1.9, 2, 1)))
+    with pytest.raises(ValueError, match="multiplicity"):
+        make_config(tower=TowerConfig(2, 1, 3, 2))
+    with pytest.raises(ValueError, match="amplitude"):
+        make_config(tower=TowerConfig(2, 1, 2), amplitude={"1,1": 2.0, "2,1": 0.5})
+    square = Germ.monomial(1, (2,))
+    with pytest.raises(ValueError, match="germ_template"):
+        make_config(tower=TowerConfig(2, 1, 2), germ_template={"1,1": square, "2,1": square})
     # the table covers both classes of a 2-class tower
-    cfg = make_config(tower=TowerConfig(2, 1, 2), amplitude={"1,1": 2.0, "2,1": 0.5})
+    cfg = make_config(
+        tower=TowerConfig(2, 1, 2), amplitude={"table": {"1,1": 2.0, "2,1": 0.5}}
+    )
     assert cfg.amplitude == {ClassIndex(1, 1): 2.0, ClassIndex(2, 1): 0.5}
 
 
@@ -356,9 +372,9 @@ def test_amplitude_mu_flows_into_modes():
 
 def test_amplitude_table_missing_class_fails():
     with pytest.raises(ValueError, match="amplitude table has no entry for class 2,1"):
-        make_config(scenario=None, amplitude={"1,1": 1.0})
+        make_config(scenario=None, amplitude={"table": {"1,1": 1.0}})
     # with the even-class convention only the even classes are compactified
-    evens = {"2,1": 1.0, "4,1": 2.0, "6,1": 3.0}
+    evens = {"table": {"2,1": 1.0, "4,1": 2.0, "6,1": 3.0}}
     report = run_pipeline(make_config(scenario=None, amplitude=evens, even_classes=True))
     assert report.all_diagnostics_passed()
 
@@ -411,9 +427,13 @@ def test_germ_template_must_cover_but_shape_free():
         ("amplitude", "0,1", "amplitude: class 0,1 is not in the tower"),
         ("amplitude", "1,x", "amplitude: class keys look like 'mu,m', got '1,x'"),
         ("amplitude", "1,1,1", "amplitude: class keys look like 'mu,m', got '1,1,1'"),
+        ("amplitude", "01,1", "amplitude: class keys look like 'mu,m', got '01,1'"),
+        ("amplitude", " 1 , 1 ", "amplitude: class keys look like 'mu,m', got ' 1 , 1 '"),
         ("germ_template", "50,3", "germ_template: class 50,3 is not in the tower"),
         ("germ_template", "2,2", "germ_template: class 2,2 is not in the tower"),
         ("germ_template", "a,1", "germ_template: class keys look like 'mu,m', got 'a,1'"),
+        ("germ_template", "1,01", "germ_template: class keys look like 'mu,m', got '1,01'"),
+        ("germ_template", "2, 1", "germ_template: class keys look like 'mu,m', got '2, 1'"),
     ],
 )
 def test_class_keys_must_parse_and_lie_in_the_tower(field, key, message):
@@ -424,7 +444,12 @@ def test_class_keys_must_parse_and_lie_in_the_tower(field, key, message):
     }
     tables[field][key] = tables[field]["1,1"]
     with pytest.raises(ValueError) as exc:
-        make_config(scenario="fold", tower=TowerConfig(2, 1, 2), **tables)
+        make_config(
+            scenario="fold",
+            tower=TowerConfig(2, 1, 2),
+            amplitude={"table": tables["amplitude"]},
+            germ_template=tables["germ_template"],
+        )
     assert str(exc.value) == message
 
 
