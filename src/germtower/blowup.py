@@ -58,14 +58,14 @@ class DeformedBundle(NamedTuple):
 def deform(base: Semisheaf) -> DeformedBundle:
     """Versally deform a starred semisheaf along its classified germ.
 
-    Every section must carry the same catalogue-classified germ; each
+    Every class must carry the same catalogue-classified germ; each
     distinct germ is classified once.
     """
     if not base.singular:
         raise ValueError("versal deformation starts from a starred (singular) semisheaf")
-    if not base.sections:
+    if not base.carrier:
         raise ValueError("cannot deform an empty semisheaf")
-    classes = {classify_germ(germ) for germ in {sec.germ for sec in base.sections}}
+    classes = {classify_germ(germ) for germ in set(base.germs)}
     if len(classes) != 1:
         raise ValueError("sections carry singularities of different kinds")
     cls = classes.pop()
@@ -84,7 +84,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
 
     The blowup is maximal: every monomial is detached whole, so the covering
     carries their sum at every base index.  ``coverage`` keeps each
-    section's glued degree as a fraction of its base degree, capped at 1.
+    class's glued degree as a fraction of its base degree, capped at 1.
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
@@ -92,8 +92,8 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     for _, mono in bundle.fiber:
         glued = glued + mono
     coverage = tuple(
-        (sec.index, min(1.0, glued.total_degree / max(sec.germ.total_degree, 1)))
-        for sec in bundle.base.sections
+        (idx, min(1.0, glued.total_degree / max(germ.total_degree, 1)))
+        for idx, germ in zip(bundle.base.carrier, bundle.base.germs)
     )
     covering = bundle.base.map_germs(lambda _: glued, singular=False, role=None)
     return BlowupResult(covering, coverage)
@@ -101,8 +101,8 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
 
 def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
     """Report the fold carried by a covering whose germs keep a cubic monomial."""
-    for sec in result.covering.sections:
-        for exps, coeff in sec.germ.terms:
+    for germ in result.covering.germs:
+        for exps, coeff in germ.terms:
             if coeff and (exps == (3,) or exps == (3, 0)):
                 return CATALOGUE[FOLD]
     return None
@@ -148,7 +148,7 @@ class Level(NamedTuple):
     The two parts carry complementary shifted natures (one time, one space),
     forming the level's paired space-time record.  ``cover`` maps every class
     of the previous level to the class covering it here; ``coverage`` keeps
-    the blowup's per-section degree fractions.  Both are None on the inner
+    the blowup's per-class degree fractions.  Both are None on the inner
     level.
     """
 
@@ -157,12 +157,6 @@ class Level(NamedTuple):
     orthogonal: Bisemisheaf | None
     cover: tuple[tuple[ClassIndex, ClassIndex], ...] | None = None
     coverage: tuple[tuple[ClassIndex, float], ...] | None = None
-
-    def carrier_indices(self) -> tuple[ClassIndex, ...]:
-        indices = list(self.reduced.indices())
-        if self.orthogonal is not None:
-            indices.extend(self.orthogonal.indices())
-        return tuple(sorted(indices))
 
 
 class LevelStack(Record):
@@ -193,7 +187,7 @@ def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
 
 
 def _pair_or_none(right: Semisheaf) -> Bisemisheaf | None:
-    return Bisemisheaf(right) if right.sections else None
+    return Bisemisheaf(right) if right.carrier else None
 
 
 def _rule_for(cls: SingularityClass) -> int:
@@ -307,7 +301,7 @@ def generate_levels(
     cls = CATALOGUE[singularity]
     seed = inject_singularity(orthogonal, cls)
     cascade = [
-        f"inject {cls.name} germ {format_germ(seed.sections[0].germ)} "
+        f"inject {cls.name} germ {format_germ(seed.germs[0])} "
         f"on {len(seed)} space sections"
     ]
     levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(seed))]
@@ -323,12 +317,12 @@ def generate_levels(
             seed = covering.map_germs(lambda _: cubic, singular=True)
         result = blow_up(deform(seed))
         cascade.append(
-            f"blowup {cls.name}: covering germ {format_germ(result.covering.sections[0].germ)}"
+            f"blowup {cls.name}: covering germ {format_germ(result.covering.germs[0])}"
         )
         covering = result.covering
         if step.depth < covering.tower.depth:
-            kept = tuple(sec for sec in covering.sections if sec.index.mu <= step.depth)
-            covering = covering.replace(tower=covering.tower.truncated(step.depth), sections=kept)
+            tower = covering.tower.truncated(step.depth)
+            covering = covering.restrict(lambda idx: idx.mu <= step.depth, tower=tower)
         time, residual = time_space_lift(covering, set(step.reduced).__contains__)
         parts = Bisemisheaf(residual), _pair_or_none(time)
         levels.append(Level(step.label, *parts, step.cover, result.coverage))

@@ -88,11 +88,23 @@ def _pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file ('-' for stdin); overrides the flags")
 
 
-def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
+def load_json(text: str):
+    """Parse one JSON input; an object that repeats a key is an error naming it."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _load_json_file(path: str):
+    """``load_json`` of a file's text, or of stdin for ``-``."""
+    return load_json(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
 
 
 def _given(args, keys) -> dict:
@@ -115,16 +127,16 @@ def _tower_json_from_args(args) -> dict:
 def _pipeline_config_from_args(args) -> PipelineConfig:
     """The run config from ``--config``, or the given flags written as the same JSON."""
     if args.config:
-        return config_from_json(_load_json(args.config))
+        return config_from_json(_load_json_file(args.config))
     data = _given(args, _RUN_FLAGS)
     data["tower"] = _tower_json_from_args(args)
     if data.get("amplitude") not in (None, "unit", "mu"):
-        data["amplitude"] = _load_json(data["amplitude"])
+        data["amplitude"] = _load_json_file(data["amplitude"])
     return config_from_json(data)
 
 
 def _cmd_tower(args) -> int:
-    data = _load_json(args.config) if args.config else _tower_json_from_args(args)
+    data = _load_json_file(args.config) if args.config else _tower_json_from_args(args)
     config = tower_config_from_json(data)
     tower = build_tower(config)
     print(
@@ -158,7 +170,7 @@ def _cmd_classify(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            cls = classify_germ(germ_from_json(json.loads(line)))
+            cls = classify_germ(germ_from_json(load_json(line)))
             print(f"{cls.name} corank={cls.corank} codim={cls.codim}")
     finally:
         if stream is not sys.stdin:
@@ -174,7 +186,7 @@ def _cmd_unfold(args) -> int:
     elif args.germ is None:
         raise ValueError("unfold needs --name or --germ")
     else:
-        cls = classify_germ(germ_from_json(json.loads(args.germ)))
+        cls = classify_germ(germ_from_json(load_json(args.germ)))
         if cls.name not in CATALOGUE:
             raise ValueError(f"germ classifies {cls.name}; no unfolding to print")
         name = cls.name
@@ -267,7 +279,7 @@ def _modes_from_json(data) -> tuple[Mode, ...]:
 
 
 def _cmd_samples(args) -> int:
-    modes = _modes_from_json(_load_json(args.modes_file))
+    modes = _modes_from_json(_load_json_file(args.modes_file))
     side = LEFT if modes[0].sign == 1 else RIGHT
     esm = EllipticSemimodule(side, modes)
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)

@@ -1,6 +1,6 @@
 """Toroidal compactification into exponential-sum semimodules and correspondences.
 
-Compactifying a semisheaf turns every section into one Fourier-like mode
+Compactifying a semisheaf turns every class into one Fourier-like mode
 ``r * exp(sign * pi * i * mu * x)`` with sign +1 on the left and -1 on the
 right.  The summed modes form an elliptic semimodule; paired left/right modes
 at the same class behave like the two strings of a harmonic bistring whose
@@ -73,22 +73,22 @@ def compactify(
 ) -> EllipticSemimodule:
     """Compactify a semisheaf into its elliptic semimodule.
 
-    One mode per section; the amplitude rule defaults to 1 everywhere.  With
+    One mode per class; the amplitude rule defaults to 1 everywhere.  With
     ``even_only`` set (the even-class convention) odd classes are skipped and
     a retained class ``mu = 2k`` keeps its doubled degree ``2kN``.
     """
-    if not s.sections:
+    if not s.carrier:
         raise ValueError("cannot compactify an empty semisheaf")
     rule = amplitude_rule or unit_amplitude
     sign = 1 if s.side == LEFT else -1
     modes = []
-    for sec in s.sections:
-        if even_only and sec.index.mu % 2 != 0:
+    for idx in s.carrier:
+        if even_only and idx.mu % 2 != 0:
             continue
-        amplitude = float(rule(sec.index))
+        amplitude = float(rule(idx))
         if amplitude < 0:
-            raise ValueError(f"amplitude rule is negative at class {sec.index}")
-        modes.append(Mode(sec.index.mu, sec.index.m, amplitude, sign))
+            raise ValueError(f"amplitude rule is negative at class {idx}")
+        modes.append(Mode(idx.mu, idx.m, amplitude, sign))
     if not modes:
         raise ValueError("the even-class convention removed every section")
     return EllipticSemimodule(s.side, tuple(modes))
@@ -164,9 +164,7 @@ def level_record(
     degree in the reduced part's tower; ``even_only`` drops the odd classes
     there as it does from the modes.
     """
-    indices = list(reduced.indices())
-    if orthogonal is not None:
-        indices.extend(orthogonal.indices())
+    indices = reduced.indices() + (orthogonal.indices() if orthogonal else ())
     weil = tuple(
         WeilDescriptor(idx.mu, idx.m, reduced.tower.real_degree(idx))
         for idx in sorted(indices)
@@ -212,10 +210,10 @@ def lggc_st(
     modes equals the plain compactification's.
     """
     reduced, complementary = endo_split(b.right, reduce)
-    if not reduced.sections:
+    if not reduced.carrier:
         raise ValueError("the reduce predicate left the reduced part empty")
     orthogonal = None
-    if complementary.sections:
+    if complementary.carrier:
         orthogonal = Bisemisheaf(emergent_project(complementary))
     record = level_record(b.level, Bisemisheaf(reduced), orthogonal, amplitude_rule, even_only)
     return Correspondence((record,))

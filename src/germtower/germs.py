@@ -466,16 +466,20 @@ def versal_unfold(c: SingularityClass | str) -> Unfolding:
 def germ_from_json(data: dict) -> Germ:
     """Parse ``{"nvars": n, "coeffs": [[[e, ...], value], ...]}``.
 
-    ``nvars``, the exponents and the optional ``max_degree`` must be JSON
-    integers; anything else raises ValueError instead of being coerced.
+    The only other key is the optional ``max_degree``.  ``nvars``, the
+    exponents and ``max_degree`` must be JSON integers; anything else raises
+    ValueError instead of being coerced.
     """
     if not isinstance(data, dict) or "nvars" not in data or "coeffs" not in data:
         raise ValueError("germ JSON needs 'nvars' and 'coeffs' keys")
+    unknown = set(data) - {"nvars", "coeffs", "max_degree"}
+    if unknown:
+        raise ValueError(f"unknown germ keys: {sorted(unknown)}")
     nvars, coeffs = data["nvars"], data["coeffs"]
     max_degree = data.get("max_degree")
     if type(nvars) is not int:
         raise ValueError(f"germ nvars must be an integer, got {nvars!r}")
-    if max_degree is not None and type(max_degree) is not int:
+    if "max_degree" in data and type(max_degree) is not int:
         raise ValueError(f"germ max_degree must be an integer, got {max_degree!r}")
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError("germ coeffs must be a list of [[exponents...], value]")

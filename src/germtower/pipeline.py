@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
 from .blowup import Level, LevelStack, desingularize, generate_levels, plan_levels
@@ -28,6 +28,7 @@ from .germs import (
     REGULAR,
     Germ,
     classify_germ,
+    format_germ,
     germ_from_json,
     germ_to_json,
     normal_form,
@@ -394,26 +395,16 @@ def dumps_canonical(obj) -> str:
 _DIAG_SAMPLES = (0.0, 0.37, 0.75, 1.5, 2.25, -0.6)
 
 
-class Report:
+class Report(NamedTuple):
     """The report's sections, plus the level stack they were read from."""
 
-    def __init__(
-        self,
-        config: dict,
-        rule: int,
-        level_rows: list[dict],
-        cascade: tuple[str, ...],
-        expansions: dict,
-        diagnostics: list[dict],
-        stack: LevelStack,
-    ):
-        self.config = config
-        self.rule = rule
-        self.level_rows = level_rows
-        self.cascade = cascade
-        self.expansions = expansions
-        self.diagnostics = diagnostics
-        self.stack = stack
+    config: dict
+    rule: int
+    level_rows: list[dict]
+    cascade: tuple[str, ...]
+    expansions: dict
+    diagnostics: list[dict]
+    stack: LevelStack
 
     def all_diagnostics_passed(self) -> bool:
         return all(d["passed"] for d in self.diagnostics)
@@ -524,8 +515,12 @@ def _bistring_variances(record: LevelRecord) -> list[float]:
 
 
 def _diagnostics(
-    stack: LevelStack, records: Sequence[LevelRecord], desingularized: set[Germ]
+    stack: LevelStack,
+    records: Sequence[LevelRecord],
+    desingularized: dict[Germ, tuple[str, ClassIndex]],
 ) -> list[dict]:
+    """The four report diagnostics.  ``desingularized`` maps each distinct
+    desingularized germ to the first level and class that holds it."""
     diags = []
 
     bijection = all(rec.bijection_holds() for rec in records)
@@ -537,14 +532,11 @@ def _diagnostics(
         }
     )
 
-    partition_ok = True
-    for level in stack.levels:
-        reduced = set(level.reduced.indices())
-        orth = set(level.orthogonal.indices()) if level.orthogonal else set()
-        if reduced & orth:
-            partition_ok = False
-        if tuple(sorted(reduced | orth)) != level.carrier_indices():
-            partition_ok = False
+    partition_ok = all(
+        level.orthogonal is None
+        or set(level.reduced.indices()).isdisjoint(level.orthogonal.indices())
+        for level in stack.levels
+    )
     diags.append(
         {
             "name": "split_partition",
@@ -564,14 +556,19 @@ def _diagnostics(
         }
     )
 
-    classify_ok = all(classify_germ(germ).name in (REGULAR, MORSE) for germ in desingularized)
-    diags.append(
-        {
-            "name": "desingularized_sections",
-            "passed": classify_ok,
-            "detail": "post-desingularization germs classify Regular or Morse",
-        }
-    )
+    for germ, (label, idx) in desingularized.items():
+        cls = classify_germ(germ)
+        if cls.name not in (REGULAR, MORSE):
+            classify_ok = False
+            detail = (
+                f"{label} class {idx.mu},{idx.m}: germ {format_germ(germ)} "
+                f"classifies {cls.name}, not Regular or Morse"
+            )
+            break
+    else:
+        classify_ok = True
+        detail = "post-desingularization germs classify Regular or Morse"
+    diags.append({"name": "desingularized_sections", "passed": classify_ok, "detail": detail})
     return diags
 
 
@@ -594,14 +591,15 @@ def run_pipeline(config: PipelineConfig) -> Report:
     stack = stage("levels", generate_levels, base, config.scenario, config.plan)
 
     # the left of every bisemisheaf holds the right's germs, so the right
-    # parts carry every germ; each distinct one is classified once
-    desingularized = {
-        sec.germ
-        for level in stack.levels
-        for part in (level.reduced, level.orthogonal)
-        if part is not None
-        for sec in stage("desingularize", desingularize, part.right).sections
-    }
+    # parts carry every germ; each distinct one is classified once, and
+    # keeps its first place in level order for the diagnostic
+    desingularized: dict[Germ, tuple[str, ClassIndex]] = {}
+    for level in stack.levels:
+        for part in (level.reduced, level.orthogonal):
+            if part is not None:
+                flat = stage("desingularize", desingularize, part.right)
+                for idx, germ in zip(flat.carrier, flat.germs):
+                    desingularized.setdefault(germ, (level.label, idx))
     amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
         stage(

@@ -1,19 +1,20 @@
 """Germ-valued semisheaves over a tower and the morphisms acting on them.
 
-A semisheaf holds one section per selected class index of a tower; a section
-is a polynomial germ plus dimensional bookkeeping.  The morphisms here are
-the workhorses of the whole engine: endomorphism splits, emergent orthogonal
-projection, the differential shift, biquantum moves and singularity
-injection.
+A semisheaf holds a carrier of class indices and one polynomial germ per
+class; only this module knows that layout.  The morphisms here, tuple work
+on the carrier and the germs, are the workhorses of the whole engine:
+endomorphism splits, emergent orthogonal projection, the differential
+shift, biquantum moves and singularity injection.
 
 A bisemisheaf stores a right semisheaf and derives its left mirror, which
-holds the same sections; only compactification (the mode sign) tells the
-sides apart, so the cascade runs on the right semisheaf alone.
+holds the same carrier and germs; only compactification (the mode sign)
+tells the sides apart, so the cascade runs on the right semisheaf alone.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import compress
 from typing import Callable, Mapping
 
 from .bisemigroup import LEVELS
@@ -42,7 +43,8 @@ ROLES = (None, REDUCED, COMPLEMENTARY, ORTHOGONAL)
 
 
 class Section(Record):
-    """One germ attached at a class index."""
+    """One germ attached at a class index: the view of one class of a
+    semisheaf, built at the API edge."""
 
     __slots__ = ("index", "side", "germ", "dims")
 
@@ -62,14 +64,15 @@ class Section(Record):
 
 
 class Semisheaf(Record):
-    """Sections over a tower with their side, level, nature and role tags.
+    """One germ per class of a sorted ``carrier``, with side, level, nature
+    and role tags; ``sections`` builds ``Section`` views when read.
 
-    ``__init__`` sets the fields and calls ``__post_init__``, which checks
-    the tags and sorts the sections by index.  The benchmark's tracer counts
-    sheaf builds by wrapping ``__post_init__``.
+    ``__init__`` takes sections, ``over`` and ``replace`` a carrier and
+    germs.  Each build ends in ``__post_init__``, which checks the tags and
+    the carrier; the benchmark's tracer counts sheaf builds by wrapping it.
     """
 
-    __slots__ = ("side", "level", "nature", "tower", "sections", "role", "singular")
+    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role", "singular")
 
     def __init__(
         self,
@@ -81,13 +84,24 @@ class Semisheaf(Record):
         role: str | None = None,
         singular: bool = False,
     ):
-        _set(self, "side", side)
-        _set(self, "level", level)
-        _set(self, "nature", nature)
-        _set(self, "tower", tower)
-        _set(self, "sections", sections)
-        _set(self, "role", role)
-        _set(self, "singular", singular)
+        ordered = sorted(sections, key=lambda sec: sec.index)
+        if any(sec.side != side for sec in ordered):
+            raise ValueError("section side disagrees with the semisheaf side")
+        carrier = tuple(sec.index for sec in ordered)
+        germs = tuple(sec.germ for sec in ordered)
+        self._fill(side, level, nature, tower, carrier, germs, role, singular)
+
+    @classmethod
+    def over(cls, side, level, nature, tower, carrier, germs, role=None, singular=False):
+        """``Semisheaf(...)`` with a sorted ``carrier`` of class indices and
+        one germ per class of it in ``germs`` in place of the sections."""
+        s = object.__new__(cls)
+        s._fill(side, level, nature, tower, carrier, germs, role, singular)
+        return s
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -99,30 +113,37 @@ class Semisheaf(Record):
             raise ValueError(f"bad nature {self.nature!r}")
         if self.role not in ROLES:
             raise ValueError(f"bad role {self.role!r}")
-        ordered = tuple(sorted(self.sections, key=lambda s: s.index))
-        _set(self, "sections", ordered)
-        seen = set()
-        for sec in ordered:
-            if sec.side != self.side:
-                raise ValueError("section side disagrees with the semisheaf side")
-            if sec.index in seen:
-                raise ValueError(f"duplicate section at {sec.index}")
-            seen.add(sec.index)
-            if not self.tower.contains(sec.index):
-                raise ValueError(f"section index {sec.index} outside the tower rectangle")
+        carrier = self.carrier
+        if len(self.germs) != len(carrier):
+            raise ValueError("a semisheaf holds one germ per carrier class")
+        for prev, idx in zip(carrier, carrier[1:]):
+            if not prev < idx:
+                raise ValueError(f"duplicate or unsorted section at {idx}")
+        for idx in carrier:
+            if not self.tower.contains(idx):
+                raise ValueError(f"section index {idx} outside the tower rectangle")
+
+    def __reduce__(self):
+        # __init__ takes sections, so copy and pickle rebuild through ``over``
+        return type(self).over, self._values()
+
+    def replace(self, **changes) -> "Semisheaf":
+        """A copy with some fields changed, checked like a new semisheaf."""
+        return self.over(**dict(zip(self.__slots__, self._values()), **changes))
 
     def __len__(self) -> int:
-        return len(self.sections)
+        return len(self.carrier)
 
-    def indices(self) -> tuple[ClassIndex, ...]:
-        return tuple(sec.index for sec in self.sections)
+    @property
+    def sections(self) -> tuple[Section, ...]:
+        return tuple(map(self.section_at, self.carrier))
 
     def section_at(self, index: ClassIndex) -> Section:
-        # __post_init__ keeps the sections sorted by index.
-        pos = bisect.bisect_left(self.sections, index, key=lambda sec: sec.index)
-        if pos < len(self.sections) and self.sections[pos].index == index:
-            return self.sections[pos]
-        raise KeyError(index)
+        pos = bisect.bisect_left(self.carrier, index)
+        if pos == len(self.carrier) or self.carrier[pos] != index:
+            raise KeyError(index)
+        germ = self.germs[pos]
+        return Section(self.carrier[pos], self.side, germ, germ.nvars)
 
     def map_germs(self, fn: Callable[[Germ], Germ], **tags) -> "Semisheaf":
         """A copy with each germ replaced by ``fn(germ)`` and ``tags`` changed.
@@ -133,13 +154,18 @@ class Semisheaf(Record):
         which their images carry.
         """
         images: dict[int, Germ] = {}
-        sections = []
-        for sec in self.sections:
-            image = images.get(id(sec.germ))
-            if image is None:
-                image = images[id(sec.germ)] = fn(sec.germ)
-            sections.append(Section(sec.index, sec.side, image, sec.dims))
-        return self.replace(sections=tuple(sections), **tags)
+        for germ in self.germs:
+            if id(germ) not in images:
+                image = images[id(germ)] = fn(germ)
+                if image.nvars != germ.nvars:
+                    raise ValueError("a germ map must keep each germ's variable count")
+        return self.replace(germs=tuple(images[id(germ)] for germ in self.germs), **tags)
+
+    def restrict(self, keep: Callable[[ClassIndex], bool], **tags) -> "Semisheaf":
+        """A copy over the classes where ``keep`` holds, with ``tags`` changed."""
+        mask = [bool(keep(idx)) for idx in self.carrier]
+        carrier = tuple(compress(self.carrier, mask))
+        return self.replace(carrier=carrier, germs=tuple(compress(self.germs, mask)), **tags)
 
 
 def attach_sections(
@@ -149,13 +175,14 @@ def attach_sections(
     nature: str,
     germ_template: Callable[[ClassIndex], Germ] | Mapping[ClassIndex, Germ],
 ) -> Semisheaf:
-    """One section per class representative, germs drawn from the template.
+    """One germ per class representative, drawn from the template.
 
     The template is either a callable on class indices or a mapping; a
     mapping missing any representative is rejected.
     """
-    sections = []
-    for idx in tower.class_indices():
+    carrier = tower.class_indices()
+    germs = []
+    for idx in carrier:
         if isinstance(germ_template, Mapping):
             if idx not in germ_template:
                 raise ValueError(f"germ template has no entry for class {idx}")
@@ -164,16 +191,16 @@ def attach_sections(
             germ = germ_template(idx)
         if not isinstance(germ, Germ):
             raise ValueError(f"template produced {type(germ).__name__}, expected a Germ")
-        sections.append(Section(idx, side, germ, germ.nvars))
-    return Semisheaf(side, level, nature, tower, tuple(sections))
+        germs.append(germ)
+    return Semisheaf.over(side, level, nature, tower, carrier, tuple(germs))
 
 
 class Bisemisheaf(Record):
     """A right semisheaf paired with its left mirror.
 
     Only the right side is stored; ``left`` is built when it is read and
-    holds the same sections, level and nature with side LEFT, so anything
-    that reads only ``right`` sees the whole pair.
+    holds the same carrier, germs, level and nature with side LEFT, so
+    anything that reads only ``right`` sees the whole pair.
     """
 
     __slots__ = ("right",)
@@ -188,10 +215,7 @@ class Bisemisheaf(Record):
 
     @property
     def left(self) -> Semisheaf:
-        sections = tuple(
-            Section(sec.index, LEFT, sec.germ, sec.dims) for sec in self.right.sections
-        )
-        return self.right.replace(side=LEFT, sections=sections)
+        return self.right.replace(side=LEFT)
 
     @property
     def level(self) -> str:
@@ -206,7 +230,7 @@ class Bisemisheaf(Record):
         return self.right.tower
 
     def indices(self) -> tuple[ClassIndex, ...]:
-        return self.right.indices()
+        return self.right.carrier
 
 
 def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
@@ -225,13 +249,10 @@ def endo_split(
 ) -> tuple[Semisheaf, Semisheaf]:
     """Endomorphism split into the reduced part and its complementary part.
 
-    Every section lands in exactly one output; all other tags are preserved.
+    Every class lands in exactly one output; all other tags are preserved.
     """
-    kept, rest = [], []
-    for sec in s.sections:
-        (kept if reduce(sec.index) else rest).append(sec)
-    reduced = s.replace(sections=tuple(kept), role=REDUCED)
-    complementary = s.replace(sections=tuple(rest), role=COMPLEMENTARY)
+    reduced = s.restrict(reduce, role=REDUCED)
+    complementary = s.restrict(lambda idx: not reduce(idx), role=COMPLEMENTARY)
     return reduced, complementary
 
 
@@ -272,10 +293,10 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
     if target in b.indices():
         raise ValueError(f"target class {target} already carries a bisection")
 
-    sections = tuple(
-        sec.replace(index=target) if sec.index == at else sec for sec in b.right.sections
-    )
-    return Bisemisheaf(b.right.replace(sections=sections))
+    right = b.right
+    moved = (target if idx == at else idx for idx in right.carrier)
+    carrier, germs = zip(*sorted(zip(moved, right.germs), key=lambda pair: pair[0]))
+    return Bisemisheaf(right.replace(carrier=carrier, germs=germs))
 
 
 def create_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:
@@ -298,9 +319,9 @@ def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
     if cls is None:
         raise ValueError("only catalogue classes can be injected")
     germ = normal_form(cls.name)
-    for sec in s.sections:
-        if sec.dims != germ.nvars:
+    for idx, old in zip(s.carrier, s.germs):
+        if old.nvars != germ.nvars:
             raise ValueError(
-                f"{cls.name} lives in {germ.nvars} variable(s) but section {sec.index} is {sec.dims}-dimensional"
+                f"{cls.name} lives in {germ.nvars} variable(s) but section {idx} is {old.nvars}-dimensional"
             )
     return s.map_germs(lambda _: germ, singular=True)

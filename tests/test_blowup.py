@@ -145,7 +145,7 @@ def test_time_space_lift_orientation():
     assert residual.nature == SPACE_SHIFTED
     assert time.role == ORTHOGONAL
     assert residual.role == REDUCED
-    assert sorted(time.indices() + residual.indices()) == list(s.indices())
+    assert sorted(time.carrier + residual.carrier) == list(s.carrier)
     tower = build_tower(TowerConfig(2, 1, 2))
     t_sheaf = attach_sections(tower, RIGHT, ST, TIME_SHIFTED, lambda idx: Germ.monomial(1, (2,)))
     with pytest.raises(ValueError):
@@ -180,6 +180,12 @@ def plan_for(base, scenario=None, reduce=None, covering_depths=None):
 
 def levels_for(base, scenario=None, **plan_options):
     return generate_levels(base, scenario, plan_for(base, scenario, **plan_options))
+
+
+def level_carrier(level):
+    """The sorted classes of a level's two parts."""
+    parts = [part for part in (level.reduced, level.orthogonal) if part is not None]
+    return sorted(idx for part in parts for idx in part.right.carrier)
 
 
 def labels(stack):
@@ -255,11 +261,11 @@ def test_st_orthogonal_holds_injected_germ():
 def test_cover_map_targets_present_classes():
     stack = levels_for(shifted_base(depth=6), SWALLOWTAIL)
     mg = stack.levels[1]
-    carrier = set(mg.carrier_indices())
+    carrier = set(level_carrier(mg))
     for src, dst in mg.cover:
         assert dst in carrier
     sources = [src for src, _ in mg.cover]
-    assert sources == sorted(stack.levels[0].carrier_indices())
+    assert sources == level_carrier(stack.levels[0])
 
 
 def test_plan_matches_the_built_levels():
@@ -287,8 +293,8 @@ def test_covering_depths_truncate():
     mg, m = stack.levels[1], stack.levels[2]
     assert mg.reduced.tower.depth == 3
     assert m.reduced.tower.depth == 2
-    assert all(idx.mu <= 3 for idx in mg.carrier_indices())
-    assert all(idx.mu <= 2 for idx in m.carrier_indices())
+    assert all(idx.mu <= 3 for idx in level_carrier(mg))
+    assert all(idx.mu <= 2 for idx in level_carrier(m))
     with pytest.raises(ValueError, match="covering_depths"):
         plan_for(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(9, 2))
     # default reduce leaves the covering on classes 4..6; depth 3 empties it

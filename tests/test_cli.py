@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,44 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_CLASSES = ("1,1", "2,1", "2,2", "3,1", "4,1", "5,1", "5,2", "6,1")
 SQUARE = {"nvars": 1, "coeffs": [[[2], "1"]]}
 UNIT_TABLE = dict.fromkeys(GOLDEN_CLASSES, 1.0)
+# the golden config as flags, all but its amplitude
+GOLDEN_FLAGS = (
+    "-N", "2", "--offset", "1", "--depth", "6", "--multiplicity", "1,2,1,1,2,1",
+    "--scenario", "swallowtail", "--reduce", "mu<=3",
+)
+
+
+class Raw(NamedTuple):
+    """JSON text that a dict cannot hold, such as an object that repeats a
+    key, written as it stands; ``named`` is the key its error must name."""
+
+    text: str
+    named: str
+
+
+def json_text(value) -> str:
+    """``json.dumps(value)``, with each ``Raw`` value written as its text."""
+    if isinstance(value, Raw):
+        return value.text
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    return json.dumps(value)
+
+
+def raws(value):
+    """Every ``Raw`` value inside a JSON value."""
+    if isinstance(value, Raw):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from raws(item)
+
+
+def repeated(key: str, first, second) -> Raw:
+    """The value of ``key`` written as ``first``, then ``key`` again with ``second``."""
+    return Raw(f"{json_text(first)}, {json.dumps(key)}: {json_text(second)}", key)
 
 
 def golden_variant(tmp_path, **changes):
@@ -36,7 +75,7 @@ def golden_variant(tmp_path, **changes):
     data = json.loads(GOLDEN_CONFIG.read_text())
     data.update(changes)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json_text(data))
     return path
 
 
@@ -108,12 +147,13 @@ def test_classify_file(capsys, tmp_path):
 
 
 def assert_germ_rejected(capsys, tmp_path, germ):
-    """The germ JSON text exits 2 through classify and through germ_template."""
+    """The germ JSON text exits 2 through classify, unfold and germ_template."""
     path = tmp_path / "germs.jsonl"
     path.write_text(germ + "\n")
-    code, out, err = run_cli(capsys, "classify", "--file", str(path))
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert err.startswith("configuration error:") and err.count("\n") == 1
+    for argv in (["classify", "--file", str(path)], ["unfold", "--germ", germ]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, ""), argv
+        assert err.startswith("configuration error:") and err.count("\n") == 1, argv
 
     cfg = tmp_path / "config.json"
     cfg.write_text(
@@ -136,8 +176,14 @@ def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
         '{"nvars": 1, "coeffs": [[3, 1]]}',
         '{"nvars": 1, "coeffs": [[[3], "1"]], "max_degree": "x"}',
         '{"nvars": 1, "coeffs": [[[3], "1e30000000"]]}',
+        '{"nvars": 1, "coeffs": [[[3], "1"]], "bogus": 5}',
+        '{"nvars": 1, "coeffs": [[[3], "1"]], "max_degree": null}',
+        '{"nvars": 1, "coeffs": [[[3], "1"]], "nvars": 1}',
     ],
-    ids=["exponents-not-a-list", "max-degree-string", "huge-decimal-exponent"],
+    ids=[
+        "exponents-not-a-list", "max-degree-string", "huge-decimal-exponent",
+        "unknown-key", "max-degree-null", "repeated-key",
+    ],
 )
 def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
     assert_germ_rejected(capsys, tmp_path, germ)
@@ -182,6 +228,13 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), "01,1": SQUARE}},
         {"germ_template": {**dict.fromkeys(GOLDEN_CLASSES, SQUARE), " 1 , 1 ": SQUARE}},
         {"germ_template": None},
+        {"reduce": repeated("reduce", "mu<=3", "mu<=2")},
+        {"tower": {"quantum_modulus": 2, "offset": 1, "depth": 6,
+                   "multiplicity": repeated("multiplicity", [1, 2, 1, 1, 2, 1], [1] * 6)}},
+        {"tower": {"quantum_modulus": 2, "offset": 1, "depth": repeated("depth", 6, 4),
+                   "multiplicity": [1, 2, 1, 1, 2, 1]}},
+        {"amplitude": {"table": repeated("table", UNIT_TABLE, UNIT_TABLE)}},
+        {"amplitude": {"table": {**UNIT_TABLE, "1,1": repeated("1,1", 1.0, 2.0)}}},
     ],
     ids=[
         "covering-depths-int", "germ-template-list", "reduce-int", "multiplicity-null",
@@ -197,15 +250,28 @@ def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
         "amplitude-bare-table", "amplitude-key-beside-table", "amplitude-rule-null",
         "amplitude-numeric-string", "amplitude-key-leading-zero", "amplitude-key-spaces",
         "germ-template-key-leading-zero", "germ-template-key-spaces", "germ-template-null",
+        "reduce-repeated", "multiplicity-repeated", "depth-repeated",
+        "amplitude-table-repeated", "amplitude-class-repeated",
     ],
 )
 def test_config_type_errors_are_config_errors(capsys, tmp_path, changes):
+    """Each bad config exits 2 through levels and correspond, and a bad tower
+    or amplitude value also through tower --config or the amplitude file."""
     cfg = golden_variant(tmp_path, **changes)
-    code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert err.startswith("configuration error:") and err.count("\n") == 1
-    (key,) = changes
-    assert (key if key != "tower" else "multiplicity") in err
+    ((key, value),) = changes.items()
+    named = next((raw.named for raw in raws(value)), {"tower": "multiplicity"}.get(key, key))
+    part = tmp_path / "part.json"
+    part.write_text(json_text(value))
+    runs = [("levels", "--config", str(cfg)), ("correspond", "--config", str(cfg))]
+    if key == "tower":
+        runs.append(("tower", "--config", str(part)))
+    if key == "amplitude":
+        runs.append(("correspond", *GOLDEN_FLAGS, "--amplitude", str(part)))
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, ""), argv
+        assert err.startswith("configuration error:") and err.count("\n") == 1, argv
+        assert named in err, argv
 
 
 @pytest.mark.parametrize("amplitude", [1e200, 1e150])
@@ -267,7 +333,8 @@ def containers(value):
 
 
 def edit(draw, value, action: str) -> None:
-    """Drop, replace ("swap") or add an entry of one object or list in ``value``."""
+    """Drop, replace ("swap"), repeat or add an entry of one object or list
+    in ``value``.  A repeated key is written a second time with a new value."""
     target = draw(st.sampled_from(list(containers(value))))
     keys = sorted(target) if isinstance(target, dict) else range(len(target))
     if action == "add" or not keys:
@@ -277,18 +344,34 @@ def edit(draw, value, action: str) -> None:
             target.append(draw(VALUES))
     elif action == "drop":
         del target[draw(st.sampled_from(keys))]
+    elif action == "repeat" and isinstance(target, dict):
+        key = draw(st.sampled_from(keys))
+        target[key] = repeated(key, target[key], draw(VALUES))
     else:
         target[draw(st.sampled_from(keys))] = draw(VALUES)
 
 
+def assert_contract_exit(code: int, err: str, value, allowed) -> None:
+    """The exit code is allowed, exit 2 prints one configuration error line,
+    and a value that still repeats a key exits 2 on it.  (Which key the line
+    names is pinned by the parametrized tests: a repeat nested inside
+    another is parsed, and rejected, first.)"""
+    assert code in allowed, err
+    if code == EXIT_CONFIG:
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+    if next(raws(value), None) is not None:
+        assert code == EXIT_CONFIG and "repeats the key" in err, err
+
+
 @st.composite
 def golden_mutants(draw) -> dict:
-    """The golden config after one to four edits.  An edit drops, replaces
-    or adds an entry of any object or list in it, or puts in an amplitude
-    table or a germ template over a random set of class keys."""
+    """The golden config after one to four edits.  An edit drops, replaces,
+    repeats or adds an entry of any object or list in it, or puts in an
+    amplitude table or a germ template over a random set of class keys."""
     config = json.loads(GOLDEN_CONFIG.read_text())
+    actions = ["drop", "swap", "repeat", "add", "amplitude", "germ_template"]
     for _ in range(draw(st.integers(1, 4))):
-        action = draw(st.sampled_from(["drop", "swap", "add", "amplitude", "germ_template"]))
+        action = draw(st.sampled_from(actions))
         if action in ("amplitude", "germ_template"):
             keys = draw(st.lists(st.sampled_from(CLASS_KEYS), unique=True, max_size=10))
             entries = st.integers(0, 3) if action == "amplitude" else GERMS
@@ -306,7 +389,7 @@ def mutants(draw, valid):
     """A copy of the JSON value ``valid`` after one to four edits."""
     value = copy.deepcopy(valid)
     for _ in range(draw(st.integers(1, 4))):
-        edit(draw, value, draw(st.sampled_from(["drop", "swap", "add"])))
+        edit(draw, value, draw(st.sampled_from(["drop", "swap", "repeat", "add"])))
     return value
 
 
@@ -322,11 +405,9 @@ def quiet_main(argv) -> tuple[int, str]:
 @given(config=golden_mutants())
 def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "mutant.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json_text(config))
     code, err = quiet_main(["correspond", "--config", str(path)])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC)
-    if code == EXIT_CONFIG:
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert_contract_exit(code, err, config, (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC))
 
 
 ELLIPTIC = {"nvars": 2, "coeffs": [[[3, 0], "1"], [[1, 2], "-3"]]}
@@ -340,18 +421,16 @@ MODES = [
 @given(germ=mutants(ELLIPTIC), modes=mutants(MODES))
 def test_mutated_germ_and_modes_json_exit_0_or_2(tmp_path_factory, germ, modes):
     germ_path = tmp_path_factory.getbasetemp() / "mutant.jsonl"
-    germ_path.write_text(json.dumps(germ) + "\n")
+    germ_path.write_text(json_text(germ) + "\n")
     modes_path = tmp_path_factory.getbasetemp() / "mutant-modes.json"
-    modes_path.write_text(json.dumps(modes))
-    for argv in (
-        ["classify", "--file", str(germ_path)],
-        ["unfold", "--germ", json.dumps(germ)],
-        ["samples", "--modes-file", str(modes_path)],
+    modes_path.write_text(json_text(modes))
+    for argv, value in (
+        (["classify", "--file", str(germ_path)], germ),
+        (["unfold", "--germ", json_text(germ)], germ),
+        (["samples", "--modes-file", str(modes_path)], modes),
     ):
         code, err = quiet_main(argv)
-        assert code in (EXIT_OK, EXIT_CONFIG), (argv, err)
-        if code == EXIT_CONFIG:
-            assert err.startswith("configuration error:") and err.count("\n") == 1, argv
+        assert_contract_exit(code, err, value, (EXIT_OK, EXIT_CONFIG))
 
 
 def test_unfold_by_name(capsys):
@@ -496,20 +575,36 @@ def test_left_out_fields_take_the_same_defaults_on_every_path(capsys, tmp_path):
 
 def test_rank_one_desingularized_germs_fail_their_diagnostic(capsys, tmp_path):
     # x^3 in two variables shifts to 3x^2, whose Hessian has rank 1, so the
-    # desingularized jet classifies Unclassified rather than Regular or Morse
+    # desingularized jet classifies Unclassified rather than Regular or Morse;
+    # so does x*y^2, which shifts to y^2.  x^3 + x*y^2 shifts to the Morse
+    # jet 3x^2 + y^2.  The detail names the first failing germ in level order.
     cube = {"nvars": 2, "coeffs": [[[3, 0], "1"]]}
+    morse = {"nvars": 2, "coeffs": [[[3, 0], "1"], [[1, 2], "1"]]}
+    flat_y = {"nvars": 2, "coeffs": [[[1, 2], "1"]]}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "tower": {"quantum_modulus": 2, "depth": 4},
         "scenario": "none",
-        "germ_template": {f"{mu},1": cube for mu in range(1, 5)},
+        "germ_template": {"1,1": morse, "2,1": flat_y, "3,1": cube, "4,1": cube},
     }))
     code, out, err = run_cli(capsys, "correspond", "--config", str(cfg))
     assert code == EXIT_DIAGNOSTIC
     assert "diagnostics: 3/4 passed" in out
     assert err == (
         "FAILED diagnostic: desingularized_sections "
-        "(post-desingularization germs classify Regular or Morse)\n"
+        "(ST class 2,1: germ y^2 classifies Unclassified, not Regular or Morse)\n"
+    )
+    # with the cube alone, the first failing germ sits in the first class
+    cfg.write_text(json.dumps({
+        "tower": {"quantum_modulus": 2, "depth": 4},
+        "scenario": "none",
+        "germ_template": {f"{mu},1": cube for mu in range(1, 5)},
+    }))
+    code, _, err = run_cli(capsys, "correspond", "--config", str(cfg))
+    assert code == EXIT_DIAGNOSTIC
+    assert err == (
+        "FAILED diagnostic: desingularized_sections "
+        "(ST class 1,1: germ 3*x^2 classifies Unclassified, not Regular or Morse)\n"
     )
 
 
@@ -596,8 +691,10 @@ def test_samples_bad_modes_file(capsys, tmp_path):
         [dict(mode, amplitude=10**400)],
         [dict(mode, extra=5)],
         [dict(mode, amplitude="1.5")],
+        [dict(mode, sign=repeated("sign", 1, -1))],
+        [dict(mode, mu=repeated("mu", 1, 1))],
     ):
-        path.write_text(json.dumps(modes))
+        path.write_text(json_text(modes))
         code, out, err = run_cli(capsys, "samples", "--modes-file", str(path))
         assert (code, out) == (EXIT_CONFIG, ""), modes
         assert err.startswith("configuration error:") and err.count("\n") == 1, modes

@@ -60,7 +60,7 @@ def test_compactify_one_mode_per_section():
     assert len(right.modes) == len(b.right.sections) == 4
     assert all(m.sign == -1 for m in right.modes)
     assert all(m.sign == 1 for m in left.modes)
-    assert right.mode_indices() == b.right.indices()
+    assert right.mode_indices() == b.right.carrier
     assert all(m.amplitude == 1.0 for m in right.modes)
 
 

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germtower import (
@@ -169,16 +169,31 @@ def test_format_germ_ordering():
 # Hessian and corank against the numeric oracle
 
 
-HESSIAN_PROBES = [
-    Germ.from_coeffs(1, {(2,): "5/2", (3,): 1}),
-    Germ.from_coeffs(2, {(2, 0): 1, (1, 1): -2, (0, 2): 3}),
-    Germ.from_coeffs(2, {(2, 0): 1, (0, 3): 1}),
-    normal_form(ELLIPTIC_UMBILIC),
-    Germ.monomial(1, (4,)),
-]
+# Every monomial of degree at most 4 in one and in two variables.
+MONOMIALS = {
+    nvars: [e for e in product(range(5), repeat=nvars) if sum(e) <= 4] for nvars in (1, 2)
+}
 
 
-@pytest.mark.parametrize("g", HESSIAN_PROBES, ids=format_germ)
+@st.composite
+def small_jets(draw) -> Germ:
+    """A jet of degree <= 4 in one or two variables with integer coefficients
+    in -3..3.  The quadratic part is drawn whole, so that Hessians of every
+    rank come up."""
+    nvars = draw(st.integers(1, 2))
+    small = st.integers(-3, 3)
+    coeffs = draw(st.dictionaries(st.sampled_from(MONOMIALS[nvars]), small, max_size=5))
+    coeffs.update({e: draw(small) for e in MONOMIALS[nvars] if sum(e) == 2})
+    return Germ.from_coeffs(nvars, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_jets())
+@example(g=Germ.from_coeffs(1, {(2,): "5/2", (3,): 1}))
+@example(g=Germ.from_coeffs(2, {(2, 0): 1, (1, 1): -2, (0, 2): 3}))
+@example(g=Germ.from_coeffs(2, {(2, 0): 1, (0, 3): 1}))
+@example(g=normal_form(ELLIPTIC_UMBILIC))
+@example(g=Germ.monomial(1, (4,)))
 def test_hessian_matches_finite_differences(g):
     exact = np.array([[float(v) for v in row] for row in g.hessian_at_zero()])
     approx = numeric_hessian(g)
@@ -248,10 +263,6 @@ def test_unclassified_cases_stay_unclassified():
     assert classify_germ(Germ.from_coeffs(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 3): 1})).name == UNCLASSIFIED
 
 
-# Every monomial of degree at most 4 in one and in two variables.
-MONOMIALS = {
-    nvars: [e for e in product(range(5), repeat=nvars) if sum(e) <= 4] for nvars in (1, 2)
-}
 NONZERO = st.fractions(-9, 9, max_denominator=7).filter(bool)
 
 

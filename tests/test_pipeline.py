@@ -22,6 +22,7 @@ from germtower import (
     run_pipeline,
 )
 from germtower.cuspidal import EllipticSemimodule
+from germtower.sheaves import Section
 from germtower.pipeline import (
     _pvariance,
     emit_expansion,
@@ -277,7 +278,9 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
         weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
         parts = [part for part in (record.reduced, record.orthogonal) if part is not None]
         cusp = tuple(sorted(idx for _, left in parts for idx in left.mode_indices()))
-        assert cusp == weil == level.carrier_indices()
+        halves = [part for part in (level.reduced, level.orthogonal) if part is not None]
+        carrier = tuple(sorted(idx for part in halves for idx in part.right.carrier))
+        assert cusp == weil == carrier
         assert [(w["mu"], w["m"]) for w in row["weil_side"]] == list(weil)
         for side in ("right", "left"):
             modes = row["reduced"][side]
@@ -339,12 +342,28 @@ def test_cascade_runs_on_the_right_semisheaf_only(monkeypatch):
     assert {side for calls in sides.values() for side in calls} == {RIGHT}
 
 
+# a germ per class of make_config's depth-6 tower, each one different
+PER_CLASS_TEMPLATE = {
+    f"{mu},1": {"nvars": 1, "coeffs": [[[2], "1"], [[3], f"{mu}/7"]]} for mu in range(1, 7)
+}
+
+
+def test_a_report_builds_no_section(monkeypatch):
+    built = []
+    init = Section.__init__
+    monkeypatch.setattr(Section, "__init__", lambda self, *args: built.append(init(self, *args)))
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    for config in (golden, make_config(germ_template=PER_CLASS_TEMPLATE)):
+        report = run_pipeline(config)
+        report.json_text()
+        assert built == []
+        # sections are views, built when read at the API edge
+        assert len(report.stack.levels[0].reduced.right.sections) == len(built) > 0
+        built.clear()
+
+
 def test_per_class_template_keeps_the_sides_mirrored():
-    template = {
-        f"{mu},1": {"nvars": 1, "coeffs": [[[2], "1"], [[3], f"{mu}/7"]]}
-        for mu in range(1, 7)
-    }
-    report = run_pipeline(make_config(germ_template=template))
+    report = run_pipeline(make_config(germ_template=PER_CLASS_TEMPLATE))
     st_reduced = report.stack.levels[0].reduced.right
     assert len({sec.germ for sec in st_reduced.sections}) == len(st_reduced) > 1
     for level in report.stack.levels:

@@ -1,5 +1,8 @@
 """Semisheaf construction and the morphisms acting on them."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,10 +59,10 @@ def make_sheaf(side=RIGHT, nature=TIME, depth=4, template=quad, level=ST):
 def test_attach_sections_covers_all_classes():
     tower = small_tower(3, (1, 2, 1))
     s = attach_sections(tower, LEFT, ST, SPACE, quad)
-    assert s.indices() == tower.class_indices()
+    assert s.carrier == tower.class_indices()
     assert len(s) == 4
     assert s.section_at(ClassIndex(2, 2)).germ == Germ.from_coeffs(1, {(2,): 2})
-    assert [s.section_at(idx).index for idx in tower.class_indices()] == list(s.indices())
+    assert [s.section_at(idx).index for idx in tower.class_indices()] == list(s.carrier)
     for missing in (ClassIndex(0, 1), ClassIndex(2, 3), ClassIndex(4, 1)):
         with pytest.raises(KeyError):
             s.section_at(missing)
@@ -101,6 +104,17 @@ def test_semisheaf_rejects_duplicates_and_strays():
     wrong_side = Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 1)
     with pytest.raises(ValueError):
         Semisheaf(RIGHT, ST, TIME, tower, (wrong_side,))
+    # the carrier form is checked the same way, and must come sorted
+    one, two, zero = ClassIndex(1, 1), ClassIndex(2, 1), Germ.zero(1)
+    assert Semisheaf.over(RIGHT, ST, TIME, tower, (one, two), (zero, zero)).carrier == (one, two)
+    for carrier, germs in (
+        ((one, one), (zero, zero)),
+        ((two, one), (zero, zero)),
+        ((ClassIndex(5, 1),), (zero,)),
+        ((one, two), (zero,)),
+    ):
+        with pytest.raises(ValueError):
+            Semisheaf.over(RIGHT, ST, TIME, tower, carrier, germs)
 
 
 def test_sections_sorted_on_construction():
@@ -111,7 +125,22 @@ def test_sections_sorted_on_construction():
         Section(ClassIndex(2, 1), RIGHT, Germ.zero(1), 1),
     ]
     s = Semisheaf(RIGHT, ST, TIME, tower, tuple(secs))
-    assert s.indices() == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
+    assert s.carrier == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
+
+
+def test_carrier_form_copies_restricts_and_maps():
+    s = make_sheaf(depth=4)
+    assert copy.copy(s) == s == pickle.loads(pickle.dumps(s))
+    assert [sec.germ for sec in s.sections] == list(s.germs) == [quad(idx) for idx in s.carrier]
+    upper = s.restrict(lambda idx: idx.mu > 2, role=COMPLEMENTARY)
+    assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
+    assert upper.germs == (quad(ClassIndex(3, 1)), quad(ClassIndex(4, 1)))
+    assert upper.role == COMPLEMENTARY and upper.nature == s.nature
+    with pytest.raises(TypeError):
+        s.replace(sections=())
+    # a germ map may not change a germ's variable count
+    with pytest.raises(ValueError):
+        s.map_germs(lambda germ: Germ.zero(2))
 
 
 def test_tensor_requires_matching_pair():
@@ -119,7 +148,7 @@ def test_tensor_requires_matching_pair():
     l = make_sheaf(LEFT)
     b = tensor(r, l)
     assert b.level == ST and b.nature == TIME
-    assert b.indices() == r.indices()
+    assert b.indices() == r.carrier
     assert Bisemisheaf(r) == b and b.left == l
     assert b != r and b != (r,) and hash(Bisemisheaf(r)) == hash(b)
     with pytest.raises(AttributeError):
@@ -152,8 +181,8 @@ def test_endo_split_partition_and_roles():
     s = make_sheaf(depth=5)
     reduced, comp = endo_split(s, half(5))
     assert reduced.role == REDUCED and comp.role == COMPLEMENTARY
-    assert set(reduced.indices()) | set(comp.indices()) == set(s.indices())
-    assert not set(reduced.indices()) & set(comp.indices())
+    assert set(reduced.carrier) | set(comp.carrier) == set(s.carrier)
+    assert not set(reduced.carrier) & set(comp.carrier)
     assert reduced.nature == comp.nature == s.nature
 
 
@@ -161,10 +190,10 @@ def test_endo_split_partition_and_roles():
 def test_endo_split_partition_any_predicate(depth, cut):
     s = make_sheaf(depth=depth)
     reduced, comp = endo_split(s, lambda idx: idx.mu <= cut)
-    merged = sorted(reduced.indices() + comp.indices())
-    assert tuple(merged) == s.indices()
-    assert all(idx.mu <= cut for idx in reduced.indices())
-    assert all(idx.mu > cut for idx in comp.indices())
+    merged = sorted(reduced.carrier + comp.carrier)
+    assert tuple(merged) == s.carrier
+    assert all(idx.mu <= cut for idx in reduced.carrier)
+    assert all(idx.mu > cut for idx in comp.carrier)
 
 
 def test_emergent_project_flips_nature_and_sets_role():
@@ -229,6 +258,18 @@ def test_annihilate_biquantum_moves_down_one_class():
     assert out.indices() == (ClassIndex(1, 1), ClassIndex(2, 1))
 
 
+def test_biquantum_move_reorders_the_carrier():
+    # (1,1) moves to (2,1), past (1,2); its germ moves with it
+    tower = small_tower(2, (2, 1))
+    square, cube = Germ.monomial(1, (2,)), Germ.monomial(1, (3,))
+    secs = (Section(ClassIndex(1, 1), RIGHT, square, 1), Section(ClassIndex(1, 2), RIGHT, cube, 1))
+    b = Bisemisheaf(Semisheaf(RIGHT, ST, TIME, tower, secs))
+    out = create_biquantum(b, ClassIndex(1, 1))
+    assert out.indices() == (ClassIndex(1, 2), ClassIndex(2, 1))
+    assert out.right.germs == (cube, square) and out.left.germs == (cube, square)
+    assert annihilate_biquantum(out, ClassIndex(2, 1)) == b
+
+
 def test_biquantum_round_trip_is_identity():
     b = partial_bisheaf(present=(2,))
     assert annihilate_biquantum(create_biquantum(b, ClassIndex(2, 1)), ClassIndex(3, 1)) == b
@@ -252,7 +293,7 @@ def test_inject_singularity_swallowtail():
     out = inject_singularity(s, SWALLOWTAIL)
     assert out.singular
     assert all(classify_germ(sec.germ).name == SWALLOWTAIL for sec in out.sections)
-    assert out.indices() == s.indices()
+    assert out.carrier == s.carrier
 
 
 def test_inject_singularity_dims_must_match():
