@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germtower import (
@@ -187,18 +187,31 @@ def small_jets(draw) -> Germ:
     return Germ.from_coeffs(nvars, coeffs)
 
 
-@settings(max_examples=300, deadline=None)
-@given(g=small_jets())
-@example(g=Germ.from_coeffs(1, {(2,): "5/2", (3,): 1}))
-@example(g=Germ.from_coeffs(2, {(2, 0): 1, (1, 1): -2, (0, 2): 3}))
-@example(g=Germ.from_coeffs(2, {(2, 0): 1, (0, 3): 1}))
-@example(g=normal_form(ELLIPTIC_UMBILIC))
-@example(g=Germ.monomial(1, (4,)))
-def test_hessian_matches_finite_differences(g):
+HESSIAN_PROBES = [
+    Germ.from_coeffs(1, {(2,): "5/2", (3,): 1}),
+    Germ.from_coeffs(2, {(2, 0): 1, (1, 1): -2, (0, 2): 3}),
+    Germ.from_coeffs(2, {(2, 0): 1, (0, 3): 1}),
+    normal_form(ELLIPTIC_UMBILIC),
+    Germ.monomial(1, (4,)),
+]
+
+
+def check_hessian_against_finite_differences(g: Germ) -> None:
     exact = np.array([[float(v) for v in row] for row in g.hessian_at_zero()])
     approx = numeric_hessian(g)
     assert np.allclose(exact, approx, atol=1e-5)
     assert corank(g) == g.nvars - numeric_rank(exact)
+
+
+@pytest.mark.parametrize("g", HESSIAN_PROBES, ids=format_germ)
+def test_hessian_matches_finite_differences(g):
+    check_hessian_against_finite_differences(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_jets())
+def test_hessian_matches_finite_differences_on_random_jets(g):
+    check_hessian_against_finite_differences(g)
 
 
 def test_corank_values():
