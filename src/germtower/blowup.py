@@ -58,14 +58,15 @@ class DeformedBundle(NamedTuple):
 def deform(base: Semisheaf) -> DeformedBundle:
     """Versally deform a starred semisheaf along its classified germ.
 
-    Every class must carry the same catalogue-classified germ; each
-    distinct germ is classified once.
+    Every class must carry a germ of one catalogue class; each distinct
+    germ object is classified once, and no germ is hashed.
     """
     if not base.singular:
         raise ValueError("versal deformation starts from a starred (singular) semisheaf")
     if not base.carrier:
         raise ValueError("cannot deform an empty semisheaf")
-    classes = {classify_germ(germ) for germ in set(base.germs)}
+    distinct = {id(germ): germ for germ in base.germs}.values()
+    classes = {classify_germ(germ) for germ in distinct}
     if len(classes) != 1:
         raise ValueError("sections carry singularities of different kinds")
     cls = classes.pop()
@@ -83,18 +84,19 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     """Detach the fiber monomials and glue them into a covering sheaf.
 
     The blowup is maximal: every monomial is detached whole, so the covering
-    carries their sum at every base index.  ``coverage`` keeps each
-    class's glued degree as a fraction of its base degree, capped at 1.
+    carries their sum at every base index.  ``coverage`` gives each class
+    the glued degree as a fraction of its base degree, capped at 1.  The
+    fraction is computed once: ``deform`` admits one catalogue class over
+    the base, and all germs of a catalogue class share one total degree
+    (Fold and the umbilics 3, Cusp 4, Swallowtail 5).
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
     glued = Germ.zero(bundle.fiber[0][1].nvars)
     for _, mono in bundle.fiber:
         glued = glued + mono
-    coverage = tuple(
-        (idx, min(1.0, glued.total_degree / max(germ.total_degree, 1)))
-        for idx, germ in zip(bundle.base.carrier, bundle.base.germs)
-    )
+    fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
+    coverage = tuple((idx, fraction) for idx in bundle.base.carrier)
     covering = bundle.base.map_germs(lambda _: glued, singular=False, role=None)
     return BlowupResult(covering, coverage)
 

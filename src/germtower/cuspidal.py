@@ -7,7 +7,9 @@ at the same class behave like the two strings of a harmonic bistring whose
 pointwise modulus is constant.  One builder, ``level_record``, pairs a
 level's Weil-side class listing with its compactified reduced and orthogonal
 cuspidal parts; the pipeline calls it per level, and ``lgc`` (no split) and
-``lggc_st`` (split and project first) are routes into it.
+``lggc_st`` (split and project first) are routes into it.  It compactifies
+each part's right semisheaf once and gives the left mirror the same modes
+with sign +1, so a run builds no mirror sheaf.
 """
 
 from __future__ import annotations
@@ -128,19 +130,16 @@ class LevelRecord(NamedTuple):
     reduced: tuple[EllipticSemimodule, EllipticSemimodule]
     orthogonal: tuple[EllipticSemimodule, EllipticSemimodule] | None = None
 
+    def pairs(self) -> tuple[tuple[EllipticSemimodule, EllipticSemimodule], ...]:
+        """The (right, left) pair of each part, the orthogonal one if present."""
+        return (self.reduced,) if self.orthogonal is None else (self.reduced, self.orthogonal)
+
     def mode_pair_count(self) -> int:
-        count = len(self.reduced[0].modes)
-        if self.orthogonal is not None:
-            count += len(self.orthogonal[0].modes)
-        return count
+        return sum(len(right.modes) for right, _ in self.pairs())
 
     def bijection_holds(self) -> bool:
         """Weil classes and cuspidal mode pairs are in bijection."""
-        pairs_match = len(self.reduced[0].modes) == len(self.reduced[1].modes)
-        if self.orthogonal is not None:
-            pairs_match = pairs_match and (
-                len(self.orthogonal[0].modes) == len(self.orthogonal[1].modes)
-            )
+        pairs_match = all(len(right.modes) == len(left.modes) for right, left in self.pairs())
         return pairs_match and len(self.weil_side) == self.mode_pair_count()
 
 
@@ -162,7 +161,7 @@ def level_record(
 
     The Weil side lists every class of both parts in index order, with its
     degree in the reduced part's tower; ``even_only`` drops the odd classes
-    there as it does from the modes.
+    there as it does from the modes.  ``Bisemisheaf.left`` is never read.
     """
     indices = reduced.indices() + (orthogonal.indices() if orthogonal else ())
     weil = tuple(
@@ -172,10 +171,9 @@ def level_record(
     )
 
     def pair(part: Bisemisheaf) -> tuple[EllipticSemimodule, EllipticSemimodule]:
-        return (
-            compactify(part.right, amplitude_rule, even_only),
-            compactify(part.left, amplitude_rule, even_only),
-        )
+        right = compactify(part.right, amplitude_rule, even_only)
+        left = tuple(Mode(mode.mu, mode.m, mode.amplitude, 1) for mode in right.modes)
+        return right, EllipticSemimodule(LEFT, left)
 
     return LevelRecord(
         label, weil, pair(reduced), None if orthogonal is None else pair(orthogonal)

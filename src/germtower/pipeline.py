@@ -446,6 +446,10 @@ def emit_expansion(level_labels: Sequence[str]) -> dict:
     }
 
 
+def _pair_json(pair: tuple[EllipticSemimodule, EllipticSemimodule] | None) -> dict | None:
+    return None if pair is None else {"right": pair[0].to_json(), "left": pair[1].to_json()}
+
+
 def _level_row(level: Level, record: LevelRecord) -> dict:
     return {
         "label": level.label,
@@ -457,16 +461,8 @@ def _level_row(level: Level, record: LevelRecord) -> dict:
         "weil_side": [
             {"mu": w.mu, "m": w.m, "degree": w.degree} for w in record.weil_side
         ],
-        "reduced": {
-            "right": record.reduced[0].to_json(),
-            "left": record.reduced[1].to_json(),
-        },
-        "orthogonal": None
-        if record.orthogonal is None
-        else {
-            "right": record.orthogonal[0].to_json(),
-            "left": record.orthogonal[1].to_json(),
-        },
+        "reduced": _pair_json(record.reduced),
+        "orthogonal": _pair_json(record.orthogonal),
         "mode_pairs": record.mode_pair_count(),
         "cover": None
         if level.cover is None
@@ -500,10 +496,7 @@ def _pvariance(values: Sequence[float]) -> float:
 
 def _bistring_variances(record: LevelRecord) -> list[float]:
     out = []
-    for pair in (record.reduced, record.orthogonal):
-        if pair is None:
-            continue
-        right, left = pair
+    for right, left in record.pairs():
         for mr, ml in zip(right.modes, left.modes):
             values = bistring_modulus(mr, ml, _DIAG_SAMPLES)
             try:
@@ -591,14 +584,18 @@ def run_pipeline(config: PipelineConfig) -> Report:
     stack = stage("levels", generate_levels, base, config.scenario, config.plan)
 
     # the left of every bisemisheaf holds the right's germs, so the right
-    # parts carry every germ; each distinct one is classified once, and
-    # keeps its first place in level order for the diagnostic
+    # parts carry every germ.  Each distinct germ object is visited once,
+    # at its first class; each distinct value is classified once, and keeps
+    # its first place in level order for the diagnostic
     desingularized: dict[Germ, tuple[str, ClassIndex]] = {}
     for level in stack.levels:
         for part in (level.reduced, level.orthogonal):
             if part is not None:
                 flat = stage("desingularize", desingularize, part.right)
+                firsts: dict[int, tuple[Germ, ClassIndex]] = {}
                 for idx, germ in zip(flat.carrier, flat.germs):
+                    firsts.setdefault(id(germ), (germ, idx))
+                for germ, idx in firsts.values():
                     desingularized.setdefault(germ, (level.label, idx))
     amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
@@ -632,17 +629,24 @@ def run_pipeline(config: PipelineConfig) -> Report:
 # ---------------------------------------------------------------------------
 # sample emission
 
+# The most points ``sample_rows`` evaluates.  Every point is one row in
+# memory and one CSV line, so a larger count would exhaust memory before it
+# ended; the bound is fixed, not a setting.
+MAX_SAMPLES = 100_000
+
 
 def sample_rows(
     esm: EllipticSemimodule, n: int, x0: float, x1: float
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the semimodule on n evenly spaced points of [x0, x1].
 
-    A value that leaves the float range, in a part or in its modulus, raises
-    ValueError naming the point.
+    ``n`` may not exceed ``MAX_SAMPLES``.  A value that leaves the float
+    range, in a part or in its modulus, raises ValueError naming the point.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count {n} exceeds the budget of {MAX_SAMPLES} samples")
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"sample range must be finite, got [{x0}, {x1}]")
     if n > 1 and not x1 > x0:

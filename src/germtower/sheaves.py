@@ -8,7 +8,8 @@ shift, biquantum moves and singularity injection.
 
 A bisemisheaf stores a right semisheaf and derives its left mirror, which
 holds the same carrier and germs; only compactification (the mode sign)
-tells the sides apart, so the cascade runs on the right semisheaf alone.
+tells the sides apart, so the cascade and its compactification run on the
+right semisheaf alone, and a run builds no mirror sheaf.
 """
 
 from __future__ import annotations
@@ -198,9 +199,10 @@ def attach_sections(
 class Bisemisheaf(Record):
     """A right semisheaf paired with its left mirror.
 
-    Only the right side is stored; ``left`` is built when it is read and
-    holds the same carrier, germs, level and nature with side LEFT, so
-    anything that reads only ``right`` sees the whole pair.
+    Only the right side is stored; ``left`` is built and checked when it is
+    read and holds the same carrier, germs, level and nature with side LEFT,
+    so anything that reads only ``right`` sees the whole pair.  ``tensor``
+    reads it; the pipeline does not.
     """
 
     __slots__ = ("right",)

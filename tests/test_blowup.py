@@ -30,6 +30,7 @@ from germtower.germs import (
     REGULAR,
     SWALLOWTAIL,
 )
+from germtower.germs import normal_form
 from germtower.sheaves import (
     COMPLEMENTARY,
     ORTHOGONAL,
@@ -37,6 +38,7 @@ from germtower.sheaves import (
     SPACE,
     SPACE_SHIFTED,
     TIME_SHIFTED,
+    Semisheaf,
     shift,
 )
 from germtower.tower import LEFT, RIGHT
@@ -111,6 +113,63 @@ def test_detect_resingularization_only_for_cubic_coverings():
     assert hit is not None and hit.name == FOLD
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
         assert detect_resingularization(blow_up(deform(starred(name)))) is None
+
+
+# Distinct germ objects of one catalogue class: scalings, sign flips and,
+# for the umbilics, the variable swap.
+SAME_CLASS_GERMS = {
+    FOLD: ({(3,): 1}, {(3,): -2}, {(3,): "1/3"}),
+    CUSP: ({(4,): 1}, {(4,): -2}),
+    SWALLOWTAIL: ({(5,): 1}, {(5,): 7}),
+    ELLIPTIC_UMBILIC: (
+        {(3, 0): 1, (1, 2): -3},
+        {(3, 0): -2, (1, 2): 6},
+        {(0, 3): 1, (2, 1): -3},
+    ),
+    HYPERBOLIC_UMBILIC: (
+        {(3, 0): 1, (0, 3): 1},
+        {(3, 0): 2, (0, 3): 2},
+        {(3, 0): 1, (0, 3): -1},
+    ),
+}
+
+
+def starred_over(germs, depth=6):
+    tower = build_tower(TowerConfig(2, 1, depth))
+    carrier = tower.class_indices()
+    cycled = tuple(germs[i % len(germs)] for i in range(len(carrier)))
+    return Semisheaf.over(RIGHT, ST, SPACE_SHIFTED, tower, carrier, cycled, singular=True)
+
+
+def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
+    # blow_up computes one coverage fraction for the whole base; that holds
+    # because deform admits one catalogue class and its germs share a degree
+    for name, forms in SAME_CLASS_GERMS.items():
+        nvars = normal_form(name).nvars
+        germs = [Germ.from_coeffs(nvars, coeffs) for coeffs in forms]
+        assert {classify_germ(germ).name for germ in germs} == {name}
+        assert len(set(germs)) == len(germs)
+        base = starred_over(germs)
+        bundle = deform(base)
+        assert bundle.singularity.name == name
+        result = blow_up(bundle)
+        glued = result.covering.germs[0].total_degree
+        fraction = min(1.0, glued / normal_form(name).total_degree)
+        assert result.coverage == tuple((idx, fraction) for idx in base.carrier)
+    # a 1-variable and a 2-variable fold deform together; the 1-variable fiber
+    # cannot glue onto the 2-variable germ, so the blowup is rejected
+    mixed = starred_over([Germ.monomial(1, (3,)), Germ.from_coeffs(2, {(0, 2): 1, (3, 0): 1})])
+    bundle = deform(mixed)
+    assert bundle.singularity.name == FOLD
+    with pytest.raises(ValueError, match="variable count"):
+        blow_up(bundle)
+
+
+def test_deform_rejects_a_base_of_two_classes():
+    folds = [Germ.monomial(1, (3,)), Germ.from_coeffs(1, {(3,): -2})]
+    two = starred_over(folds + [Germ.monomial(1, (4,))])
+    with pytest.raises(ValueError, match="different kinds"):
+        deform(two)
 
 
 # ---------------------------------------------------------------------------

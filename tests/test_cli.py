@@ -22,7 +22,7 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
-from germtower.pipeline import PipelineConfig, run_pipeline
+from germtower.pipeline import MAX_SAMPLES, PipelineConfig, run_pipeline
 from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
@@ -701,6 +701,17 @@ def test_samples_bad_modes_file(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, _ = run_cli(capsys, "samples", "--modes-file", str(missing))
     assert code == EXIT_CONFIG
+
+
+def test_samples_count_has_a_budget(capsys, tmp_path):
+    path = tmp_path / "modes.json"
+    path.write_text(json_text([{"mu": 1, "m": 1, "amplitude": 1.0, "sign": 1}]))
+    n = str(MAX_SAMPLES + 1)
+    code, out, err = run_cli(capsys, "samples", "--modes-file", str(path), "--n", n)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        f"configuration error: sample count {n} exceeds the budget of {MAX_SAMPLES} samples\n"
+    )
 
 
 def test_module_entry_point_runs():

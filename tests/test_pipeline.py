@@ -22,8 +22,9 @@ from germtower import (
     run_pipeline,
 )
 from germtower.cuspidal import EllipticSemimodule
-from germtower.sheaves import Section
+from germtower.sheaves import Bisemisheaf, Section, Semisheaf
 from germtower.pipeline import (
+    MAX_SAMPLES,
     _pvariance,
     emit_expansion,
     normalize_scenario,
@@ -362,6 +363,32 @@ def test_a_report_builds_no_section(monkeypatch):
         built.clear()
 
 
+def test_a_run_builds_no_mirror_sheaf_and_hashes_each_germ_object_once(monkeypatch):
+    # A run compactifies each part's right semisheaf once and gives the left
+    # the same modes with sign +1, so it reads no Bisemisheaf.left and builds
+    # no mirror sheaf; it hashes a germ by value once per distinct object in
+    # a part, never once per class.
+    counts = {"left": 0, "built": 0, "hash": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(Bisemisheaf, "left", property(counting("left", Bisemisheaf.left.fget)))
+    monkeypatch.setattr(Semisheaf, "__post_init__", counting("built", Semisheaf.__post_init__))
+    monkeypatch.setattr(Germ, "__hash__", counting("hash", Germ.__hash__))
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    template = make_config(germ_template=PER_CLASS_TEMPLATE)
+    for config, hashes in ((golden, 6), (template, 8)):
+        for key in counts:
+            counts[key] = 0
+        run_pipeline(config).json_text()
+        assert counts == {"left": 0, "built": 21, "hash": hashes}
+
+
 def test_per_class_template_keeps_the_sides_mirrored():
     report = run_pipeline(make_config(germ_template=PER_CLASS_TEMPLATE))
     st_reduced = report.stack.levels[0].reduced.right
@@ -523,6 +550,14 @@ def test_sample_rows_spacing_and_values():
     for x in (0.0, 0.25):
         with pytest.raises(ValueError, match=f"x={x}"):
             sample_rows(huge, 1, x, x)
+
+
+def test_sample_rows_has_a_budget(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(EllipticSemimodule, "evaluate", lambda self, x: evaluated.append(x))
+    with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_SAMPLES} samples"):
+        sample_rows(sample_esm(), MAX_SAMPLES + 1, 0.0, 1.0)
+    assert evaluated == []  # rejected before any row is built
 
 
 def test_samples_csv_shape():
