@@ -81,34 +81,21 @@ class Germ(Record):
     terms : tuple
         Sorted ``((exponents, coefficient), ...)`` pairs with nonzero
         Fraction coefficients and distinct exponent tuples.
-    max_degree : int
-        Truncation order of the jet.  Ignored by equality: two germs are
-        equal when their variable counts and term lists agree.
+
+    A germ is its value: two germs are equal when their variable counts and
+    term lists agree.  ``from_coeffs`` may truncate the jet as it builds it;
+    the order is not kept.
 
     Germ operations build a new germ on every call; a sheaf morphism applies
     one to each distinct germ object it holds, not to each section (see
     ``Semisheaf.map_germs``).  Only ``classify_germ`` is memoized, by value.
     """
 
-    __slots__ = ("nvars", "terms", "max_degree")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(
-        self,
-        nvars: int,
-        terms: tuple[tuple[tuple[int, ...], Fraction], ...],
-        max_degree: int = 0,
-    ):
+    def __init__(self, nvars: int, terms: tuple[tuple[tuple[int, ...], Fraction], ...]):
         _set(self, "nvars", nvars)
         _set(self, "terms", terms)
-        _set(self, "max_degree", max_degree)
-
-    def __eq__(self, other):
-        if type(other) is not Germ:
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, self.terms))
 
     @staticmethod
     def from_coeffs(nvars: int, coeffs, max_degree: int | None = None) -> "Germ":
@@ -131,8 +118,7 @@ class Germ(Record):
         kept = {e: c for e, c in acc.items() if c != 0}
         if max_degree is not None:
             kept = {e: c for e, c in kept.items() if sum(e) <= max_degree}
-        degree = max((sum(e) for e in kept), default=0)
-        return Germ(nvars, tuple(sorted(kept.items())), max_degree if max_degree is not None else degree)
+        return Germ(nvars, tuple(sorted(kept.items())))
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Germ":
@@ -188,17 +174,16 @@ class Germ(Record):
             new = list(exps)
             new[var] -= 1
             out[tuple(new)] = coeff * exps[var]
-        return Germ.from_coeffs(self.nvars, out, max(self.max_degree - 1, 0))
+        return Germ.from_coeffs(self.nvars, out)
 
     def truncated(self, degree: int) -> "Germ":
         """Drop every monomial of total degree above ``degree``."""
-        kept = {e: c for e, c in self.terms if sum(e) <= degree}
-        return Germ.from_coeffs(self.nvars, kept, min(self.max_degree, degree))
+        return Germ.from_coeffs(self.nvars, self.terms, degree)
 
     def scale(self, factor) -> "Germ":
         f = snap_to_fraction(factor)
         scaled = {e: c * f for e, c in self.terms}
-        return Germ.from_coeffs(self.nvars, scaled, self.max_degree)
+        return Germ.from_coeffs(self.nvars, scaled)
 
     def __add__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
@@ -208,7 +193,7 @@ class Germ(Record):
         out = dict(self.terms)
         for exps, coeff in other.terms:
             out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Germ.from_coeffs(self.nvars, out, max(self.max_degree, other.max_degree))
+        return Germ.from_coeffs(self.nvars, out)
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the jet at ``point``."""
@@ -386,7 +371,7 @@ def classify_germ(g: Germ) -> SingularityClass:
 
 @lru_cache(maxsize=1024)
 def _classify(nvars: int, terms) -> SingularityClass:
-    # The decision tree reads no max_degree, so the key leaves it out.  The
+    # Keyed on the terms, not the Germ, so a lookup hashes no germ.  The
     # bound keeps a long-lived process from growing without limit.
     g = Germ(nvars, terms)
     if g.constant_term != 0 or any(g.gradient_at_zero()):
@@ -466,9 +451,10 @@ def versal_unfold(c: SingularityClass | str) -> Unfolding:
 def germ_from_json(data: dict) -> Germ:
     """Parse ``{"nvars": n, "coeffs": [[[e, ...], value], ...]}``.
 
-    The only other key is the optional ``max_degree``.  ``nvars``, the
-    exponents and ``max_degree`` must be JSON integers; anything else raises
-    ValueError instead of being coerced.
+    The only other key is the optional ``max_degree``, which truncates the
+    jet as it is read and is not kept.  ``nvars``, the exponents and
+    ``max_degree`` must be JSON integers; anything else raises ValueError
+    instead of being coerced.
     """
     if not isinstance(data, dict) or "nvars" not in data or "coeffs" not in data:
         raise ValueError("germ JSON needs 'nvars' and 'coeffs' keys")

@@ -575,7 +575,10 @@ def run_pipeline(config: PipelineConfig) -> Report:
             raise PipelineError(name, str(exc)) from exc
 
     tower = stage("tower", build_tower, config.tower)
-    template = config.germ_template or _default_template(config.scenario)
+    if config.germ_template is None:
+        template = _default_template(config.scenario)
+    else:
+        template = config.germ_template.__getitem__
 
     right = stage("sections", attach_sections, tower, RIGHT, ST, TIME, template)
     right = stage("shift", shift, right)

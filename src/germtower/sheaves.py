@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import compress
-from typing import Callable, Mapping
+from typing import Callable
 
 from .bisemigroup import LEVELS
 from .germs import CATALOGUE, Germ, SingularityClass, normal_form
@@ -151,8 +151,7 @@ class Semisheaf(Record):
 
         ``fn`` runs once per distinct germ object, so a sheaf that holds one
         germ at every index does the germ's work once.  Results are keyed by
-        object, never by value: equal germs may differ in ``max_degree``,
-        which their images carry.
+        object, not by value: keying by value would hash each class's germ.
         """
         images: dict[int, Germ] = {}
         for germ in self.germs:
@@ -174,22 +173,13 @@ def attach_sections(
     side: str,
     level: str,
     nature: str,
-    germ_template: Callable[[ClassIndex], Germ] | Mapping[ClassIndex, Germ],
+    germ_template: Callable[[ClassIndex], Germ],
 ) -> Semisheaf:
-    """One germ per class representative, drawn from the template.
-
-    The template is either a callable on class indices or a mapping; a
-    mapping missing any representative is rejected.
-    """
+    """One germ per class representative: ``germ_template`` of its index."""
     carrier = tower.class_indices()
     germs = []
     for idx in carrier:
-        if isinstance(germ_template, Mapping):
-            if idx not in germ_template:
-                raise ValueError(f"germ template has no entry for class {idx}")
-            germ = germ_template[idx]
-        else:
-            germ = germ_template(idx)
+        germ = germ_template(idx)
         if not isinstance(germ, Germ):
             raise ValueError(f"template produced {type(germ).__name__}, expected a Germ")
         germs.append(germ)

@@ -133,20 +133,21 @@ def test_truncated_and_scale_and_add():
     assert g + g.scale(-1) == Germ.zero(1)
 
 
-def test_operation_results_keep_their_own_max_degree():
-    # Equal germs with different truncation orders: a memo keyed on the Germ
-    # object would hand the second one the first one's results.
-    terms = {(1,): 1, (3,): 2}
-    low = Germ.from_coeffs(1, terms, 5)
-    high = Germ.from_coeffs(1, terms, 9)
-    other = Germ.from_coeffs(1, {(2,): 1}, 2)
-    assert low == high and hash(low) == hash(high) and len({low, high}) == 1
-    for germ in (low, high):
-        assert germ.derivative(0).max_degree == germ.max_degree - 1
-        assert germ.truncated(7).max_degree == min(germ.max_degree, 7)
-        assert (germ + other).max_degree == germ.max_degree
-        assert (other + germ).max_degree == germ.max_degree
-        assert germ.scale(3).max_degree == germ.max_degree
+def test_a_germ_is_its_terms():
+    # A germ built from its fields keeps its terms through every operation,
+    # and a JSON truncation order cuts the jet as it is read.
+    terms = (((2,), Fraction(1)), ((3,), Fraction(1)))
+    raw = Germ(1, terms)
+    built = Germ.from_coeffs(1, {(2,): 1, (3,): 1})
+    assert raw == built and hash(raw) == hash(built)
+    assert raw.derivative(0) == Germ.from_coeffs(1, {(1,): 2, (2,): 3})
+    assert raw.truncated(5).terms == terms
+    assert raw.truncated(2) == Germ.monomial(1, (2,))
+    assert raw.scale(2) == Germ.from_coeffs(1, {(2,): 2, (3,): 2})
+    assert (raw + Germ.zero(1)).terms == (Germ.zero(1) + raw).terms == terms
+    read = germ_from_json({"nvars": 1, "coeffs": [[[2], 1], [[4], 1]], "max_degree": 3})
+    assert read == Germ.monomial(1, (2,))
+    assert not hasattr(read, "max_degree")
 
 
 def test_evaluate_matches_hand_value():

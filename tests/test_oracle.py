@@ -167,11 +167,11 @@ def check_config(config: dict):
 
 def interned(config):
     """The parsed config with each template germ shared by every class whose
-    germ has its value and max_degree; parsing gives each class its own."""
+    germ has its value; parsing gives each class its own."""
     pool = {}
     out = copy.copy(config)
     out.germ_template = {
-        idx: pool.setdefault((germ, germ.max_degree), germ)
+        idx: pool.setdefault(germ, germ)
         for idx, germ in config.germ_template.items()
     }
     return out

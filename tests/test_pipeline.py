@@ -389,6 +389,50 @@ def test_a_run_builds_no_mirror_sheaf_and_hashes_each_germ_object_once(monkeypat
         assert counts == {"left": 0, "built": 21, "hash": hashes}
 
 
+def _passed(report) -> dict:
+    return {diag["name"]: diag["passed"] for diag in report.diagnostics}
+
+
+def test_a_lost_mode_fails_level_bijection(monkeypatch, tmp_path, capsys):
+    import germtower.cuspidal as cuspidal_module
+    from germtower.cli import EXIT_DIAGNOSTIC, main
+
+    compactify = cuspidal_module.compactify
+
+    def lossy(*args):
+        module = compactify(*args)
+        return module._replace(modes=module.modes[1:])
+
+    monkeypatch.setattr(cuspidal_module, "compactify", lossy)
+    golden = DATA_DIR / "golden_config.json"
+    passed = _passed(run_pipeline(config_from_json(json.loads(golden.read_text()))))
+    assert passed == {
+        "level_bijection": False,
+        "split_partition": True,
+        "oscillator_constancy": True,
+        "desingularized_sections": True,
+    }
+    out = tmp_path / "report.json"
+    assert main(["correspond", "--config", str(golden), "--out", str(out)]) == EXIT_DIAGNOSTIC
+    assert "FAILED diagnostic: level_bijection" in capsys.readouterr().err
+
+
+def test_a_complementary_part_keeping_every_class_fails_split_partition(monkeypatch):
+    import germtower.blowup as blowup_module
+    from germtower.sheaves import COMPLEMENTARY
+
+    endo_split = blowup_module.endo_split
+
+    def overlapping(s, reduce):
+        reduced, _ = endo_split(s, reduce)
+        return reduced, s.replace(role=COMPLEMENTARY)
+
+    monkeypatch.setattr(blowup_module, "endo_split", overlapping)
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    passed = _passed(run_pipeline(golden))
+    assert not passed.pop("split_partition") and all(passed.values())
+
+
 def test_per_class_template_keeps_the_sides_mirrored():
     report = run_pipeline(make_config(germ_template=PER_CLASS_TEMPLATE))
     st_reduced = report.stack.levels[0].reduced.right
