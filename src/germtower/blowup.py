@@ -84,20 +84,24 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     """Detach the fiber monomials and glue them into a covering sheaf.
 
     The blowup is maximal: every monomial is detached whole, so the covering
-    carries their sum at every base index.  ``coverage`` gives each class
-    the glued degree as a fraction of its base degree, capped at 1.  The
-    fraction is computed once: ``deform`` admits one catalogue class over
-    the base, and all germs of a catalogue class share one total degree
+    carries their sum at every base index.  It is tagged with the next level
+    out (ST -> MG -> M), so an M-level base is refused.  ``coverage`` gives
+    each class the glued degree as a fraction of its base degree, capped at
+    1.  The fraction is computed once: ``deform`` admits one catalogue class
+    over the base, and all germs of a catalogue class share one total degree
     (Fold and the umbilics 3, Cusp 4, Swallowtail 5).
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
+    if bundle.base.level == M:
+        raise ValueError("the M level is outermost: nothing covers it")
     glued = Germ.zero(bundle.fiber[0][1].nvars)
     for _, mono in bundle.fiber:
         glued = glued + mono
     fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
     coverage = tuple((idx, fraction) for idx in bundle.base.carrier)
-    covering = bundle.base.map_germs(lambda _: glued, singular=False, role=None)
+    level = LEVELS[LEVELS.index(bundle.base.level) + 1]
+    covering = bundle.base.map_germs(lambda _: glued, level=level, singular=False, role=None)
     return BlowupResult(covering, coverage)
 
 

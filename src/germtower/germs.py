@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .tower import Record, _set
@@ -88,7 +88,7 @@ class Germ(Record):
 
     Germ operations build a new germ on every call; a sheaf morphism applies
     one to each distinct germ object it holds, not to each section (see
-    ``Semisheaf.map_germs``).  Only ``classify_germ`` is memoized, by value.
+    ``Semisheaf.map_germs``).
     """
 
     __slots__ = ("nvars", "terms")
@@ -302,25 +302,16 @@ def _classify_pure_power(g: Germ) -> SingularityClass:
     return SingularityClass(name, 1, degree - 2)
 
 
-def _transform_germ(g: Germ, swap: bool, sx: int, sy: int) -> Germ:
-    out = {}
-    for (i, j), coeff in g.terms:
-        e = (j, i) if swap else (i, j)
-        out[e] = coeff * sx ** e[0] * sy ** e[1]
-    return Germ.from_coeffs(2, out)
-
-
 def _matches_cubic_form(g: Germ, form: Germ) -> bool:
     lead_exps, lead_coeff = form.terms[0]
-    for swap in (False, True):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                h = _transform_germ(g, swap, sx, sy)
-                scale = h.coefficient(lead_exps) / lead_coeff
-                if scale == 0:
-                    continue
-                if h == form.scale(scale):
-                    return True
+    for swap, sx, sy in product((False, True), (1, -1), (1, -1)):
+        image = {}
+        for (i, j), coeff in g.terms:
+            e = (j, i) if swap else (i, j)
+            image[e] = coeff * sx ** e[0] * sy ** e[1]
+        scale = image.get(lead_exps, 0) / lead_coeff
+        if scale and image == {e: c * scale for e, c in form.terms}:
+            return True
     return False
 
 
@@ -364,16 +355,9 @@ def classify_germ(g: Germ) -> SingularityClass:
     * corank 2 -> exact match against the two umbilic cubics up to scaling,
       variable swap and sign flips.
 
-    Everything else is ``Unclassified`` with the computed corank.
+    Everything else is ``Unclassified`` with the computed corank.  The
+    umbilic search compares coefficient tables; nothing is cached.
     """
-    return _classify(g.nvars, g.terms)
-
-
-@lru_cache(maxsize=1024)
-def _classify(nvars: int, terms) -> SingularityClass:
-    # Keyed on the terms, not the Germ, so a lookup hashes no germ.  The
-    # bound keeps a long-lived process from growing without limit.
-    g = Germ(nvars, terms)
     if g.constant_term != 0 or any(g.gradient_at_zero()):
         return SingularityClass(REGULAR, 0, 0)
     if g.is_zero:

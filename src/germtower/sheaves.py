@@ -305,15 +305,10 @@ def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
     """Replace every germ by the catalogue normal form and mark the sheaf starred.
 
     Corank-1 forms need 1-dimensional sections, umbilics need 2-dimensional
-    ones; a mismatch is rejected rather than embedded.
+    ones; ``map_germs`` rejects a mismatch rather than embedding it.
     """
     cls = CATALOGUE.get(c if isinstance(c, str) else c.name)
     if cls is None:
         raise ValueError("only catalogue classes can be injected")
     germ = normal_form(cls.name)
-    for idx, old in zip(s.carrier, s.germs):
-        if old.nvars != germ.nvars:
-            raise ValueError(
-                f"{cls.name} lives in {germ.nvars} variable(s) but section {idx} is {old.nvars}-dimensional"
-            )
     return s.map_germs(lambda _: germ, singular=True)

@@ -94,6 +94,14 @@ def test_blowup_swallowtail_covering():
     assert all(frac == pytest.approx(3 / 5) for _, frac in result.coverage)
 
 
+def test_blowup_tags_the_next_level_and_refuses_the_outermost():
+    for base, covering in ((ST, MG), (MG, M)):
+        seed = starred(SWALLOWTAIL).replace(level=base)
+        assert blow_up(deform(seed)).covering.level == covering
+    with pytest.raises(ValueError, match="outermost"):
+        blow_up(deform(starred(FOLD).replace(level=M)))
+
+
 def test_blowup_coverings_per_class():
     expected = {
         FOLD: "x",

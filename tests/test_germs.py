@@ -1,5 +1,6 @@
 """Jet arithmetic, catalogue classification, and versal unfoldings."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,7 @@ from germtower import (
     normal_form,
     versal_unfold,
 )
+import germtower.germs as germs_module
 from germtower.germs import (
     CUSP,
     ELLIPTIC_UMBILIC,
@@ -275,6 +277,39 @@ def test_unclassified_cases_stay_unclassified():
     assert (got.name, got.corank, got.codim) == (UNCLASSIFIED, 1, 4)
     # corank-1 germ with a shear quadratic is outside the search set
     assert classify_germ(Germ.from_coeffs(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 3): 1})).name == UNCLASSIFIED
+
+
+def reference_matches_cubic_form(g: Germ, form: Germ) -> bool:
+    """The earlier umbilic search, which built each swap and sign-flip image
+    and each scaled form as a germ; kept as the oracle of the table search."""
+    lead_exps, lead_coeff = form.terms[0]
+    for swap, sx, sy in product((False, True), (1, -1), (1, -1)):
+        out = {}
+        for (i, j), coeff in g.terms:
+            e = (j, i) if swap else (i, j)
+            out[e] = coeff * sx ** e[0] * sy ** e[1]
+        h = Germ.from_coeffs(2, out)
+        scale = h.coefficient(lead_exps) / lead_coeff
+        if scale != 0 and h == form.scale(scale):
+            return True
+    return False
+
+
+def test_umbilic_search_agrees_with_the_germ_building_search(monkeypatch):
+    # every binary cubic with coefficients in {-3, -1, 0, 1, 3}
+    cubics = [
+        Germ.from_coeffs(2, dict(zip(((3, 0), (2, 1), (1, 2), (0, 3)), coeffs)))
+        for coeffs in product((-3, -1, 0, 1, 3), repeat=4)
+    ]
+    got = [classify_germ(g) for g in cubics]
+    monkeypatch.setattr(germs_module, "_matches_cubic_form", reference_matches_cubic_form)
+    assert [classify_germ(g) for g in cubics] == got
+    assert Counter(cls.name for cls in got) == {
+        UNCLASSIFIED: 612,
+        HYPERBOLIC_UMBILIC: 8,
+        ELLIPTIC_UMBILIC: 4,
+        REGULAR: 1,
+    }
 
 
 NONZERO = st.fractions(-9, 9, max_denominator=7).filter(bool)

@@ -22,6 +22,7 @@ from germtower import (
     run_pipeline,
 )
 from germtower.cuspidal import EllipticSemimodule
+from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
 from germtower.pipeline import (
     MAX_SAMPLES,
@@ -387,6 +388,50 @@ def test_a_run_builds_no_mirror_sheaf_and_hashes_each_germ_object_once(monkeypat
             counts[key] = 0
         run_pipeline(config).json_text()
         assert counts == {"left": 0, "built": 21, "hash": hashes}
+
+
+def test_every_part_carries_its_level_tag():
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    for config in (golden, make_config(), make_config(scenario="hyperbolic-umbilic")):
+        for level in run_pipeline(config).stack.levels:
+            for part in filter(None, (level.reduced, level.orthogonal)):
+                assert part.right.level == part.left.level == level.label
+
+
+def test_two_runs_in_one_process_build_the_same_germs(monkeypatch):
+    # classify_germ keeps no state, so a repeated run, and a repeated
+    # umbilic classification, build exactly the germs the first one built
+    import germtower.blowup as blowup_module
+    import germtower.germs as germs_module
+    import germtower.pipeline as pipeline_module
+
+    counts = {"built": 0, "classified": 0}
+    from_coeffs, classify = Germ.from_coeffs, germs_module.classify_germ
+
+    def building(*args):
+        counts["built"] += 1
+        return from_coeffs(*args)
+
+    def classifying(germ):
+        counts["classified"] += 1
+        return classify(germ)
+
+    monkeypatch.setattr(Germ, "from_coeffs", staticmethod(building))
+    for module in (germs_module, blowup_module, pipeline_module):
+        monkeypatch.setattr(module, "classify_germ", classifying)
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    umbilic = make_config(scenario="hyperbolic-umbilic")
+    # a swapped, flipped and scaled hyperbolic umbilic no other test builds
+    rotated = {"nvars": 2, "coeffs": [[[0, 3], "-7/13"], [[3, 0], "7/13"]]}
+    passes = []
+    for _ in range(2):
+        for key in counts:
+            counts[key] = 0
+        for config in (golden, umbilic):
+            run_pipeline(config).json_text()
+        assert germs_module.classify_germ(germ_from_json(rotated)).name == HYPERBOLIC_UMBILIC
+        passes.append(dict(counts))
+    assert passes[0] == passes[1]
 
 
 def _passed(report) -> dict:
