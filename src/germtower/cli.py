@@ -200,12 +200,12 @@ def _cmd_unfold(args) -> int:
 
 
 def _print_level_summary(report) -> None:
-    print(f"rule {report.rule}; levels: {', '.join(r['label'] for r in report.level_rows)}")
-    for row in report.level_rows:
-        orth = 0 if row["orthogonal"] is None else len(row["orthogonal"]["right"])
+    print(f"rule {report.rule}; levels: {', '.join(r.label for r in report.records)}")
+    for record in report.records:
+        orth = 0 if record.orthogonal is None else len(record.orthogonal[0].modes)
         print(
-            f"  {row['label']}: {len(row['weil_side'])} weil classes = "
-            f"{len(row['reduced']['right'])} reduced + {orth} orthogonal mode pairs"
+            f"  {record.label}: {len(record.weil_side)} weil classes = "
+            f"{len(record.reduced[0].modes)} reduced + {orth} orthogonal mode pairs"
         )
     for line in report.cascade:
         print(f"  cascade: {line}")

@@ -61,12 +61,6 @@ class EllipticSemimodule(NamedTuple):
     def mode_indices(self) -> tuple[ClassIndex, ...]:
         return tuple(ClassIndex(mode.mu, mode.m) for mode in self.modes)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"mu": mode.mu, "m": mode.m, "amplitude": mode.amplitude, "sign": mode.sign}
-            for mode in self.modes
-        ]
-
 
 def compactify(
     s: Semisheaf,

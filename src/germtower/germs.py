@@ -258,19 +258,22 @@ CATALOGUE: dict[str, SingularityClass] = {
 _POWER_NAMES = {3: FOLD, 4: CUSP, 5: SWALLOWTAIL}
 
 
+# The catalogue normal forms, built once: a germ is an immutable value.
+_NORMAL_FORMS = {
+    FOLD: Germ.monomial(1, (3,)),
+    CUSP: Germ.monomial(1, (4,)),
+    SWALLOWTAIL: Germ.monomial(1, (5,)),
+    ELLIPTIC_UMBILIC: Germ.from_coeffs(2, {(3, 0): 1, (1, 2): -3}),
+    HYPERBOLIC_UMBILIC: Germ.from_coeffs(2, {(3, 0): 1, (0, 3): 1}),
+}
+
+
 def normal_form(name: str) -> Germ:
-    """Catalogue normal form with unit leading coefficient."""
-    if name == FOLD:
-        return Germ.monomial(1, (3,))
-    if name == CUSP:
-        return Germ.monomial(1, (4,))
-    if name == SWALLOWTAIL:
-        return Germ.monomial(1, (5,))
-    if name == ELLIPTIC_UMBILIC:
-        return Germ.from_coeffs(2, {(3, 0): 1, (1, 2): -3})
-    if name == HYPERBOLIC_UMBILIC:
-        return Germ.from_coeffs(2, {(3, 0): 1, (0, 3): 1})
-    raise ValueError(f"no normal form for {name!r}")
+    """Catalogue normal form with unit leading coefficient, one object per name."""
+    form = _NORMAL_FORMS.get(name)
+    if form is None:
+        raise ValueError(f"no normal form for {name!r}")
+    return form
 
 
 def _hessian_rank(h) -> int:

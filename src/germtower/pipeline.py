@@ -6,17 +6,22 @@ insertion order, floats printed with 17 significant digits) rather than by
 the standard library encoder, whose float formatting cannot be pinned.  The
 emitter walks the report once, appending chunks in output order, and escapes
 strings through one translation table (quote, backslash, control characters).
+The level rows, most of a deep report, skip the walk: ``_write_levels``
+writes them as text from the level records, each class's text formatted once.
 
 The oscillator constancy diagnostic computes each bistring variance exactly,
 as ``statistics.pvariance`` does, but from integer sums over the common
 power-of-two denominator of the samples instead of ``Fraction`` arithmetic.
+Each distinct ``(mu, right amplitude, left amplitude)`` is computed once per run.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import statistics
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
@@ -326,7 +331,13 @@ _ESCAPES[ord("\\")] = "\\\\"
 _BLOCK_CHUNKS = 2048
 
 
-def dumps_canonical(obj) -> str:
+def _float_text(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError("reports may not contain NaN or infinity")
+    return format(value, ".17g")
+
+
+def dumps_canonical(obj, pad: str = "") -> str:
     """Serialize to JSON with pinned float formatting (17 significant digits).
 
     One recursive walk appends the text in output order, each container
@@ -335,6 +346,7 @@ def dumps_canonical(obj) -> str:
     are escaped through the one ``str.translate`` table ``_ESCAPES``.  Keys
     are ``str(key)``, ints ``str(value)``, floats ``format(value, ".17g")``;
     NaN and infinity raise ``ValueError`` and any other type ``TypeError``.
+    ``pad`` is the indent of the line that ``obj`` starts on.
     """
     blocks: list[str] = []
     chunks: list[str] = []
@@ -352,9 +364,7 @@ def dumps_canonical(obj) -> str:
         elif isinstance(obj, int):
             append(str(obj))
         elif isinstance(obj, float):
-            if math.isnan(obj) or math.isinf(obj):
-                raise ValueError("reports may not contain NaN or infinity")
-            append(format(obj, ".17g"))
+            append(_float_text(obj))
         elif isinstance(obj, (list, tuple)):
             if not obj:
                 append("[]")
@@ -383,7 +393,7 @@ def dumps_canonical(obj) -> str:
             blocks.append("".join(chunks))
             chunks.clear()
 
-    emit(obj, "")
+    emit(obj, pad)
     blocks.append("".join(chunks))
     return "".join(blocks)
 
@@ -396,11 +406,11 @@ _DIAG_SAMPLES = (0.0, 0.37, 0.75, 1.5, 2.25, -0.6)
 
 
 class Report(NamedTuple):
-    """The report's sections, plus the level stack they were read from."""
+    """The report's sections; the level rows are written from ``records`` and ``stack``."""
 
     config: dict
     rule: int
-    level_rows: list[dict]
+    records: tuple[LevelRecord, ...]
     cascade: tuple[str, ...]
     expansions: dict
     diagnostics: list[dict]
@@ -409,18 +419,80 @@ class Report(NamedTuple):
     def all_diagnostics_passed(self) -> bool:
         return all(d["passed"] for d in self.diagnostics)
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "rule": self.rule,
-            "levels": self.level_rows,
-            "cascade": list(self.cascade),
-            "expansions": self.expansions,
-            "diagnostics": self.diagnostics,
-        }
+    @property
+    def level_rows(self) -> list[dict]:
+        """The report's ``levels`` section, read back from ``json_text``."""
+        return json.loads(self.json_text())["levels"]
 
     def json_text(self) -> str:
-        return dumps_canonical(self.to_json()) + "\n"
+        out = ['{\n  "config": ', dumps_canonical(self.config, "  ")]
+        out.append(f',\n  "rule": {self.rule},\n  "levels": ')
+        _write_levels(out, self.stack.levels, self.records)
+        for key in ("cascade", "expansions", "diagnostics"):
+            out += (f',\n  "{key}": ', dumps_canonical(getattr(self, key), "  "))
+        out.append("\n}\n")
+        return "".join(out)
+
+
+# Every level row sits at one depth of the report: its keys at 6 spaces.
+_I6, _I8, _I10, _I12 = (" " * n for n in (6, 8, 10, 12))
+_SIGN_ENDS = {sign: f"{sign}\n{_I10}}}" for sign in (-1, 1)}
+_OPEN, _CLOSE = f"\n{_I8}[", f"\n{_I8}]"
+
+
+def _write_levels(out: list[str], levels: Sequence[Level], records: Sequence[LevelRecord]) -> None:
+    """Append the report's ``levels`` list to ``out``, written straight from
+    each level and its record.  A class prints the same in every row, so
+    its ``[mu, m]`` list, Weil entry and mode prefix up to ``"sign": `` are
+    formatted once per call; the prefix is shared by both signs."""
+    append, extend = out.append, out.extend
+    index = cache(lambda i: f"\n{_I10}[\n{_I12}{i.mu},\n{_I12}{i.m}\n{_I10}]")
+    fraction = cache(lambda f: f",\n{_I10}{_float_text(f)}")
+    weil = cache(
+        lambda w: f'\n{_I8}{{\n{_I10}"mu": {w.mu},\n{_I10}"m": {w.m},\n'
+        f'{_I10}"degree": {w.degree}\n{_I8}}}'
+    )
+    prefix = cache(
+        lambda mu, m, amplitude: f'\n{_I10}{{\n{_I12}"mu": {mu},\n{_I12}"m": {m},\n'
+        f'{_I12}"amplitude": {_float_text(amplitude)},\n{_I12}"sign": '
+    )
+
+    def listed(pad: str, items) -> None:
+        """Append a list of items, each a tuple of chunks; None is null."""
+        if items is None:
+            return append("null")
+        sep = "["
+        for chunks in items:
+            append(sep)
+            extend(chunks)
+            sep = ","
+        append("[]" if sep == "[" else f"\n{pad}]")
+
+    sep = "["
+    for level, record in zip(levels, records):
+        tower = level.reduced.tower
+        shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
+        append(f'{sep}\n    {{\n{_I6}"label": {dumps_canonical(level.label)},\n{_I6}"tower": ')
+        append(f'{dumps_canonical(shape, _I6)},\n{_I6}"weil_side": ')
+        listed(_I6, ((weil(w),) for w in record.weil_side))
+        for key, pair in (("reduced", record.reduced), ("orthogonal", record.orthogonal)):
+            append(f',\n{_I6}"{key}": ')
+            if pair is None:
+                append("null")
+                continue
+            for mark, side, semimodule in zip("{,", ("right", "left"), pair):
+                append(f'{mark}\n{_I8}"{side}": ')
+                modes = semimodule.modes
+                listed(_I8, ((prefix(m.mu, m.m, m.amplitude), _SIGN_ENDS[m.sign]) for m in modes))
+            append(f"\n{_I6}}}")
+        append(f',\n{_I6}"mode_pairs": {record.mode_pair_count()},\n{_I6}"cover": ')
+        cover, coverage = level.cover, level.coverage
+        listed(_I6, cover and ((_OPEN, index(a), ",", index(b), _CLOSE) for a, b in cover))
+        append(f',\n{_I6}"coverage": ')
+        listed(_I6, coverage and ((_OPEN, index(i), fraction(f), _CLOSE) for i, f in coverage))
+        append("\n    }")
+        sep = ","
+    append("\n  ]")
 
 
 def _default_template(scenario: str | None) -> Callable[[ClassIndex], Germ]:
@@ -446,33 +518,6 @@ def emit_expansion(level_labels: Sequence[str]) -> dict:
     }
 
 
-def _pair_json(pair: tuple[EllipticSemimodule, EllipticSemimodule] | None) -> dict | None:
-    return None if pair is None else {"right": pair[0].to_json(), "left": pair[1].to_json()}
-
-
-def _level_row(level: Level, record: LevelRecord) -> dict:
-    return {
-        "label": level.label,
-        "tower": {
-            "quantum_modulus": level.reduced.tower.quantum_modulus,
-            "offset": level.reduced.tower.offset,
-            "depth": level.reduced.tower.depth,
-        },
-        "weil_side": [
-            {"mu": w.mu, "m": w.m, "degree": w.degree} for w in record.weil_side
-        ],
-        "reduced": _pair_json(record.reduced),
-        "orthogonal": _pair_json(record.orthogonal),
-        "mode_pairs": record.mode_pair_count(),
-        "cover": None
-        if level.cover is None
-        else [[list(a), list(b)] for a, b in level.cover],
-        "coverage": None
-        if level.coverage is None
-        else [[list(idx), frac] for idx, frac in level.coverage],
-    }
-
-
 def _pvariance(values: Sequence[float]) -> float:
     """``statistics.pvariance`` of floats, bit for bit, without ``Fraction``.
 
@@ -494,16 +539,21 @@ def _pvariance(values: Sequence[float]) -> float:
     return (count * s2 - s1 * s1) / (count * count * scale * scale)
 
 
-def _bistring_variances(record: LevelRecord) -> list[float]:
+def _bistring_variances(records: Sequence[LevelRecord]) -> list[float]:
+    """Every mode pair's bistring modulus variance, in record order; a
+    variance depends on the modes' ``mu`` and amplitudes alone, so each
+    distinct key is computed once per call."""
+    memo: dict[tuple, float] = {}
     out = []
-    for right, left in record.pairs():
+    for right, left in (pair for record in records for pair in record.pairs()):
         for mr, ml in zip(right.modes, left.modes):
-            values = bistring_modulus(mr, ml, _DIAG_SAMPLES)
-            try:
-                out.append(_pvariance(values))
-            except OverflowError:
-                # the variance is finite but beyond the float range
-                out.append(math.inf)
+            key = (mr.mu, ml.mu, mr.amplitude, ml.amplitude)
+            if key not in memo:
+                try:
+                    memo[key] = _pvariance(bistring_modulus(mr, ml, _DIAG_SAMPLES))
+                except OverflowError:  # the variance is finite but beyond the float range
+                    memo[key] = math.inf
+            out.append(memo[key])
     return out
 
 
@@ -514,41 +564,14 @@ def _diagnostics(
 ) -> list[dict]:
     """The four report diagnostics.  ``desingularized`` maps each distinct
     desingularized germ to the first level and class that holds it."""
-    diags = []
-
     bijection = all(rec.bijection_holds() for rec in records)
-    diags.append(
-        {
-            "name": "level_bijection",
-            "passed": bijection,
-            "detail": f"{len(records)} level(s): weil classes equal cuspidal mode pairs",
-        }
-    )
-
     partition_ok = all(
         level.orthogonal is None
         or set(level.reduced.indices()).isdisjoint(level.orthogonal.indices())
         for level in stack.levels
     )
-    diags.append(
-        {
-            "name": "split_partition",
-            "passed": partition_ok,
-            "detail": "reduced and orthogonal parts partition every carrier",
-        }
-    )
-
-    variances = [v for rec in records for v in _bistring_variances(rec)]
-    osc_ok = all(v < 1e-12 for v in variances)
+    variances = _bistring_variances(records)
     worst = max(variances) if variances else 0.0
-    diags.append(
-        {
-            "name": "oscillator_constancy",
-            "passed": osc_ok,
-            "detail": f"max bistring modulus variance {worst:.3e}",
-        }
-    )
-
     for germ, (label, idx) in desingularized.items():
         cls = classify_germ(germ)
         if cls.name not in (REGULAR, MORSE):
@@ -561,8 +584,15 @@ def _diagnostics(
     else:
         classify_ok = True
         detail = "post-desingularization germs classify Regular or Morse"
-    diags.append({"name": "desingularized_sections", "passed": classify_ok, "detail": detail})
-    return diags
+    counted = f"{len(records)} level(s): weil classes equal cuspidal mode pairs"
+    constant = all(v < 1e-12 for v in variances)
+    diags = (
+        ("level_bijection", bijection, counted),
+        ("split_partition", partition_ok, "reduced and orthogonal parts partition every carrier"),
+        ("oscillator_constancy", constant, f"max bistring modulus variance {worst:.3e}"),
+        ("desingularized_sections", classify_ok, detail),
+    )
+    return [{"name": name, "passed": ok, "detail": text} for name, ok, text in diags]
 
 
 def run_pipeline(config: PipelineConfig) -> Report:
@@ -615,13 +645,12 @@ def run_pipeline(config: PipelineConfig) -> Report:
     ]
 
     diagnostics = _diagnostics(stack, records, desingularized)
-    rows = [_level_row(level, rec) for level, rec in zip(stack.levels, records)]
     expansions = emit_expansion([level.label for level in stack.levels])
 
     return Report(
         config=config_to_json(config),
         rule=stack.rule,
-        level_rows=rows,
+        records=tuple(records),
         cascade=stack.cascade,
         expansions=expansions,
         diagnostics=diagnostics,

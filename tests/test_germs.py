@@ -234,6 +234,26 @@ def test_catalogue_normal_forms_classify_exactly():
         assert got == cls
 
 
+def test_normal_forms_are_shared_and_a_classification_builds_none(monkeypatch):
+    for name in CATALOGUE:
+        assert normal_form(name) is normal_form(name)
+    for name in (MORSE, UNCLASSIFIED, "Butterfly"):
+        with pytest.raises(ValueError, match="no normal form"):
+            normal_form(name)
+    forms = {normal_form(name) for name in CATALOGUE}
+    germ = normal_form(HYPERBOLIC_UMBILIC)
+    built = []
+    from_coeffs = Germ.from_coeffs
+
+    def building(*args):
+        built.append(from_coeffs(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Germ, "from_coeffs", staticmethod(building))
+    assert classify_germ(germ).name == HYPERBOLIC_UMBILIC
+    assert [g for g in built if g in forms] == []
+
+
 def test_regular_and_morse():
     assert classify_germ(Germ.from_coeffs(1, {(0,): 1, (3,): 1})).name == REGULAR
     assert classify_germ(Germ.from_coeffs(2, {(1, 0): 2})).name == REGULAR

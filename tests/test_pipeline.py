@@ -3,10 +3,11 @@
 import json
 import math
 import statistics
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from germtower import (
@@ -21,11 +22,13 @@ from germtower import (
     level_record,
     run_pipeline,
 )
-from germtower.cuspidal import EllipticSemimodule
+from germtower.cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
 from germtower.pipeline import (
+    _DIAG_SAMPLES,
     MAX_SAMPLES,
+    _bistring_variances,
     _pvariance,
     emit_expansion,
     normalize_scenario,
@@ -180,6 +183,11 @@ def test_dumps_canonical_large_report_is_exact():
     assert '"s": "r2999\\u0009"\n    }\n  ]\n}' in text
 
 
+def test_dumps_canonical_starts_at_the_given_indent():
+    assert dumps_canonical({"a": [1]}, "    ") == '{\n      "a": [\n        1\n      ]\n    }'
+    assert dumps_canonical([], "  ") == "[]"
+
+
 def test_dumps_canonical_floats_roundtrip():
     for value in (0.1, 1 / 3, 2.0, 1e-17, 123456.789, -0.75):
         assert json.loads(dumps_canonical(value)) == value
@@ -205,6 +213,40 @@ def test_pvariance_matches_statistics_bit_for_bit(values):
     got = _pvariance(values)
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+AMPLITUDES = st.sampled_from([0.0, -0.0, 0.5, 3.0, 5e-324, 1e200, 1e300]) | st.floats(0, 1e308)
+
+
+def _bistring_record(pairs) -> LevelRecord:
+    right = tuple(Mode(mu, 1, amp, -1) for mu, amp, _ in pairs)
+    left = tuple(Mode(mu, 1, amp, 1) for mu, _, amp in pairs)
+    return LevelRecord("ST", (), (EllipticSemimodule(RIGHT, right), EllipticSemimodule(LEFT, left)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 3), AMPLITUDES, AMPLITUDES), min_size=1, max_size=6),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([[(2, 0.0, 1.5), (2, -0.0, 1.5), (2, 1.5, -0.0)]])
+@example([[(1, 1e300, 1e300), (1, 1e300, 1e300)], [(3, 1e200, 1e200), (1, 1e300, 1e300)]])
+def test_memoized_variances_equal_each_pairs_own(parts):
+    # one variance per distinct (mu, amplitudes) key; each must be the one
+    # its pair computes alone, bit for bit, signed zeros and overflow included
+    records = [_bistring_record(pairs) for pairs in parts]
+    expected = []
+    for record in records:
+        right, left = record.reduced
+        for mr, ml in zip(right.modes, left.modes):
+            try:
+                expected.append(_pvariance(bistring_modulus(mr, ml, _DIAG_SAMPLES)))
+            except OverflowError:
+                expected.append(math.inf)
+    assert list(map(repr, _bistring_variances(records))) == list(map(repr, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +537,108 @@ def test_report_bytes_deterministic():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)["rule"] == 3
+
+
+def _reference_pair(pair):
+    if pair is None:
+        return None
+    return {
+        side: [
+            {"mu": mode.mu, "m": mode.m, "amplitude": mode.amplitude, "sign": mode.sign}
+            for mode in semimodule.modes
+        ]
+        for side, semimodule in zip(("right", "left"), pair)
+    }
+
+
+def _reference_row(level, record) -> dict:
+    return {
+        "label": level.label,
+        "tower": {
+            "quantum_modulus": level.reduced.tower.quantum_modulus,
+            "offset": level.reduced.tower.offset,
+            "depth": level.reduced.tower.depth,
+        },
+        "weil_side": [{"mu": w.mu, "m": w.m, "degree": w.degree} for w in record.weil_side],
+        "reduced": _reference_pair(record.reduced),
+        "orthogonal": _reference_pair(record.orthogonal),
+        "mode_pairs": record.mode_pair_count(),
+        "cover": None if level.cover is None else [[list(a), list(b)] for a, b in level.cover],
+        "coverage": None
+        if level.coverage is None
+        else [[list(idx), frac] for idx, frac in level.coverage],
+    }
+
+
+def reference_report(report) -> dict:
+    """The report as one dict, its level rows built as dicts, one per level."""
+    return {
+        "config": report.config,
+        "rule": report.rule,
+        "levels": [
+            _reference_row(level, record)
+            for level, record in zip(report.stack.levels, report.records, strict=True)
+        ],
+        "cascade": list(report.cascade),
+        "expansions": report.expansions,
+        "diagnostics": report.diagnostics,
+    }
+
+
+TABLE_AMPLITUDES = st.sampled_from([0.1, 5e-324, 1e300, -0.0, 0, 7, 2.5]) | st.integers(0, 10**20)
+SCENARIO_NAMES = [None, "fold", "cusp", "swallowtail", "elliptic-umbilic", "hyperbolic-umbilic"]
+
+
+@st.composite
+def report_configs(draw) -> PipelineConfig:
+    # the even-class convention needs an even class in every part, so it
+    # draws from the deeper towers and the rules that leave one there
+    even = draw(st.booleans())
+    modulus = draw(st.integers(1, 3))
+    depth = draw(st.integers(4 if even else 1, 8))
+    multiplicity = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+    tower = TowerConfig(modulus, draw(st.integers(0, modulus - 1)), depth, tuple(multiplicity))
+    rules = ["mu<=H", "mu<=2"] if even else ["mu<=H", "mu%2==0", "mu%2==1", "mu>1", "mu>=3"]
+    amplitude = draw(st.sampled_from(["unit", "mu", "table"]))
+    if amplitude == "table":
+        keys = [f"{mu},{m}" for mu, n in enumerate(multiplicity, 1) for m in range(1, n + 1)]
+        amplitude = {"table": {key: draw(TABLE_AMPLITUDES) for key in keys}}
+    try:
+        return PipelineConfig(
+            tower,
+            draw(st.sampled_from(SCENARIO_NAMES)),
+            draw(st.sampled_from(rules)),
+            amplitude=amplitude,
+            covering_depths=draw(st.none() | st.tuples(*[st.integers(1, depth)] * 2)),
+            even_classes=even,
+        )
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_configs())
+def test_rows_writer_matches_the_dict_reference(config):
+    report = run_pipeline(config)
+    reference = reference_report(report)
+    assert report.json_text() == dumps_canonical(reference) + "\n"
+    assert report.level_rows == reference["levels"]
+
+
+def test_deep_report_text_peaks_below_two_and_a_half_times_its_length():
+    # a depth-888 swallowtail, the benchmark's deep shape: most of its
+    # report is level rows, which are written without a dict per row
+    config = make_config(tower=TowerConfig(2, 0, 888), reduce_rule="mu<=H")
+    report = run_pipeline(config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = report.json_text()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 800_000
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_amplitude_mu_flows_into_modes():
