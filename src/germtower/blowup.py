@@ -77,7 +77,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
 
 class BlowupResult(NamedTuple):
     covering: Semisheaf
-    coverage: tuple[tuple[ClassIndex, float], ...]
+    fraction: float
 
 
 def blow_up(bundle: DeformedBundle) -> BlowupResult:
@@ -85,11 +85,11 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
 
     The blowup is maximal: every monomial is detached whole, so the covering
     carries their sum at every base index.  It is tagged with the next level
-    out (ST -> MG -> M), so an M-level base is refused.  ``coverage`` gives
-    each class the glued degree as a fraction of its base degree, capped at
-    1.  The fraction is computed once: ``deform`` admits one catalogue class
-    over the base, and all germs of a catalogue class share one total degree
-    (Fold and the umbilics 3, Cusp 4, Swallowtail 5).
+    out (ST -> MG -> M), so an M-level base is refused.  ``fraction`` is the
+    glued degree as a fraction of the base degree, capped at 1, and holds
+    for every class: ``deform`` admits one catalogue class over the base,
+    and all germs of a catalogue class share one total degree (Fold and the
+    umbilics 3, Cusp 4, Swallowtail 5).
     """
     if not bundle.fiber:
         raise ValueError("cannot blow up a bundle with an empty fiber")
@@ -99,10 +99,9 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     for _, mono in bundle.fiber:
         glued = glued + mono
     fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
-    coverage = tuple((idx, fraction) for idx in bundle.base.carrier)
     level = LEVELS[LEVELS.index(bundle.base.level) + 1]
     covering = bundle.base.map_germs(lambda _: glued, level=level, singular=False, role=None)
-    return BlowupResult(covering, coverage)
+    return BlowupResult(covering, fraction)
 
 
 def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
@@ -153,16 +152,16 @@ class Level(NamedTuple):
 
     The two parts carry complementary shifted natures (one time, one space),
     forming the level's paired space-time record.  ``cover`` maps every class
-    of the previous level to the class covering it here; ``coverage`` keeps
-    the blowup's per-class degree fractions.  Both are None on the inner
-    level.
+    of the previous level to the class covering it here; ``coverage`` holds
+    the blowup base's classes and the degree fraction that covers each of
+    them.  Both are None on the inner level.
     """
 
     label: str
     reduced: Bisemisheaf
     orthogonal: Bisemisheaf | None
     cover: tuple[tuple[ClassIndex, ClassIndex], ...] | None = None
-    coverage: tuple[tuple[ClassIndex, float], ...] | None = None
+    coverage: tuple[tuple[ClassIndex, ...], float] | None = None
 
 
 class LevelStack(Record):
@@ -327,10 +326,11 @@ def generate_levels(
         )
         covering = result.covering
         if step.depth < covering.tower.depth:
-            tower = covering.tower.truncated(step.depth)
-            covering = covering.restrict(lambda idx: idx.mu <= step.depth, tower=tower)
+            carrier = covering.carrier.truncated(step.depth)
+            germs = covering.germs[: len(carrier)]
+            covering = covering.replace(tower=carrier.tower, carrier=carrier, germs=germs)
         time, residual = time_space_lift(covering, set(step.reduced).__contains__)
         parts = Bisemisheaf(residual), _pair_or_none(time)
-        levels.append(Level(step.label, *parts, step.cover, result.coverage))
+        levels.append(Level(step.label, *parts, step.cover, (seed.carrier, result.fraction)))
 
     return LevelStack(tuple(levels), len(plan), tuple(cascade))

@@ -33,7 +33,14 @@ from .pipeline import (
     run_pipeline,
     samples_csv,
 )
-from .tower import LEFT, RIGHT, build_tower, tower_config_from_json, tower_config_to_json
+from .tower import (
+    LEFT,
+    RIGHT,
+    ClassIndex,
+    build_tower,
+    tower_config_from_json,
+    tower_config_to_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,14 +104,20 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-def load_json(text: str):
-    """Parse one JSON input; an object that repeats a key is an error naming it."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+def load_json(text: str, source: str):
+    """Parse one JSON input named ``source``; an object that repeats a key,
+    or nesting too deep for the parser, is an error naming it."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nests too deeply to parse") from None
 
 
 def _load_json_file(path: str):
     """``load_json`` of a file's text, or of stdin for ``-``."""
-    return load_json(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
+    if path == "-":
+        return load_json(sys.stdin.read(), "stdin")
+    return load_json(Path(path).read_text(encoding="utf-8"), path)
 
 
 def _given(args, keys) -> dict:
@@ -166,11 +179,12 @@ def _cmd_tower(args) -> int:
 def _cmd_classify(args) -> int:
     stream = sys.stdin if args.file in (None, "-") else open(args.file, "r", encoding="utf-8")
     try:
-        for line in stream:
+        for number, line in enumerate(stream, 1):
             line = line.strip()
             if not line:
                 continue
-            cls = classify_germ(germ_from_json(load_json(line)))
+            source = f"{'stdin' if stream is sys.stdin else args.file} line {number}"
+            cls = classify_germ(germ_from_json(load_json(line, source)))
             print(f"{cls.name} corank={cls.corank} codim={cls.codim}")
     finally:
         if stream is not sys.stdin:
@@ -186,7 +200,7 @@ def _cmd_unfold(args) -> int:
     elif args.germ is None:
         raise ValueError("unfold needs --name or --germ")
     else:
-        cls = classify_germ(germ_from_json(load_json(args.germ)))
+        cls = classify_germ(germ_from_json(load_json(args.germ, "--germ")))
         if cls.name not in CATALOGUE:
             raise ValueError(f"germ classifies {cls.name}; no unfolding to print")
         name = cls.name
@@ -202,10 +216,10 @@ def _cmd_unfold(args) -> int:
 def _print_level_summary(report) -> None:
     print(f"rule {report.rule}; levels: {', '.join(r.label for r in report.records)}")
     for record in report.records:
-        orth = 0 if record.orthogonal is None else len(record.orthogonal[0].modes)
+        reduced, *orthogonal = (len(part.carrier) for part in record.parts)
         print(
-            f"  {record.label}: {len(record.weil_side)} weil classes = "
-            f"{len(record.reduced[0].modes)} reduced + {orth} orthogonal mode pairs"
+            f"  {record.label}: {len(record.weil)} weil classes = "
+            f"{reduced} reduced + {sum(orthogonal)} orthogonal mode pairs"
         )
     for line in report.cascade:
         print(f"  cascade: {line}")
@@ -247,8 +261,9 @@ def _cmd_expand(args) -> int:
 _MODE_KEYS = {"mu", "m", "amplitude", "sign"}
 
 
-def _modes_from_json(data) -> tuple[Mode, ...]:
-    """A non-empty JSON list of modes: integer mu, m and one shared sign, finite amplitudes.
+def _semimodule_from_json(data) -> EllipticSemimodule:
+    """The semimodule of a non-empty JSON list of modes: integer mu, m and
+    one shared sign, finite amplitudes.
 
     ``mu`` must fit a float, as evaluation multiplies it into a phase.
     """
@@ -275,13 +290,13 @@ def _modes_from_json(data) -> tuple[Mode, ...]:
         modes.append(Mode(item["mu"], item["m"], amplitude, item["sign"]))
     if len({mode.sign for mode in modes}) != 1:
         raise ValueError("the modes in one file must share one sign")
-    return tuple(modes)
+    side = LEFT if modes[0].sign == 1 else RIGHT
+    carrier = tuple(ClassIndex(mode.mu, mode.m) for mode in modes)
+    return EllipticSemimodule(side, carrier, tuple(mode.amplitude for mode in modes))
 
 
 def _cmd_samples(args) -> int:
-    modes = _modes_from_json(_load_json_file(args.modes_file))
-    side = LEFT if modes[0].sign == 1 else RIGHT
-    esm = EllipticSemimodule(side, modes)
+    esm = _semimodule_from_json(_load_json_file(args.modes_file))
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)
     if args.csv:
         _out_path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -7,9 +7,13 @@ at the same class behave like the two strings of a harmonic bistring whose
 pointwise modulus is constant.  One builder, ``level_record``, pairs a
 level's Weil-side class listing with its compactified reduced and orthogonal
 cuspidal parts; the pipeline calls it per level, and ``lgc`` (no split) and
-``lggc_st`` (split and project first) are routes into it.  It compactifies
-each part's right semisheaf once and gives the left mirror the same modes
-with sign +1, so a run builds no mirror sheaf.
+``lggc_st`` (split and project first) are routes into it.
+
+Records hold index rows, not objects: a semimodule is a side, a carrier of
+classes and one amplitude per class, and a record keeps its Weil classes
+and each part's right semimodule.  A left semimodule holds its right one's
+rows with sign +1, and ``Mode``s and ``WeilDescriptor``s are views built
+when read, so a run builds no mirror sheaf, mode or descriptor.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import cmath
 from typing import Callable, NamedTuple, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
-from .tower import LEFT, ClassIndex, Record, _set
+from .tower import LEFT, ClassIndex, Record, Tower, _set
 
 AmplitudeRule = Callable[[ClassIndex], float]
 
@@ -44,22 +48,31 @@ class Mode(Record):
 
 
 class EllipticSemimodule(NamedTuple):
-    """A one-sided sum of semicircle phasor modes."""
+    """A one-sided sum of semicircle phasor modes: one amplitude per class
+    of ``carrier``, with the side's sign; ``modes`` builds ``Mode`` views
+    when read."""
 
     side: str
-    modes: tuple[Mode, ...]
+    carrier: tuple[ClassIndex, ...]
+    amplitudes: tuple[float, ...]
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        sign = 1 if self.side == LEFT else -1
+        return tuple(Mode(mu, m, a, sign) for (mu, m), a in zip(self.carrier, self.amplitudes))
 
     def evaluate(self, x: float) -> complex:
+        sign = 1 if self.side == LEFT else -1
         return sum(
             (
-                mode.amplitude * cmath.exp(1j * mode.sign * cmath.pi * mode.mu * x)
-                for mode in self.modes
+                amplitude * cmath.exp(1j * sign * cmath.pi * mu * x)
+                for (mu, _), amplitude in zip(self.carrier, self.amplitudes)
             ),
             complex(0),
         )
 
     def mode_indices(self) -> tuple[ClassIndex, ...]:
-        return tuple(ClassIndex(mode.mu, mode.m) for mode in self.modes)
+        return self.carrier
 
 
 def compactify(
@@ -75,39 +88,34 @@ def compactify(
     """
     if not s.carrier:
         raise ValueError("cannot compactify an empty semisheaf")
-    rule = amplitude_rule or unit_amplitude
-    sign = 1 if s.side == LEFT else -1
-    modes = []
-    for idx in s.carrier:
-        if even_only and idx.mu % 2 != 0:
-            continue
-        amplitude = float(rule(idx))
+    carrier = s.carrier
+    if even_only:
+        carrier = carrier.restrict([idx.mu % 2 == 0 for idx in carrier])
+    amplitudes = tuple(map(float, map(amplitude_rule or unit_amplitude, carrier)))
+    for idx, amplitude in zip(carrier, amplitudes):
         if amplitude < 0:
             raise ValueError(f"amplitude rule is negative at class {idx}")
-        modes.append(Mode(idx.mu, idx.m, amplitude, sign))
-    if not modes:
+    if not carrier:
         raise ValueError("the even-class convention removed every section")
-    return EllipticSemimodule(s.side, tuple(modes))
+    return EllipticSemimodule(s.side, carrier, amplitudes)
 
 
-def bistring_modulus(
-    right_mode: Mode, left_mode: Mode, samples: Sequence[float]
-) -> list[float]:
+def bistring_modulus(right_mode, left_mode, samples: Sequence[float]) -> list[float]:
     """Pointwise modulus of a matched bistring product.
 
     The right string rotates with sign -1 and the left with +1 at the same
-    class, so the product's modulus is the constant ``r_R * r_L``.
+    class, so the product's modulus is the constant ``r_R * r_L``.  A string
+    is a ``Mode``, or any record with its ``mu``, ``amplitude`` and ``sign``.
     """
     if right_mode.sign != -1 or left_mode.sign != 1:
         raise ValueError("a bistring pairs a right (-1) mode with a left (+1) mode")
     if right_mode.mu != left_mode.mu:
         raise ValueError("matched bistring modes must share their class mu")
-    out = []
-    for x in samples:
-        zr = right_mode.amplitude * cmath.exp(-1j * cmath.pi * right_mode.mu * x)
-        zl = left_mode.amplitude * cmath.exp(1j * cmath.pi * left_mode.mu * x)
-        out.append(abs(zr * zl))
-    return out
+    exp, r_r, r_l = cmath.exp, right_mode.amplitude, left_mode.amplitude
+    # a phase ``sign * 1j * pi * mu * x`` multiplies left to right, so its
+    # first factors hoist out of the loop with every bit kept
+    w_r, w_l = -1j * cmath.pi * right_mode.mu, 1j * cmath.pi * left_mode.mu
+    return [abs(r_r * exp(w_r * x) * (r_l * exp(w_l * x))) for x in samples]
 
 
 class WeilDescriptor(NamedTuple):
@@ -119,21 +127,43 @@ class WeilDescriptor(NamedTuple):
 
 
 class LevelRecord(NamedTuple):
-    label: str
-    weil_side: tuple[WeilDescriptor, ...]
-    reduced: tuple[EllipticSemimodule, EllipticSemimodule]
-    orthogonal: tuple[EllipticSemimodule, EllipticSemimodule] | None = None
+    """A level's Weil side and cuspidal side as index rows.
 
-    def pairs(self) -> tuple[tuple[EllipticSemimodule, EllipticSemimodule], ...]:
-        """The (right, left) pair of each part, the orthogonal one if present."""
-        return (self.reduced,) if self.orthogonal is None else (self.reduced, self.orthogonal)
+    ``weil`` lists the Weil side's classes in index order; ``parts`` holds
+    the compactified right semimodule of the reduced part and, if there is
+    one, of the orthogonal part.  The Weil descriptors, with their degrees
+    ``offset + mu * N`` in ``tower``, and the (right, left) pairs of each
+    part are views built when read: a left semimodule holds its right
+    one's classes and amplitudes with sign +1.
+    """
+
+    label: str
+    tower: Tower
+    weil: tuple[ClassIndex, ...]
+    parts: tuple[EllipticSemimodule, ...]
+
+    @property
+    def weil_side(self) -> tuple[WeilDescriptor, ...]:
+        return tuple(WeilDescriptor(mu, m, self.tower.real_degree(mu)) for mu, m in self.weil)
+
+    @property
+    def reduced(self) -> tuple[EllipticSemimodule, EllipticSemimodule]:
+        return _mirrored(self.parts[0])
+
+    @property
+    def orthogonal(self) -> tuple[EllipticSemimodule, EllipticSemimodule] | None:
+        return _mirrored(self.parts[1]) if len(self.parts) > 1 else None
 
     def mode_pair_count(self) -> int:
-        return sum(len(right.modes) for right, _ in self.pairs())
+        return sum(len(part.carrier) for part in self.parts)
 
     def bijection_holds(self) -> bool:
         """As many Weil classes as cuspidal mode pairs."""
-        return len(self.weil_side) == self.mode_pair_count()
+        return len(self.weil) == self.mode_pair_count()
+
+
+def _mirrored(right: EllipticSemimodule) -> tuple[EllipticSemimodule, EllipticSemimodule]:
+    return right, right._replace(side=LEFT)
 
 
 class Correspondence(NamedTuple):
@@ -154,23 +184,15 @@ def level_record(
 
     The Weil side lists every class of both parts in index order, with its
     degree in the reduced part's tower; ``even_only`` drops the odd classes
-    there as it does from the modes.  ``Bisemisheaf.left`` is never read.
+    there as it does from the modes.  Each part's right semisheaf is
+    compactified once; ``Bisemisheaf.left`` is never read.
     """
-    indices = reduced.indices() + (orthogonal.indices() if orthogonal else ())
-    weil = tuple(
-        WeilDescriptor(idx.mu, idx.m, reduced.tower.real_degree(idx))
-        for idx in sorted(indices)
-        if not (even_only and idx.mu % 2 != 0)
+    parts = (reduced,) if orthogonal is None else (reduced, orthogonal)
+    weil = sorted(
+        idx for part in parts for idx in part.indices() if not (even_only and idx.mu % 2)
     )
-
-    def pair(part: Bisemisheaf) -> tuple[EllipticSemimodule, EllipticSemimodule]:
-        right = compactify(part.right, amplitude_rule, even_only)
-        left = tuple(Mode(mode.mu, mode.m, mode.amplitude, 1) for mode in right.modes)
-        return right, EllipticSemimodule(LEFT, left)
-
-    return LevelRecord(
-        label, weil, pair(reduced), None if orthogonal is None else pair(orthogonal)
-    )
+    semimodules = tuple(compactify(part.right, amplitude_rule, even_only) for part in parts)
+    return LevelRecord(label, reduced.tower, tuple(weil), semimodules)
 
 
 def lgc(

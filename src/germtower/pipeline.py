@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import statistics
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -370,12 +369,15 @@ def dumps_canonical(obj, pad: str = "") -> str:
                 append("[]")
                 return
             inner = pad + "  "
-            sep = "[\n" + inner
-            for value in obj:
-                append(sep)
-                emit(value, inner)
-                sep = ",\n" + inner
-            append("\n" + pad + "]")
+            if all(type(value) is int for value in obj):  # not bools: one join
+                append("[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + pad + "]")
+            else:
+                sep = "[\n" + inner
+                for value in obj:
+                    append(sep)
+                    emit(value, inner)
+                    sep = ",\n" + inner
+                append("\n" + pad + "]")
         elif isinstance(obj, dict):
             if not obj:
                 append("{}")
@@ -442,18 +444,18 @@ _OPEN, _CLOSE = f"\n{_I8}[", f"\n{_I8}]"
 
 def _write_levels(out: list[str], levels: Sequence[Level], records: Sequence[LevelRecord]) -> None:
     """Append the report's ``levels`` list to ``out``, written straight from
-    each level and its record.  A class prints the same in every row, so
-    its ``[mu, m]`` list, Weil entry and mode prefix up to ``"sign": `` are
-    formatted once per call; the prefix is shared by both signs."""
+    each level and the index rows of its record.  A class prints the same
+    in every row, so its ``[mu, m]`` list, Weil entry and mode prefix up to
+    ``"sign": `` are formatted once per call; the prefix is shared by both
+    signs."""
     append, extend = out.append, out.extend
     index = cache(lambda i: f"\n{_I10}[\n{_I12}{i.mu},\n{_I12}{i.m}\n{_I10}]")
-    fraction = cache(lambda f: f",\n{_I10}{_float_text(f)}")
     weil = cache(
-        lambda w: f'\n{_I8}{{\n{_I10}"mu": {w.mu},\n{_I10}"m": {w.m},\n'
-        f'{_I10}"degree": {w.degree}\n{_I8}}}'
+        lambda mu, m, degree: f'\n{_I8}{{\n{_I10}"mu": {mu},\n{_I10}"m": {m},\n'
+        f'{_I10}"degree": {degree}\n{_I8}}}'
     )
     prefix = cache(
-        lambda mu, m, amplitude: f'\n{_I10}{{\n{_I12}"mu": {mu},\n{_I12}"m": {m},\n'
+        lambda i, amplitude: f'\n{_I10}{{\n{_I12}"mu": {i.mu},\n{_I12}"m": {i.m},\n'
         f'{_I12}"amplitude": {_float_text(amplitude)},\n{_I12}"sign": '
     )
 
@@ -470,26 +472,29 @@ def _write_levels(out: list[str], levels: Sequence[Level], records: Sequence[Lev
 
     sep = "["
     for level, record in zip(levels, records):
-        tower = level.reduced.tower
+        tower = record.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
         append(f'{sep}\n    {{\n{_I6}"label": {dumps_canonical(level.label)},\n{_I6}"tower": ')
         append(f'{dumps_canonical(shape, _I6)},\n{_I6}"weil_side": ')
-        listed(_I6, ((weil(w),) for w in record.weil_side))
-        for key, pair in (("reduced", record.reduced), ("orthogonal", record.orthogonal)):
+        n, offset = tower.quantum_modulus, tower.offset
+        listed(_I6, ((weil(mu, m, offset + mu * n),) for mu, m in record.weil))
+        for key, part in zip(("reduced", "orthogonal"), record.parts + (None,)):
             append(f',\n{_I6}"{key}": ')
-            if pair is None:
+            if part is None:
                 append("null")
                 continue
-            for mark, side, semimodule in zip("{,", ("right", "left"), pair):
+            prefixes = list(map(prefix, part.carrier, part.amplitudes))
+            for mark, side, sign in (("{", "right", -1), (",", "left", 1)):
                 append(f'{mark}\n{_I8}"{side}": ')
-                modes = semimodule.modes
-                listed(_I8, ((prefix(m.mu, m.m, m.amplitude), _SIGN_ENDS[m.sign]) for m in modes))
+                listed(_I8, ((p, _SIGN_ENDS[sign]) for p in prefixes))
             append(f"\n{_I6}}}")
         append(f',\n{_I6}"mode_pairs": {record.mode_pair_count()},\n{_I6}"cover": ')
-        cover, coverage = level.cover, level.coverage
+        cover = level.cover
         listed(_I6, cover and ((_OPEN, index(a), ",", index(b), _CLOSE) for a, b in cover))
         append(f',\n{_I6}"coverage": ')
-        listed(_I6, coverage and ((_OPEN, index(i), fraction(f), _CLOSE) for i, f in coverage))
+        coverage = level.coverage
+        fraction = coverage and f",\n{_I10}{_float_text(coverage[1])}"
+        listed(_I6, coverage and ((_OPEN, index(i), fraction, _CLOSE) for i in coverage[0]))
         append("\n    }")
         sep = ","
     append("\n  ]")
@@ -529,6 +534,8 @@ def _pvariance(values: Sequence[float]) -> float:
     float range.  Non-finite values go to ``pvariance`` itself.
     """
     if not all(map(math.isfinite, values)):
+        import statistics  # this fallback alone needs it; kept off the import path
+
         return statistics.pvariance(values)
     ratios = [v.as_integer_ratio() for v in values]
     scale = max(d for _, d in ratios)
@@ -539,21 +546,36 @@ def _pvariance(values: Sequence[float]) -> float:
     return (count * s2 - s1 * s1) / (count * count * scale * scale)
 
 
+# what ``bistring_modulus`` reads of a mode: a run builds no ``Mode``
+_String = NamedTuple("_String", [("mu", int), ("amplitude", float), ("sign", int)])
+
+
 def _bistring_variances(records: Sequence[LevelRecord]) -> list[float]:
-    """Every mode pair's bistring modulus variance, in record order; a
-    variance depends on the modes' ``mu`` and amplitudes alone, so each
-    distinct key is computed once per call."""
-    memo: dict[tuple, float] = {}
+    """Every mode pair's bistring modulus variance, in record order.
+
+    A pair's two strings share the class and the amplitude of one record
+    row, so its modulus depends on ``(mu, amplitude)`` alone and is computed
+    once per distinct key.  A variance is a pure function of the modulus
+    values, so it is computed once per distinct modulus tuple.
+    """
+    by_key: dict[tuple[int, float], float] = {}
+    by_modulus: dict[tuple[float, ...], float] = {}
     out = []
-    for right, left in (pair for record in records for pair in record.pairs()):
-        for mr, ml in zip(right.modes, left.modes):
-            key = (mr.mu, ml.mu, mr.amplitude, ml.amplitude)
-            if key not in memo:
-                try:
-                    memo[key] = _pvariance(bistring_modulus(mr, ml, _DIAG_SAMPLES))
-                except OverflowError:  # the variance is finite but beyond the float range
-                    memo[key] = math.inf
-            out.append(memo[key])
+    for part in (part for record in records for part in record.parts):
+        for (mu, _), amplitude in zip(part.carrier, part.amplitudes):
+            variance = by_key.get((mu, amplitude))
+            if variance is None:
+                right, left = _String(mu, amplitude, -1), _String(mu, amplitude, 1)
+                modulus = tuple(bistring_modulus(right, left, _DIAG_SAMPLES))
+                variance = by_modulus.get(modulus)
+                if variance is None:
+                    try:
+                        variance = _pvariance(modulus)
+                    except OverflowError:  # finite, but beyond the float range
+                        variance = math.inf
+                    by_modulus[modulus] = variance
+                by_key[mu, amplitude] = variance
+            out.append(variance)
     return out
 
 

@@ -1,10 +1,13 @@
 """Germ-valued semisheaves over a tower and the morphisms acting on them.
 
 A semisheaf holds a carrier of class indices and one polynomial germ per
-class; only this module knows that layout.  The morphisms here, tuple work
-on the carrier and the germs, are the workhorses of the whole engine:
-endomorphism splits, emergent orthogonal projection, the differential
-shift, biquantum moves and singularity injection.
+class; only this module knows that layout.  The carrier is a
+``tower.Carrier``, checked once against its tower: one derived by
+restriction or truncation holds by construction, and only a carrier made
+from raw sections or indices is checked class by class.  The morphisms
+here, tuple work on the carrier and the germs, are the workhorses of the
+whole engine: endomorphism splits, emergent orthogonal projection, the
+differential shift, biquantum moves and singularity injection.
 
 A bisemisheaf stores a right semisheaf and derives its left mirror, which
 holds the same carrier and germs; only compactification (the mode sign)
@@ -20,7 +23,7 @@ from typing import Callable
 
 from .bisemigroup import LEVELS
 from .germs import CATALOGUE, Germ, SingularityClass, normal_form
-from .tower import LEFT, RIGHT, SIDES, ClassIndex, Record, Tower, _set
+from .tower import LEFT, RIGHT, SIDES, Carrier, ClassIndex, Record, Tower, _set
 
 # Nature tags: plain time/space fields and their shifted (primed) versions.
 TIME = "T"
@@ -65,12 +68,16 @@ class Section(Record):
 
 
 class Semisheaf(Record):
-    """One germ per class of a sorted ``carrier``, with side, level, nature
-    and role tags; ``sections`` builds ``Section`` views when read.
+    """One germ per class of a ``Carrier``, with side, level, nature and
+    role tags; ``sections`` builds ``Section`` views when read.
 
     ``__init__`` takes sections, ``over`` and ``replace`` a carrier and
     germs.  Each build ends in ``__post_init__``, which checks the tags and
-    the carrier; the benchmark's tracer counts sheaf builds by wrapping it.
+    that the carrier is a ``Carrier`` of the sheaf's tower.  Any other
+    carrier, such as one made from sections, is checked class by class and
+    stored as a ``Carrier``; one derived from a checked carrier is not
+    checked again.  The benchmark's tracer counts sheaf builds by wrapping
+    ``__post_init__``.
     """
 
     __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role", "singular")
@@ -117,12 +124,8 @@ class Semisheaf(Record):
         carrier = self.carrier
         if len(self.germs) != len(carrier):
             raise ValueError("a semisheaf holds one germ per carrier class")
-        for prev, idx in zip(carrier, carrier[1:]):
-            if not prev < idx:
-                raise ValueError(f"duplicate or unsorted section at {idx}")
-        for idx in carrier:
-            if not self.tower.contains(idx):
-                raise ValueError(f"section index {idx} outside the tower rectangle")
+        if not (isinstance(carrier, Carrier) and carrier.tower == self.tower):
+            _set(self, "carrier", Carrier(carrier, self.tower))
 
     def __reduce__(self):
         # __init__ takes sections, so copy and pickle rebuild through ``over``
@@ -164,7 +167,7 @@ class Semisheaf(Record):
     def restrict(self, keep: Callable[[ClassIndex], bool], **tags) -> "Semisheaf":
         """A copy over the classes where ``keep`` holds, with ``tags`` changed."""
         mask = [bool(keep(idx)) for idx in self.carrier]
-        carrier = tuple(compress(self.carrier, mask))
+        carrier = self.carrier.restrict(mask)
         return self.replace(carrier=carrier, germs=tuple(compress(self.germs, mask)), **tags)
 
 

@@ -9,6 +9,8 @@ degree in a tower is therefore congruent to the offset modulo ``N``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import NamedTuple
 
 LEFT = "left"
@@ -87,6 +89,42 @@ class ClassIndex(NamedTuple):
 
     mu: int
     m: int
+
+
+class Carrier(tuple):
+    """Sorted, distinct class indices of one ``tower``, checked once.
+
+    ``Carrier(indices, tower)`` checks each class.  ``Tower.class_indices``,
+    ``restrict`` and ``truncated`` derive carriers whose classes hold by
+    construction, so a carrier passed on is not checked again.
+    """
+
+    def __new__(cls, indices, tower: "Tower"):
+        indices = tuple(indices)
+        for prev, idx in zip(indices, indices[1:]):
+            if not prev < idx:
+                raise ValueError(f"duplicate or unsorted section at {idx}")
+        for idx in indices:
+            if not tower.contains(idx):
+                raise ValueError(f"section index {idx} outside the tower rectangle")
+        return cls._of(indices, tower)
+
+    @classmethod
+    def _of(cls, indices, tower: "Tower") -> "Carrier":
+        carrier = tuple.__new__(cls, indices)
+        carrier.tower = tower
+        return carrier
+
+    def __reduce__(self):
+        return Carrier, (tuple(self), self.tower)
+
+    def restrict(self, mask) -> "Carrier":
+        """The classes whose ``mask`` entry is true, in the same tower."""
+        return self._of(compress(self, mask), self.tower)
+
+    def truncated(self, depth: int) -> "Carrier":
+        """The classes ``mu <= depth``, in the tower truncated to ``depth``."""
+        return self._of(self[: bisect_left(self, (depth + 1,))], self.tower.truncated(depth))
 
 
 def _multiplicity(values, depth: int, name: str) -> tuple[int, ...]:
@@ -183,24 +221,19 @@ class Tower(NamedTuple):
     def depth(self) -> int:
         return self.config.depth
 
-    def multiplicity(self, mu: int) -> int:
-        self._check_mu(mu)
-        return self.config.multiplicity[mu - 1]
-
-    def complex_multiplicity(self, mu: int) -> int:
-        self._check_mu(mu)
-        return self.config.complex_multiplicity[mu - 1]
-
     def _check_mu(self, mu: int) -> None:
         if not 1 <= mu <= self.depth:
             raise ValueError(f"class index mu={mu} outside 1..{self.depth}")
 
-    def class_indices(self) -> tuple[ClassIndex, ...]:
+    def class_indices(self) -> Carrier:
         """All (mu, m) representatives, lexicographically ordered."""
-        return tuple(
-            ClassIndex(mu, m)
-            for mu in range(1, self.depth + 1)
-            for m in range(1, self.multiplicity(mu) + 1)
+        return Carrier._of(
+            (
+                ClassIndex(mu, m)
+                for mu, count in enumerate(self.config.multiplicity, 1)
+                for m in range(1, count + 1)
+            ),
+            self,
         )
 
     def contains(self, index: ClassIndex) -> bool:
@@ -216,12 +249,12 @@ class Tower(NamedTuple):
     def complex_degree(self, mu: int) -> int:
         """Degree ``offset + mu * N * m^(mu)`` of the complex completion."""
         self._check_mu(mu)
-        return self.offset + mu * self.quantum_modulus * self.complex_multiplicity(mu)
+        return self.offset + mu * self.quantum_modulus * self.config.complex_multiplicity[mu - 1]
 
     def place(self, mu: int) -> tuple[ClassIndex, ...]:
         """The equivalent-completion indices {(mu, 1) .. (mu, m(mu))} at one class."""
         self._check_mu(mu)
-        return tuple(ClassIndex(mu, m) for m in range(1, self.multiplicity(mu) + 1))
+        return tuple(ClassIndex(mu, m) for m in range(1, self.config.multiplicity[mu - 1] + 1))
 
     def truncated(self, depth: int) -> "Tower":
         """A copy keeping only classes mu <= depth."""

@@ -91,7 +91,7 @@ def test_blowup_swallowtail_covering():
     result = blow_up(deform(starred(SWALLOWTAIL)))
     assert [format_germ(sec.germ) for sec in result.covering.sections] == ["x + x^2 + x^3"] * 4
     assert not result.covering.singular
-    assert all(frac == pytest.approx(3 / 5) for _, frac in result.coverage)
+    assert result.fraction == pytest.approx(3 / 5)
 
 
 def test_blowup_tags_the_next_level_and_refuses_the_outermost():
@@ -163,7 +163,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
         result = blow_up(bundle)
         glued = result.covering.germs[0].total_degree
         fraction = min(1.0, glued / normal_form(name).total_degree)
-        assert result.coverage == tuple((idx, fraction) for idx in base.carrier)
+        assert result.fraction == fraction
     # a 1-variable and a 2-variable fold deform together; the 1-variable fiber
     # cannot glue onto the 2-variable germ, so the blowup is rejected
     mixed = starred_over([Germ.monomial(1, (3,)), Germ.from_coeffs(2, {(0, 2): 1, (3, 0): 1})])

@@ -714,6 +714,32 @@ def test_samples_count_has_a_budget(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("depth", [1_000, 50_000])
+def test_json_nested_too_deeply_is_a_config_error(capsys, tmp_path, depth):
+    nested = "[" * depth + "]" * depth
+    path = tmp_path / "deep.json"
+    for command, flag, text, source in (
+        ("correspond", "--config", nested, str(path)),
+        ("correspond", "--config", '{"tower": ' + nested + "}", str(path)),
+        ("classify", "--file", "\n" + nested + "\n", f"{path} line 2"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == EXIT_CONFIG, (command, text[:12])
+        assert err == f"configuration error: {source}: JSON nests too deeply to parse\n"
+    # and as a process: one stderr line, no traceback
+    path.write_text(nested)
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germtower.cli", "correspond", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "germtower.cli", "expand", "--levels", "ST,MG"],
@@ -727,7 +753,8 @@ def test_module_entry_point_runs():
 def test_cli_import_stays_off_the_introspection_modules():
     # Every CLI op is a fresh process that starts with this import;
     # dataclasses would bring inspect, ast, dis and tokenize with it.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # statistics is imported only by the variance's non-finite fallback.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
     code = f"import sys, germtower.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(

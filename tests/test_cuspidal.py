@@ -110,7 +110,7 @@ def test_evaluate_matches_naive_sum():
 
 
 def test_single_left_mode_is_unit_phasor():
-    esm = EllipticSemimodule(LEFT, (Mode(2, 1, 1.0, 1),))
+    esm = EllipticSemimodule(LEFT, (ClassIndex(2, 1),), (1.0,))
     z = esm.evaluate(0.25)
     assert z == pytest.approx(cmath.exp(1j * cmath.pi * 0.5))
     assert abs(esm.evaluate(0.77)) == pytest.approx(1.0)

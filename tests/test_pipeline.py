@@ -22,7 +22,7 @@ from germtower import (
     level_record,
     run_pipeline,
 )
-from germtower.cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus
+from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
 from germtower.pipeline import (
@@ -36,7 +36,7 @@ from germtower.pipeline import (
     sample_rows,
     samples_csv,
 )
-from germtower.tower import ClassIndex, LEFT, RIGHT
+from germtower.tower import ClassIndex, LEFT, RIGHT, Tower
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -193,6 +193,46 @@ def test_dumps_canonical_floats_roundtrip():
         assert json.loads(dumps_canonical(value)) == value
 
 
+def _per_value_walk(obj, pad="") -> str:
+    """The canonical text written value by value: the reference for the
+    emitter's lists of ints, which it writes with one join."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return dumps_canonical(obj)
+    inner = pad + "  "
+    if isinstance(obj, list):
+        items = [_per_value_walk(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if obj else "[]"
+    items = [f'"{key}": ' + _per_value_walk(value, inner) for key, value in obj.items()]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if obj else "{}"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(st.integers() | st.booleans(), max_size=5)
+        | st.dictionaries(st.text("abc", max_size=2), inner, max_size=3),
+        max_leaves=20,
+    ),
+    st.sampled_from(["", "  ", "      "]),
+)
+@example([1, 2, 3], "")
+@example([1, True, 2], "  ")
+@example({"multiplicity": [1, 2], "even": [False, True], "mixed": [0, 1.5, "2"]}, "  ")
+def test_dumps_canonical_joins_int_lists_as_the_per_value_walk_writes_them(obj, pad):
+    assert dumps_canonical(obj, pad) == _per_value_walk(obj, pad)
+
+
 # ---------------------------------------------------------------------------
 # exact variance
 
@@ -219,24 +259,26 @@ AMPLITUDES = st.sampled_from([0.0, -0.0, 0.5, 3.0, 5e-324, 1e200, 1e300]) | st.f
 
 
 def _bistring_record(pairs) -> LevelRecord:
-    right = tuple(Mode(mu, 1, amp, -1) for mu, amp, _ in pairs)
-    left = tuple(Mode(mu, 1, amp, 1) for mu, _, amp in pairs)
-    return LevelRecord("ST", (), (EllipticSemimodule(RIGHT, right), EllipticSemimodule(LEFT, left)))
+    # one row per (mu, amplitude) pair; both strings of a pair share the amplitude
+    carrier = tuple(ClassIndex(mu, m) for m, (mu, _) in enumerate(pairs, 1))
+    right = EllipticSemimodule(RIGHT, carrier, tuple(amp for _, amp in pairs))
+    return LevelRecord("ST", None, carrier, (right,))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.lists(st.tuples(st.integers(0, 3), AMPLITUDES, AMPLITUDES), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 3), AMPLITUDES), min_size=1, max_size=6),
         min_size=1,
         max_size=3,
     )
 )
-@example([[(2, 0.0, 1.5), (2, -0.0, 1.5), (2, 1.5, -0.0)]])
-@example([[(1, 1e300, 1e300), (1, 1e300, 1e300)], [(3, 1e200, 1e200), (1, 1e300, 1e300)]])
+@example([[(2, 0.0), (2, -0.0), (2, 1.5), (3, -0.0)]])
+@example([[(1, 1e300), (1, 1e300)], [(3, 1e200), (1, 1e300), (2, 1e155)]])
 def test_memoized_variances_equal_each_pairs_own(parts):
-    # one variance per distinct (mu, amplitudes) key; each must be the one
-    # its pair computes alone, bit for bit, signed zeros and overflow included
+    # one modulus per distinct (mu, amplitude) key and one variance per
+    # distinct modulus; each must be the one its pair computes alone, from
+    # its Mode views, bit for bit, signed zeros and overflow included
     records = [_bistring_record(pairs) for pairs in parts]
     expected = []
     for record in records:
@@ -406,6 +448,59 @@ def test_a_report_builds_no_section(monkeypatch):
         built.clear()
 
 
+def deep_swallowtail():
+    """A depth-888 swallowtail, the benchmark's deep shape."""
+    return make_config(tower=TowerConfig(2, 0, 888), reduce_rule="mu<=H")
+
+
+def test_a_report_builds_no_mode_and_no_weil_descriptor(monkeypatch):
+    built = {"modes": 0, "weil": 0}
+    init, new = Mode.__init__, WeilDescriptor.__new__
+
+    def mode_init(self, *args):
+        built["modes"] += 1
+        init(self, *args)
+
+    def weil_new(cls, *args):
+        built["weil"] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(Mode, "__init__", mode_init)
+    monkeypatch.setattr(WeilDescriptor, "__new__", weil_new)
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    for config in (golden, deep_swallowtail()):
+        report = run_pipeline(config)
+        report.json_text()
+        assert built == {"modes": 0, "weil": 0}
+        # modes, left semimodules and Weil descriptors are views, built when read
+        record = report.records[0]
+        assert len(record.reduced[1].modes) == built["modes"] > 0
+        assert len(record.weil_side) == built["weil"] > 0
+        built.update(modes=0, weil=0)
+
+
+def test_a_run_checks_no_carrier_class_by_class(monkeypatch):
+    # every carrier of a run comes from Tower.class_indices, restriction or
+    # truncation, so no sheaf build checks its classes one by one
+    configs = (make_config(covering_depths=(5, 4)), deep_swallowtail())
+    calls = {"contains": 0, "built": 0}
+    contains, post_init = Tower.contains, Semisheaf.__post_init__
+
+    def counting_contains(self, index):
+        calls["contains"] += 1
+        return contains(self, index)
+
+    def counting_post_init(self):
+        calls["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Tower, "contains", counting_contains)
+    monkeypatch.setattr(Semisheaf, "__post_init__", counting_post_init)
+    for config in configs:
+        run_pipeline(config).json_text()
+    assert calls["contains"] == 0 and calls["built"] > 0
+
+
 def test_a_run_builds_no_mirror_sheaf_and_hashes_each_germ_object_once(monkeypatch):
     # A run compactifies each part's right semisheaf once and gives the left
     # the same modes with sign +1, so it reads no Bisemisheaf.left and builds
@@ -488,7 +583,7 @@ def test_a_lost_mode_fails_level_bijection(monkeypatch, tmp_path, capsys):
 
     def lossy(*args):
         module = compactify(*args)
-        return module._replace(modes=module.modes[1:])
+        return module._replace(carrier=module.carrier[1:], amplitudes=module.amplitudes[1:])
 
     monkeypatch.setattr(cuspidal_module, "compactify", lossy)
     golden = DATA_DIR / "golden_config.json"
@@ -566,7 +661,7 @@ def _reference_row(level, record) -> dict:
         "cover": None if level.cover is None else [[list(a), list(b)] for a, b in level.cover],
         "coverage": None
         if level.coverage is None
-        else [[list(idx), frac] for idx, frac in level.coverage],
+        else [[list(idx), level.coverage[1]] for idx in level.coverage[0]],
     }
 
 
@@ -626,10 +721,8 @@ def test_rows_writer_matches_the_dict_reference(config):
 
 
 def test_deep_report_text_peaks_below_two_and_a_half_times_its_length():
-    # a depth-888 swallowtail, the benchmark's deep shape: most of its
-    # report is level rows, which are written without a dict per row
-    config = make_config(tower=TowerConfig(2, 0, 888), reduce_rule="mu<=H")
-    report = run_pipeline(config)
+    # most of a deep report is level rows, written without a dict per row
+    report = run_pipeline(deep_swallowtail())
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -757,7 +850,7 @@ def test_memoized_germ_work_does_not_leak_between_runs():
 
 
 def sample_esm():
-    return EllipticSemimodule(LEFT, (Mode(1, 1, 1.0, 1), Mode(2, 1, 0.5, 1)))
+    return EllipticSemimodule(LEFT, (ClassIndex(1, 1), ClassIndex(2, 1)), (1.0, 0.5))
 
 
 def test_sample_rows_spacing_and_values():
@@ -779,7 +872,7 @@ def test_sample_rows_spacing_and_values():
             sample_rows(esm, n, x0, x1)
     # finite amplitudes whose sum leaves the float range: at x = 0 the real
     # part overflows; at x = 0.25 both parts stay finite but the modulus does not
-    huge = EllipticSemimodule(LEFT, (Mode(1, 1, 1e308, 1), Mode(1, 2, 1e308, 1)))
+    huge = EllipticSemimodule(LEFT, (ClassIndex(1, 1), ClassIndex(1, 2)), (1e308, 1e308))
     for x in (0.0, 0.25):
         with pytest.raises(ValueError, match=f"x={x}"):
             sample_rows(huge, 1, x, x)

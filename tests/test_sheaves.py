@@ -36,7 +36,7 @@ from germtower.sheaves import (
     TIME,
     TIME_SHIFTED,
 )
-from germtower.tower import ClassIndex, LEFT, RIGHT
+from germtower.tower import Carrier, ClassIndex, LEFT, RIGHT
 
 
 def small_tower(depth=4, mult=()):
@@ -106,6 +106,36 @@ def test_semisheaf_rejects_duplicates_and_strays():
     ):
         with pytest.raises(ValueError):
             Semisheaf.over(RIGHT, ST, TIME, tower, carrier, germs)
+
+
+def test_a_checked_carrier_is_checked_once(monkeypatch):
+    tower = small_tower(4, (1, 2, 1, 1))
+    s = attach_sections(tower, RIGHT, ST, TIME, quad)
+    assert isinstance(s.carrier, Carrier) and s.carrier.tower is tower
+    # a raw carrier is checked class by class and stored checked
+    raw = Semisheaf.over(RIGHT, ST, TIME, tower, tuple(s.carrier), s.germs)
+    assert isinstance(raw.carrier, Carrier) and raw.carrier == s.carrier
+    # a carrier of another tower is checked again, against the sheaf's own
+    with pytest.raises(ValueError, match="outside the tower rectangle"):
+        s.replace(tower=small_tower(2))
+    with pytest.raises(ValueError, match="outside the tower rectangle"):
+        Carrier(s.carrier, small_tower(2))
+    with pytest.raises(ValueError, match="duplicate or unsorted"):
+        Carrier(s.carrier[:2] + s.carrier[1:2], tower)
+    # what a checked carrier derives is not checked again
+    calls = []
+    contains = Tower.contains
+    monkeypatch.setattr(Tower, "contains", lambda self, idx: calls.append(idx) or contains(self, idx))
+    upper = s.restrict(lambda idx: idx.mu > 2, role=COMPLEMENTARY)
+    assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
+    short = s.carrier.truncated(2)
+    assert short == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
+    assert short.tower == tower.truncated(2)
+    cut = s.replace(tower=short.tower, carrier=short, germs=s.germs[: len(short)])
+    assert shift(emergent_project(upper)).carrier == upper.carrier and len(cut) == 3
+    assert calls == []
+    # unpickling rebuilds through the checking constructor
+    assert pickle.loads(pickle.dumps(short)) == short and calls
 
 
 def test_sections_sorted_on_construction():
