@@ -3,7 +3,9 @@
 Subcommands: tower, classify, unfold, levels, correspond, expand, samples.
 Exit codes: 0 success, 2 invalid configuration, 3 pipeline contract
 violation, 4 diagnostic failure.  The GERMTOWER_OUTDIR environment variable,
-when set, prefixes relative output paths.
+when set, prefixes relative output paths.  Every output file is written
+whole or not at all: to a new file beside it, renamed onto the path once
+written.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .cuspidal import EllipticSemimodule, Mode
 from .germs import (
@@ -48,12 +51,32 @@ EXIT_CONTRACT = 3
 EXIT_DIAGNOSTIC = 4
 
 
-def _out_path(raw: str) -> Path:
+def write_output(raw: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to the output path ``raw``, under
+    GERMTOWER_OUTDIR when that is set and ``raw`` is relative.
+
+    The chunks go to a new file in the same directory, created with mode
+    0o666 less the umask, which replaces the path once every chunk is
+    written.  On any error the new file is removed and the error raised
+    again, so the path keeps what it held and nothing is left beside it.
+    """
     path = Path(raw)
     outdir = os.environ.get("GERMTOWER_OUTDIR")
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
-    return path
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # a missing directory, say: name the path asked for
+        exc.filename = str(path)
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -172,7 +195,7 @@ def _cmd_tower(args) -> int:
                 for mu in range(1, tower.depth + 1)
             ],
         }
-        _out_path(args.out).write_text(dumps_canonical(payload) + "\n", encoding="utf-8")
+        write_output(args.out, (dumps_canonical(payload), "\n"))
     return EXIT_OK
 
 
@@ -237,7 +260,7 @@ def _cmd_correspond(args) -> int:
     passed = sum(1 for d in report.diagnostics if d["passed"])
     print(f"diagnostics: {passed}/{len(report.diagnostics)} passed")
     if args.out:
-        _out_path(args.out).write_text(report.json_text(), encoding="utf-8")
+        write_output(args.out, report.chunks())
     if not report.all_diagnostics_passed():
         for diag in report.diagnostics:
             if not diag["passed"]:
@@ -299,7 +322,7 @@ def _cmd_samples(args) -> int:
     esm = _semimodule_from_json(_load_json_file(args.modes_file))
     csv_text = samples_csv(esm, args.n, args.x0, args.x1)
     if args.csv:
-        _out_path(args.csv).write_text(csv_text, encoding="utf-8")
+        write_output(args.csv, (csv_text,))
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK

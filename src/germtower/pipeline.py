@@ -7,7 +7,10 @@ the standard library encoder, whose float formatting cannot be pinned.  The
 emitter walks the report once, appending chunks in output order, and escapes
 strings through one translation table (quote, backslash, control characters).
 The level rows, most of a deep report, skip the walk: ``_write_levels``
-writes them as text from the level records, each class's text formatted once.
+writes them as text from the level records, each item formatted as its list
+is written.  ``Report.chunks`` is the one writer of a report: it yields the
+text in blocks, so a caller that streams them to a file never holds the
+whole text; ``Report.json_text`` joins them.
 
 The oscillator constancy diagnostic computes each bistring variance exactly,
 as ``statistics.pvariance`` does, but from integer sums over the common
@@ -20,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
 from .blowup import Level, LevelStack, desingularize, generate_levels, plan_levels
@@ -324,15 +327,18 @@ _ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
 _ESCAPES[ord('"')] = '\\"'
 _ESCAPES[ord("\\")] = "\\\\"
 
-# The emitter joins its pending chunks into one block this often.  A deep
+# The writers join their pending chunks into one block this often.  A deep
 # report is about 100k small chunks; kept in one list until the end, they
 # peak at about 4 MB for a 0.6 MB report, against about 1.2 MB in blocks.
 _BLOCK_CHUNKS = 2048
 
 
+_NOT_FINITE = "reports may not contain NaN or infinity"
+
+
 def _float_text(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
-        raise ValueError("reports may not contain NaN or infinity")
+        raise ValueError(_NOT_FINITE)
     return format(value, ".17g")
 
 
@@ -427,77 +433,101 @@ class Report(NamedTuple):
         return json.loads(self.json_text())["levels"]
 
     def json_text(self) -> str:
-        out = ['{\n  "config": ', dumps_canonical(self.config, "  ")]
-        out.append(f',\n  "rule": {self.rule},\n  "levels": ')
-        _write_levels(out, self.stack.levels, self.records)
+        return "".join(self.chunks())
+
+    def chunks(self) -> Iterator[str]:
+        """The report's text in blocks, in order.  This is the one writer of
+        a report: ``json_text`` joins the blocks, and ``correspond --out``
+        streams them to its file, so the whole text is never held."""
+        config = dumps_canonical(self.config, "  ")
+        yield f'{{\n  "config": {config},\n  "rule": {self.rule},\n  "levels": '
+        yield from _write_levels(self.stack.levels, self.records)
         for key in ("cascade", "expansions", "diagnostics"):
-            out += (f',\n  "{key}": ', dumps_canonical(getattr(self, key), "  "))
-        out.append("\n}\n")
-        return "".join(out)
+            yield f',\n  "{key}": ' + dumps_canonical(getattr(self, key), "  ")
+        yield "\n}\n"
 
 
-# Every level row sits at one depth of the report: its keys at 6 spaces.
-_I6, _I8, _I10, _I12 = (" " * n for n in (6, 8, 10, 12))
-_SIGN_ENDS = {sign: f"{sign}\n{_I10}}}" for sign in (-1, 1)}
-_OPEN, _CLOSE = f"\n{_I8}[", f"\n{_I8}]"
+def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> Iterator[str]:
+    """Yield the report's ``levels`` list in blocks, written straight from
+    each level and the index rows of its record.
 
-
-def _write_levels(out: list[str], levels: Sequence[Level], records: Sequence[LevelRecord]) -> None:
-    """Append the report's ``levels`` list to ``out``, written straight from
-    each level and the index rows of its record.  A class prints the same
-    in every row, so its ``[mu, m]`` list, Weil entry and mode prefix up to
-    ``"sign": `` are formatted once per call; the prefix is shared by both
-    signs."""
+    The pending chunks are joined into one block whenever they reach
+    ``_BLOCK_CHUNKS``.  A list item is formatted as its list is written, so
+    no text outlives its part; a part's mode texts up to ``"sign": `` are
+    formatted once and shared by both sides.  Every level row sits at one
+    depth of the report, its keys at 6 spaces.
+    """
+    out: list[str] = []
     append, extend = out.append, out.extend
-    index = cache(lambda i: f"\n{_I10}[\n{_I12}{i.mu},\n{_I12}{i.m}\n{_I10}]")
-    weil = cache(
-        lambda mu, m, degree: f'\n{_I8}{{\n{_I10}"mu": {mu},\n{_I10}"m": {m},\n'
-        f'{_I10}"degree": {degree}\n{_I8}}}'
-    )
-    prefix = cache(
-        lambda i, amplitude: f'\n{_I10}{{\n{_I12}"mu": {i.mu},\n{_I12}"m": {i.m},\n'
-        f'{_I12}"amplitude": {_float_text(amplitude)},\n{_I12}"sign": '
-    )
 
-    def listed(pad: str, items) -> None:
-        """Append a list of items, each a tuple of chunks; None is null."""
+    def listed(pad: str, items, *ends) -> Iterator[str]:
+        """Append the list of the texts ``items``, each followed by its
+        ``ends``, or null for None; yield each block as it fills."""
         if items is None:
-            return append("null")
-        sep = "["
-        for chunks in items:
-            append(sep)
-            extend(chunks)
-            sep = ","
-        append("[]" if sep == "[" else f"\n{pad}]")
+            append("null")
+            return
+        chunks = chain.from_iterable(zip(chain(("[",), repeat(",")), items, *ends))
+        if next(chunks, None) is None:  # no item
+            append("[]")
+            return
+        append("[")
+        while True:
+            extend(islice(chunks, max(_BLOCK_CHUNKS - len(out), 0)))
+            if len(out) < _BLOCK_CHUNKS:  # every chunk is taken
+                break
+            block = "".join(out)
+            out.clear()
+            yield block
+        append(f"\n{pad}]")
 
     sep = "["
     for level, record in zip(levels, records):
         tower = record.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
-        append(f'{sep}\n    {{\n{_I6}"label": {dumps_canonical(level.label)},\n{_I6}"tower": ')
-        append(f'{dumps_canonical(shape, _I6)},\n{_I6}"weil_side": ')
+        append(f'{sep}\n    {{\n      "label": {dumps_canonical(level.label)},\n      "tower": ')
+        append(f'{dumps_canonical(shape, "      ")},\n      "weil_side": ')
         n, offset = tower.quantum_modulus, tower.offset
-        listed(_I6, ((weil(mu, m, offset + mu * n),) for mu, m in record.weil))
+        weil = (
+            f'\n        {{\n          "mu": {mu},\n          "m": {m},\n'
+            f'          "degree": {offset + mu * n}\n        }}'
+            for mu, m in record.weil
+        )
+        yield from listed("      ", weil)
         for key, part in zip(("reduced", "orthogonal"), record.parts + (None,)):
-            append(f',\n{_I6}"{key}": ')
+            append(f',\n      "{key}": ')
             if part is None:
                 append("null")
                 continue
-            prefixes = list(map(prefix, part.carrier, part.amplitudes))
+            if not all(map(math.isfinite, part.amplitudes)):
+                raise ValueError(_NOT_FINITE)
+            prefixes = [
+                f'\n          {{\n            "mu": {mu},\n            "m": {m},\n'
+                f'            "amplitude": {amplitude:.17g},\n            "sign": '
+                for (mu, m), amplitude in zip(part.carrier, part.amplitudes)
+            ]
             for mark, side, sign in (("{", "right", -1), (",", "left", 1)):
-                append(f'{mark}\n{_I8}"{side}": ')
-                listed(_I8, ((p, _SIGN_ENDS[sign]) for p in prefixes))
-            append(f"\n{_I6}}}")
-        append(f',\n{_I6}"mode_pairs": {record.mode_pair_count()},\n{_I6}"cover": ')
-        cover = level.cover
-        listed(_I6, cover and ((_OPEN, index(a), ",", index(b), _CLOSE) for a, b in cover))
-        append(f',\n{_I6}"coverage": ')
-        coverage = level.coverage
-        fraction = coverage and f",\n{_I10}{_float_text(coverage[1])}"
-        listed(_I6, coverage and ((_OPEN, index(i), fraction, _CLOSE) for i in coverage[0]))
+                append(f'{mark}\n        "{side}": ')
+                yield from listed("        ", prefixes, repeat(f"{sign}\n          }}"))
+            append("\n      }")
+        append(f',\n      "mode_pairs": {record.mode_pair_count()},\n      "cover": ')
+        cover = level.cover and (
+            f"\n        [\n          [\n            {a_mu},\n            {a_m}\n          ],"
+            f"\n          [\n            {b_mu},\n            {b_m}\n          ]\n        ]"
+            for (a_mu, a_m), (b_mu, b_m) in level.cover
+        )
+        yield from listed("      ", cover)
+        append(',\n      "coverage": ')
+        fraction = level.coverage and _float_text(level.coverage[1])
+        coverage = level.coverage and (
+            f"\n        [\n          [\n            {mu},\n            {m}\n          ],"
+            f"\n          {fraction}\n        ]"
+            for mu, m in level.coverage[0]
+        )
+        yield from listed("      ", coverage)
         append("\n    }")
         sep = ","
     append("\n  ]")
+    yield "".join(out)
 
 
 def _default_template(scenario: str | None) -> Callable[[ClassIndex], Germ]:

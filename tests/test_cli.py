@@ -2,10 +2,13 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
 import os
+import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,7 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
-from germtower.pipeline import MAX_SAMPLES, PipelineConfig, run_pipeline
+from germtower.pipeline import MAX_SAMPLES, PipelineConfig, Report, run_pipeline
 from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
@@ -635,6 +638,77 @@ def test_outdir_env_prefixes_relative_paths(capsys, tmp_path, monkeypatch):
     )
     assert code == EXIT_OK
     assert (tmp_path / "rel.json").exists()
+
+
+# a depth-888 swallowtail: its report is 0.86 MB, many blocks
+DEEP_FLAGS = ("correspond", "-N", "2", "--depth", "888", "--scenario", "swallowtail")
+
+
+def test_a_report_that_fails_after_its_first_block_leaves_the_old_file(
+    capsys, tmp_path, monkeypatch
+):
+    out_file = tmp_path / "report.json"
+    out_file.write_bytes(b"the old report\n")
+    chunks = Report.chunks
+
+    def broken(report):
+        blocks = chunks(report)
+        yield next(blocks)
+        raise ValueError("a block could not be written")
+
+    monkeypatch.setattr(Report, "chunks", broken)
+    code, _, err = run_cli(capsys, *DEEP_FLAGS, "--out", str(out_file))
+    assert (code, err) == (EXIT_CONFIG, "configuration error: a block could not be written\n")
+    assert out_file.read_bytes() == b"the old report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_a_file_that_fails_mid_report_leaves_the_old_file(tmp_path):
+    # the file size limit makes the report's file refuse a write part-way
+    limit = 64 * 1024
+    out_file = tmp_path / "report.json"
+    out_file.write_bytes(b"the old report\n")
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germtower.cli", *DEEP_FLAGS, "--out", str(out_file)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
+        ),
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert proc.stderr == f"configuration error: {too_large}\n"
+    assert out_file.read_bytes() == b"the old report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+    # the same run with no limit writes a report larger than it
+    assert main([*DEEP_FLAGS, "--out", str(out_file)]) == EXIT_OK
+    assert out_file.stat().st_size > limit
+
+
+def test_a_report_into_a_missing_directory_names_its_path(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "report.json"
+    code, _, err = run_cli(
+        capsys, "correspond", "--config", str(GOLDEN_CONFIG), "--out", str(out_file)
+    )
+    missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(out_file)!r}"
+    assert (code, err) == (EXIT_CONFIG, f"configuration error: {missing}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_new_report_takes_its_mode_from_the_umask(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(
+            capsys, "correspond", "--config", str(GOLDEN_CONFIG), "--out", str(out_file)
+        )
+    finally:
+        os.umask(umask)
+    assert code == EXIT_OK
+    assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~0o027
 
 
 def test_expand_counts(capsys):

@@ -22,6 +22,7 @@ from germtower import (
     level_record,
     run_pipeline,
 )
+from germtower.cli import write_output
 from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
@@ -732,6 +733,43 @@ def test_deep_report_text_peaks_below_two_and_a_half_times_its_length():
         tracemalloc.stop()
     assert len(text) > 800_000
     assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_writing_a_deep_report_to_its_file_peaks_below_its_length(tmp_path):
+    # the CLI's writer streams the report's blocks; the whole text is never held
+    report = run_pipeline(deep_swallowtail())
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_output(str(path), report.chunks())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 800_000
+    assert peak < size, peak / size
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_a_non_finite_amplitude_cannot_be_written(amplitude):
+    report = run_pipeline(make_config())
+    record = report.records[0]
+    part = record.parts[0]
+    part = part._replace(amplitudes=(amplitude,) + part.amplitudes[1:])
+    record = record._replace(parts=(part,) + record.parts[1:])
+    report = report._replace(records=(record,) + report.records[1:])
+    with pytest.raises(ValueError, match="reports may not contain NaN or infinity"):
+        report.json_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=report_configs())
+def test_the_cli_writes_the_bytes_of_json_text(tmp_path_factory, config):
+    report = run_pipeline(config)
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    write_output(str(path), report.chunks())
+    assert path.read_bytes() == report.json_text().encode()
 
 
 def test_amplitude_mu_flows_into_modes():
