@@ -6,6 +6,10 @@ violation, 4 diagnostic failure.  The GERMTOWER_OUTDIR environment variable,
 when set, prefixes relative output paths.  Every output file is written
 whole or not at all: to a new file beside it, renamed onto the path once
 written.
+
+A process enters through ``run``: it flushes stdout and stderr, then ends
+with ``os._exit``, so neither ``atexit`` handlers nor interpreter teardown
+run.  Library and test callers use ``main``, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .cuspidal import EllipticSemimodule, Mode
 from .germs import (
@@ -387,5 +391,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def run() -> NoReturn:
+    """The process entry: ``main``, a flush of stdout and stderr, then
+    ``os._exit``.  A failed flush leaves through ``sys.exit`` instead, so the
+    interpreter's shutdown reports it as it would after any other command."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # a stream whose fd was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -696,11 +696,11 @@ def run_pipeline(config: PipelineConfig) -> Report:
         for level in stack.levels
     ]
 
-    diagnostics = _diagnostics(stack, records, desingularized)
-    expansions = emit_expansion([level.label for level in stack.levels])
+    diagnostics = stage("report", _diagnostics, stack, records, desingularized)
+    expansions = stage("report", emit_expansion, [level.label for level in stack.levels])
 
     return Report(
-        config=config_to_json(config),
+        config=stage("report", config_to_json, config),
         rule=stack.rule,
         records=tuple(records),
         cascade=stack.cascade,

@@ -3,14 +3,17 @@
 import contextlib
 import copy
 import errno
+import functools
 import io
 import json
 import math
+import operator
 import os
 import resource
 import stat
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,6 +89,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """The environment of a CLI process: ``src`` on its path, and without
+    PYTHONUNBUFFERED, which would flush every write and hide a missing flush."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def spawn_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m germtower.cli`` as its own process, in ``child_env``
+    unless ``env`` is given; stdout and stderr are captured unless given."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": child_env(), **kwargs}
+    return subprocess.run([sys.executable, "-m", "germtower.cli", *argv], text=True, **kwargs)
 
 
 def test_tower_prints_classes_and_places(capsys, tmp_path):
@@ -318,10 +337,14 @@ def test_report_escapes_control_characters_in_the_config_echo(capsys, tmp_path):
 CLASS_KEYS = GOLDEN_CLASSES + ("7,1", "99,7", "0,1", "1,x", "a,1", "1,1,1", "")
 TEXT = st.text('mu<=H%2,1x"\\\n\u00e9', max_size=4)
 SCALARS = st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | TEXT
-VALUES = (
-    SCALARS
-    | st.lists(SCALARS, max_size=3)
-    | st.dictionaries(TEXT, SCALARS, max_size=2)
+# integers past 2**64 and past the float range, within the digits that
+# json will write and read
+HUGE = st.integers(2**64, 10**400) | st.integers(-(10**400), -(2**64))
+LONG_TEXT = st.builds(operator.mul, TEXT.filter(bool), st.integers(100, 2_000))
+VALUES = st.recursive(
+    SCALARS | HUGE | LONG_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=2),
+    max_leaves=8,
 )
 # a new object per draw, as later edits may change it in place
 GERMS = st.integers(0, 3).map(lambda nvars: {"nvars": nvars, "coeffs": [[[2], "1"]]})
@@ -355,13 +378,22 @@ def edit(draw, value, action: str) -> None:
 
 
 def assert_contract_exit(code: int, err: str, value, allowed) -> None:
-    """The exit code is allowed, exit 2 prints one configuration error line,
-    and a value that still repeats a key exits 2 on it.  (Which key the line
-    names is pinned by the parametrized tests: a repeat nested inside
-    another is parsed, and rejected, first.)"""
+    """The exit code is allowed; exit 0 prints nothing to stderr, exit 2 one
+    configuration error line, exit 3 one pipeline error line and exit 4 one
+    line per failed diagnostic.  A value that still repeats a key exits 2 on
+    it.  (Which key the line names is pinned by the parametrized tests: a
+    repeat nested inside another is parsed, and rejected, first.)"""
     assert code in allowed, err
-    if code == EXIT_CONFIG:
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+    lines = err.splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines), err
+    if code == EXIT_OK:
+        assert err == ""
+    elif code == EXIT_CONFIG:
+        assert err.startswith("configuration error:") and len(lines) == 1, err
+    elif code == EXIT_CONTRACT:
+        assert err.startswith("pipeline error:") and len(lines) == 1, err
+    else:
+        assert lines and all(line.startswith("FAILED diagnostic: ") for line in lines), err
     if next(raws(value), None) is not None:
         assert code == EXIT_CONFIG and "repeats the key" in err, err
 
@@ -405,12 +437,18 @@ def quiet_main(argv) -> tuple[int, str]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=golden_mutants())
-def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, config):
+@given(config=golden_mutants(), amplitude=mutants({"table": UNIT_TABLE}) | VALUES)
+def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, config, amplitude):
     path = tmp_path_factory.getbasetemp() / "mutant.json"
+    amplitude_path = tmp_path_factory.getbasetemp() / "mutant-amplitude.json"
     path.write_text(json_text(config))
-    code, err = quiet_main(["correspond", "--config", str(path)])
-    assert_contract_exit(code, err, config, (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC))
+    amplitude_path.write_text(json_text(amplitude))
+    for argv, value in (
+        (["correspond", "--config", str(path)], config),
+        (["correspond", *GOLDEN_FLAGS, "--amplitude", str(amplitude_path)], amplitude),
+    ):
+        code, err = quiet_main(argv)
+        assert_contract_exit(code, err, value, (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC))
 
 
 ELLIPTIC = {"nvars": 2, "coeffs": [[[3, 0], "1"], [[1, 2], "-3"]]}
@@ -491,6 +529,19 @@ def test_levels_contract_violation_exit(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *args)
     assert code == EXIT_CONTRACT
     assert "pipeline error: [levels]" in err
+
+
+@pytest.mark.parametrize("name", ["_diagnostics", "emit_expansion", "config_to_json"])
+def test_a_report_that_cannot_be_assembled_is_a_contract_violation(capsys, monkeypatch, name):
+    # the config was accepted, so the input is not at fault
+    import germtower.pipeline as pipeline_module
+
+    def broken(*args):
+        raise ValueError(f"{name} broke")
+
+    monkeypatch.setattr(pipeline_module, name, broken)
+    code, out, err = run_cli(capsys, "correspond", "--config", str(GOLDEN_CONFIG))
+    assert (code, out, err) == (EXIT_CONTRACT, "", f"pipeline error: [report] {name} broke\n")
 
 
 def test_correspond_writes_report(capsys, tmp_path):
@@ -668,12 +719,10 @@ def test_a_file_that_fails_mid_report_leaves_the_old_file(tmp_path):
     limit = 64 * 1024
     out_file = tmp_path / "report.json"
     out_file.write_bytes(b"the old report\n")
-    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "germtower.cli", *DEEP_FLAGS, "--out", str(out_file)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+    proc = spawn_cli(
+        *DEEP_FLAGS,
+        "--out",
+        str(out_file),
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
         ),
@@ -803,25 +852,106 @@ def test_json_nested_too_deeply_is_a_config_error(capsys, tmp_path, depth):
         assert err == f"configuration error: {source}: JSON nests too deeply to parse\n"
     # and as a process: one stderr line, no traceback
     path.write_text(nested)
-    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "germtower.cli", "correspond", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
+    proc = spawn_cli("correspond", "--config", str(path))
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "germtower.cli", "expand", "--levels", "ST,MG"],
-        capture_output=True,
-        text=True,
-    )
+    proc = spawn_cli("expand", "--levels", "ST,MG")
     assert proc.returncode == 0
     assert "total 4" in proc.stdout
+
+
+# A CLI process ends through ``run``: it flushes stdout and stderr, then
+# calls ``os._exit``.  Its exit code, stdout and stderr are those of a
+# process that ends through the interpreter's own shutdown.
+
+
+def test_a_process_prints_all_its_output_and_exits_with_its_code(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), "--out", str(out_file))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.endswith("\ndiagnostics: 4/4 passed\n")
+    assert run_cli(capsys, "correspond", "--config", str(GOLDEN_CONFIG)) == (
+        EXIT_OK, proc.stdout, ""
+    )
+    assert out_file.read_bytes() == GOLDEN_CONFIG.with_name("golden_report.json").read_bytes()
+
+    missing = tmp_path / "missing.json"
+    proc = spawn_cli("correspond", "--config", str(missing))
+    no_file = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(missing)!r}"
+    assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+    assert proc.stderr == f"configuration error: {no_file}\n"
+
+    cfg = golden_variant(tmp_path, amplitude={"table": dict.fromkeys(GOLDEN_CLASSES, 1e200)})
+    proc = spawn_cli("correspond", "--config", str(cfg))
+    assert proc.returncode == EXIT_DIAGNOSTIC
+    assert proc.stdout.endswith("\ndiagnostics: 3/4 passed\n")
+    assert proc.stderr == (
+        "FAILED diagnostic: oscillator_constancy (max bistring modulus variance inf)\n"
+    )
+
+    proc = spawn_cli("correspond", "--bogus")
+    assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+    assert proc.stderr.startswith("usage: germtower ")
+    assert proc.stderr.endswith("germtower: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device():
+    with open("/dev/full", "w") as full:
+        # buffered, the summary fails at the last flush, which the
+        # interpreter's shutdown reports
+        proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), stdout=full)
+        assert proc.returncode == 120
+        assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert proc.stderr.endswith(
+            f"OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
+        # unbuffered, the first print fails inside the command
+        unbuffered = dict(child_env(), PYTHONUNBUFFERED="1")
+        proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), stdout=full, env=unbuffered)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == (
+        f"configuration error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.parametrize("fd", [1, 2])
+def test_a_process_started_with_a_closed_stream_exits_as_before(tmp_path, fd):
+    # with its descriptor closed at start the stream is None: a print to
+    # stdout is dropped, and a print to stderr goes to stdout
+    close = functools.partial(os.close, fd)
+    proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), preexec_fn=close)
+    assert proc.returncode == EXIT_OK
+    assert (proc.stdout.endswith("diagnostics: 4/4 passed\n"), proc.stderr) == (fd == 2, "")
+    proc = spawn_cli("correspond", "--config", str(tmp_path / "missing.json"), preexec_fn=close)
+    assert proc.returncode == EXIT_CONFIG
+    shown = proc.stdout if fd == 2 else proc.stderr
+    assert shown.startswith("configuration error: ") and shown.count("\n") == 1
+
+
+def test_a_process_skips_atexit_and_flushes_a_buffered_stderr(tmp_path):
+    # an atexit handler would print the marker; the stderr put in place is
+    # block-buffered, so only run's own flush writes the error line
+    missing = tmp_path / "missing.json"
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "sys.stderr = open(2, 'w', closefd=False)\n"
+        f"sys.argv = ['germtower', 'correspond', '--config', {str(missing)!r}]\n"
+        "runpy.run_module('germtower.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    no_file = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(missing)!r}"
+    assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+    assert proc.stderr == f"configuration error: {no_file}\n"
+    # the installed script takes the same exit
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"germtower": "germtower.cli:run"}
 
 
 def test_cli_import_stays_off_the_introspection_modules():
@@ -830,12 +960,8 @@ def test_cli_import_stays_off_the_introspection_modules():
     # statistics is imported only by the variance's non-finite fallback.
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
     code = f"import sys, germtower.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
