@@ -5,8 +5,9 @@ The engine is organized in layers: index towers (`tower`), level tags and
 labeled sum-product expansions (`bisemigroup`), polynomial jets with their
 catastrophe classification (`germs`), germ-valued semisheaves and their
 morphisms (`sheaves`), exponential-sum compactification and correspondences
-(`cuspidal`), versal deformation with the blowup cascade (`blowup`), and the
-deterministic pipeline plus CLI (`pipeline`, `cli`).
+(`cuspidal`), versal deformation with the blowup cascade (`blowup`), the run
+configuration (`config`), the deterministic pipeline and its report
+(`pipeline`, `report`), and the CLI (`cli`, with `tools`).
 """
 
 from .bisemigroup import (
@@ -62,20 +63,15 @@ from .germs import (
     normal_form,
     versal_unfold,
 )
-from .pipeline import (
+from .config import (
     PipelineConfig,
-    PipelineError,
-    Report,
     config_from_json,
     config_to_json,
-    dumps_canonical,
-    emit_expansion,
     normalize_scenario,
     parse_reduce_rule,
-    run_pipeline,
-    sample_rows,
-    samples_csv,
 )
+from .pipeline import PipelineError, emit_expansion, run_pipeline, sample_rows, samples_csv
+from .report import Report, dumps_canonical
 from .sheaves import (
     NATURES,
     Bisemisheaf,

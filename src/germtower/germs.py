@@ -41,16 +41,18 @@ UNCLASSIFIED = "Unclassified"
 def snap_to_fraction(value) -> Fraction:
     """Coerce a number (int, Fraction, float, or 'p/q' string) to a Fraction.
 
-    Booleans, non-finite floats and zero-denominator strings raise
-    ValueError: none of them is a rational coefficient.  So do strings whose
-    decimal exponent exceeds 4300 in magnitude, which would take unbounded
-    time to expand.
+    Booleans, non-finite floats, zero-denominator strings and non-ASCII
+    strings raise ValueError: none of them is a rational coefficient.  So
+    do strings whose decimal exponent exceeds 4300 in magnitude, which
+    would take unbounded time to expand.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if not value.isascii():  # Fraction also reads the digits of other scripts
+            raise ValueError(f"coefficient {value!r} is not ASCII text")
         exponent = _DECIMAL_EXPONENT.search(value)
         if exponent:
             digits = exponent.group(1).replace("_", "").lstrip("0") or "0"

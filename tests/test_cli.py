@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import tomllib
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -132,6 +133,50 @@ def test_tower_requires_modulus_and_depth(capsys):
     code, out, err = run_cli(capsys, "tower", "-N", "2", "--depth", str(10**12))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("configuration error:") and "budget" in err
+
+
+NON_ASCII_NUMBERS = [
+    pytest.param(
+        ("tower", "-N", "٢", "--offset", "1", "--depth", "٣"), None, None,
+        "germtower tower: error: argument --modulus/-N: invalid int value: '٢'",
+        id="int-flag",
+    ),
+    pytest.param(
+        ("correspond", "-N", "2", "--offset", "1", "--depth", "6", "--multiplicity", "١,1,1,1,1,1"),
+        None, None, "configuration error: invalid int value: '١'",
+        id="list-flag",
+    ),
+    pytest.param(
+        ("classify",), '{"nvars": 1, "coeffs": [[[3], "٢/٣"]]}\n', None,
+        "configuration error: coefficient '٢/٣' is not ASCII text",
+        id="coefficient",
+    ),
+    pytest.param(
+        ("correspond",), None, {"reduce": "mu<=٣"},
+        "configuration error: cannot parse reduce rule 'mu<=٣'",
+        id="reduce-rule",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, changes, error", NON_ASCII_NUMBERS)
+def test_number_text_must_be_ascii(capsys, monkeypatch, tmp_path, argv, stdin, changes, error):
+    # int(), float(), Fraction() and an unflagged regex \d also read the
+    # decimal digits of other scripts (here ARABIC-INDIC); none may be coerced
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    if changes is not None:
+        argv += ("--config", str(golden_variant(tmp_path, **changes)))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a flag's value this way
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_CONFIG, "")
+    if error.startswith("germtower "):  # argparse: the usage, then the error
+        assert err.startswith("usage: germtower ") and err.endswith(f"\n{error}\n")
+    else:
+        assert err == f"{error}\n"
 
 
 def test_tower_config_file(capsys, tmp_path):
@@ -957,11 +1002,29 @@ def test_a_process_skips_atexit_and_flushes_a_buffered_stderr(tmp_path):
 def test_cli_import_stays_off_the_introspection_modules():
     # Every CLI op is a fresh process that starts with this import;
     # dataclasses would bring inspect, ast, dis and tokenize with it.
-    # statistics is imported only by the variance's non-finite fallback.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
+    # statistics is imported only by the variance's non-finite fallback,
+    # germtower.tools only by the subcommands that run no pipeline.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics", "germtower.tools")
     code = f"import sys, germtower.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_modules_compiled_last_compile_within_a_mebibyte():
+    # Without a bytecode cache (PYTHONDONTWRITEBYTECODE=1) every CLI op
+    # compiles src/ from source.  These modules compile after the engine is
+    # loaded, so the working memory of their compile sets every op's peak RSS.
+    peaks = {}
+    for name in ("cli", "config", "pipeline", "report", "tools"):
+        source = (SRC / "germtower" / f"{name}.py").read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            compile(source, f"{name}.py", "exec")
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 2**20, peaks

@@ -22,7 +22,7 @@ from germtower import (
     level_record,
     run_pipeline,
 )
-from germtower.cli import write_output
+from germtower.config import normalize_scenario, parse_reduce_rule
 from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
@@ -32,11 +32,10 @@ from germtower.pipeline import (
     _bistring_variances,
     _pvariance,
     emit_expansion,
-    normalize_scenario,
-    parse_reduce_rule,
     sample_rows,
     samples_csv,
 )
+from germtower.report import write_output
 from germtower.tower import ClassIndex, LEFT, RIGHT, Tower
 
 DATA_DIR = Path(__file__).parent / "data"

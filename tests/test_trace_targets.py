@@ -41,6 +41,18 @@ def test_every_traced_function_and_method_resolves():
         assert isinstance(raw, staticmethod) == static, (module, cls_name, attr)
 
 
+def test_every_traced_target_is_the_object_its_defining_module_holds():
+    # The tracer patches every module attribute that is the target object,
+    # so a copy or a wrapper left where it looks would go unmeasured.
+    tracer = load_tracer()
+    for _, module, attr in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module(module), attr)
+        assert getattr(importlib.import_module(fn.__module__), attr) is fn, (module, attr)
+    for _, module, cls_name, _, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        assert getattr(importlib.import_module(cls.__module__), cls_name) is cls, (module, cls_name)
+
+
 def test_every_benchmark_stage_is_a_pipeline_stage():
     runner = ast.parse(RUNNER.read_text(encoding="utf-8"))
     (stages,) = [
