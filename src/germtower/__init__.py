@@ -10,13 +10,7 @@ configuration (`config`), the deterministic pipeline and its report
 (`pipeline`, `report`), and the CLI (`cli`, with `tools`).
 """
 
-from .bisemigroup import (
-    FREE,
-    INTERACTION,
-    LEVELS,
-    LabeledTerm,
-    expand_sum_product,
-)
+from .bisemigroup import LabeledTerm, expand_sum_product
 from .blowup import (
     BlowupResult,
     DeformedBundle,
@@ -44,22 +38,12 @@ from .cuspidal import (
 )
 from .germs import (
     CATALOGUE,
-    CUSP,
-    ELLIPTIC_UMBILIC,
-    FOLD,
-    HYPERBOLIC_UMBILIC,
-    MORSE,
-    REGULAR,
-    SWALLOWTAIL,
-    UNCLASSIFIED,
     Germ,
     SingularityClass,
     Unfolding,
     classify_germ,
     corank,
     format_germ,
-    germ_from_json,
-    germ_to_json,
     normal_form,
     versal_unfold,
 )
@@ -67,13 +51,11 @@ from .config import (
     PipelineConfig,
     config_from_json,
     config_to_json,
-    normalize_scenario,
     parse_reduce_rule,
 )
-from .pipeline import PipelineError, emit_expansion, run_pipeline, sample_rows, samples_csv
+from .pipeline import PipelineError, run_pipeline
 from .report import Report, dumps_canonical
 from .sheaves import (
-    NATURES,
     Bisemisheaf,
     Section,
     Semisheaf,
@@ -86,15 +68,6 @@ from .sheaves import (
     shift,
     tensor,
 )
-from .tower import (
-    LEFT,
-    RIGHT,
-    ClassIndex,
-    Tower,
-    TowerConfig,
-    build_tower,
-    tower_config_from_json,
-    tower_config_to_json,
-)
+from .tower import ClassIndex, Tower, TowerConfig, build_tower
 
 __version__ = "0.1.0"

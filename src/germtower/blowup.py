@@ -52,7 +52,6 @@ class DeformedBundle(NamedTuple):
 
     base: Semisheaf
     fiber: tuple[tuple[str, Germ], ...]
-    singularity: SingularityClass
 
 
 def deform(base: Semisheaf) -> DeformedBundle:
@@ -72,7 +71,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
     cls = classes.pop()
     if cls.name not in CATALOGUE:
         raise ValueError(f"{cls.name} germs have no tabulated versal deformation")
-    return DeformedBundle(base, versal_unfold(cls).parameters, cls)
+    return DeformedBundle(base, versal_unfold(cls).parameters)
 
 
 class BlowupResult(NamedTuple):
@@ -165,27 +164,25 @@ class Level(NamedTuple):
 
 
 class LevelStack(Record):
-    """The levels inner to outer, the selection rule and the cascade log."""
+    """The levels inner to outer and the cascade log.  The selection rule
+    is the number of levels."""
 
-    __slots__ = ("levels", "rule", "cascade")
+    __slots__ = ("levels", "cascade")
 
-    def __init__(self, levels: tuple[Level, ...], rule: int, cascade: tuple[str, ...]):
+    def __init__(self, levels: tuple[Level, ...], cascade: tuple[str, ...]):
         labels = tuple(level.label for level in levels)
         if labels != LEVELS[: len(labels)] or not labels:
             raise ValueError(f"levels must run {LEVELS} inner to outer, got {labels}")
         _set(self, "levels", levels)
-        _set(self, "rule", rule)
         _set(self, "cascade", cascade)
 
 
 def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
+    """Each class of ``lower`` with the largest class of ``upper`` at or
+    below it, or with the first class of ``upper`` when none is."""
     upper = sorted(upper)
-    upper_set = set(upper)
     out = []
     for idx in lower:
-        if idx in upper_set:
-            out.append((idx, idx))
-            continue
         pos = bisect.bisect_right(upper, idx)
         out.append((idx, upper[pos - 1] if pos else upper[0]))
     return tuple(out)
@@ -297,7 +294,7 @@ def generate_levels(
     orthogonal = emergent_project(complementary)
     if singularity is None:
         st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
-        return LevelStack((st,), 1, ())
+        return LevelStack((st,), ())
     if orthogonal.nature != SPACE_SHIFTED:
         raise ValueError(
             "singularity scenarios start from a time-natured base: the projected part hosts the spatial germ"
@@ -333,4 +330,4 @@ def generate_levels(
         parts = Bisemisheaf(residual), _pair_or_none(time)
         levels.append(Level(step.label, *parts, step.cover, (seed.carrier, result.fraction)))
 
-    return LevelStack(tuple(levels), len(plan), tuple(cascade))
+    return LevelStack(tuple(levels), tuple(cascade))

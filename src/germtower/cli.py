@@ -20,7 +20,6 @@ run.  Library and test callers use ``main``, which returns the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import NoReturn
@@ -84,7 +83,7 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
 
 
 def _print_level_summary(report) -> None:
-    print(f"rule {report.rule}; levels: {', '.join(r.label for r in report.records)}")
+    print(f"rule {len(report.records)}; levels: {', '.join(r.label for r in report.records)}")
     for record in report.records:
         reduced, *orthogonal = (len(part.carrier) for part in record.parts)
         print(
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

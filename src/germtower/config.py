@@ -5,7 +5,8 @@ and check; ``config_from_json`` and ``config_to_json`` read and echo the
 JSON form.  The input helpers that both CLI modules need live here too:
 strict JSON loading (no repeated key) and the config flags written as the
 same JSON.  Number text must be ASCII: ``int`` and ``float`` also read the
-decimal digits of other scripts, which would be a silent coercion.
+decimal digits of other scripts, which would be a silent coercion.  Integer
+text is digits alone, with an optional leading minus.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .blowup import plan_levels
-from .germs import Germ, germ_from_json, germ_to_json, normal_form
+from .cuspidal import unit_amplitude
+from .germs import CATALOGUE, Germ, germ_from_json, germ_to_json, normal_form
 from .tower import (
     ClassIndex,
     TowerConfig,
@@ -35,16 +37,12 @@ EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 EXIT_DIAGNOSTIC = 4
 
+# Each catalogue name's CamelCase words, lower-cased and joined by "-", "_"
+# or nothing: "elliptic-umbilic", "elliptic_umbilic", "ellipticumbilic".
 _SCENARIO_ALIASES = {
-    "fold": "Fold",
-    "cusp": "Cusp",
-    "swallowtail": "Swallowtail",
-    "elliptic-umbilic": "EllipticUmbilic",
-    "elliptic_umbilic": "EllipticUmbilic",
-    "ellipticumbilic": "EllipticUmbilic",
-    "hyperbolic-umbilic": "HyperbolicUmbilic",
-    "hyperbolic_umbilic": "HyperbolicUmbilic",
-    "hyperbolicumbilic": "HyperbolicUmbilic",
+    sep.join(re.findall("[A-Z][a-z]*", name)).lower(): name
+    for name in CATALOGUE
+    for sep in ("-", "_", "")
 }
 
 
@@ -228,23 +226,16 @@ def _germ_template(value) -> dict[ClassIndex, Germ] | None:
 
 def _amplitude_callable(value) -> Callable[[ClassIndex], float]:
     if value == "unit":
-        return lambda idx: 1.0
+        return unit_amplitude
     if value == "mu":
         return lambda idx: float(idx.mu)
     # the config checked that the table covers every compactified class
     return dict(value).__getitem__
 
 
-_CONFIG_KEYS = {
-    "tower",
-    "scenario",
-    "reduce",
-    "orth_dims",
-    "amplitude",
-    "covering_depths",
-    "even_classes",
-    "germ_template",
-}
+# The config keys that the run flags write; each flag's dest is its key.
+_RUN_FLAGS = ("scenario", "reduce", "orth_dims", "amplitude", "covering_depths", "even_classes")
+_CONFIG_KEYS = {"tower", *_RUN_FLAGS, "germ_template"}
 
 
 def config_from_json(data: dict) -> PipelineConfig:
@@ -317,13 +308,14 @@ def _load_json_file(path: str):
     return load_json(Path(path).read_text(encoding="utf-8"), path)
 
 
-def _ascii_number(kind: type) -> Callable[[str], int | float]:
-    """``kind`` (``int`` or ``float``) of ASCII text only; both also read the
-    decimal digits of other scripts, such as ``'٣'``.  The parser keeps the
-    kind's name, which argparse writes in its error."""
+def _number(kind: type, accepts: Callable[[str], object]) -> Callable[[str], int | float]:
+    """``kind`` (``int`` or ``float``) of text that ``accepts`` admits; both
+    also read the decimal digits of other scripts, such as ``'٣'``, and
+    ``int`` reads ``' +1_0'`` as 10.  The parser keeps the kind's name, which
+    argparse writes in its error."""
 
     def parse(text: str):
-        if not text.isascii():
+        if not accepts(text):
             raise ValueError(f"invalid {kind.__name__} value: {text!r}")
         return kind(text)
 
@@ -331,16 +323,16 @@ def _ascii_number(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
-ascii_int, ascii_float = _ascii_number(int), _ascii_number(float)
+ascii_int = _number(int, re.compile("-?[0-9]+").fullmatch)
+ascii_float = _number(float, str.isascii)
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [ascii_int(part) for part in text.split(",") if part.strip() != ""]
+    """A comma list of integers; an empty entry is an error like any other."""
+    return [ascii_int(part) for part in text.split(",")]
 
 
-# Each flag's dest is its config JSON key.
-_TOWER_FLAGS = ("quantum_modulus", "offset", "depth", "multiplicity", "complex_multiplicity")
-_RUN_FLAGS = ("scenario", "reduce", "orth_dims", "amplitude", "covering_depths", "even_classes")
+# The flags whose text is a comma list of integers.
 _LIST_FLAGS = ("multiplicity", "complex_multiplicity", "covering_depths")
 
 
@@ -355,7 +347,7 @@ def _given(args, keys) -> dict:
 
 
 def _tower_json_from_args(args) -> dict:
-    data = _given(args, _TOWER_FLAGS)
+    data = _given(args, TowerConfig.__slots__)
     if "quantum_modulus" not in data or "depth" not in data:
         raise ValueError("--modulus and --depth are required without --config")
     return data

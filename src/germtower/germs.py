@@ -363,9 +363,7 @@ def classify_germ(g: Germ) -> SingularityClass:
     Everything else is ``Unclassified`` with the computed corank.  The
     umbilic search compares coefficient tables; nothing is cached.
     """
-    if g.constant_term != 0 or any(g.gradient_at_zero()):
-        return SingularityClass(REGULAR, 0, 0)
-    if g.is_zero:
+    if g.constant_term != 0 or any(g.gradient_at_zero()) or g.is_zero:
         return SingularityClass(REGULAR, 0, 0)
     rank = _hessian_rank(g.hessian_at_zero())
     cr = g.nvars - rank

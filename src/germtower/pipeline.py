@@ -23,7 +23,7 @@ from .config import (
     config_from_json,  # noqa: F401  (perfbench/tracer.py wraps it here as pipeline.config)
     config_to_json,
 )
-from .cuspidal import EllipticSemimodule, LevelRecord, bistring_modulus, level_record
+from .cuspidal import LevelRecord, bistring_modulus, level_record
 from .germs import CATALOGUE, MORSE, REGULAR, Germ, classify_germ, format_germ
 from .report import Report
 from .sheaves import TIME, Bisemisheaf, attach_sections, shift
@@ -216,7 +216,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
     return Report(
         config=stage("report", config_to_json, config),
-        rule=stack.rule,
         records=tuple(records),
         cascade=stack.cascade,
         expansions=expansions,
@@ -224,48 +223,3 @@ def run_pipeline(config: PipelineConfig) -> Report:
         stack=stack,
     )
 
-
-# ---------------------------------------------------------------------------
-# sample emission
-
-# The most points ``sample_rows`` evaluates.  Every point is one row in
-# memory and one CSV line, so a larger count would exhaust memory before it
-# ended; the bound is fixed, not a setting.
-MAX_SAMPLES = 100_000
-
-
-def sample_rows(
-    esm: EllipticSemimodule, n: int, x0: float, x1: float
-) -> list[tuple[float, float, float, float]]:
-    """Evaluate the semimodule on n evenly spaced points of [x0, x1].
-
-    ``n`` may not exceed ``MAX_SAMPLES``.  A value that leaves the float
-    range, in a part or in its modulus, raises ValueError naming the point.
-    """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"sample count {n} exceeds the budget of {MAX_SAMPLES} samples")
-    if not (math.isfinite(x0) and math.isfinite(x1)):
-        raise ValueError(f"sample range must be finite, got [{x0}, {x1}]")
-    if n > 1 and not x1 > x0:
-        raise ValueError("degenerate sample range: need x1 > x0")
-    rows = []
-    for i in range(n):
-        x = x0 if n == 1 else x0 + i * (x1 - x0) / (n - 1)
-        z = esm.evaluate(x)
-        try:
-            modulus = abs(z)  # inf or nan when a part is
-        except OverflowError:  # finite parts, modulus beyond the float range
-            modulus = math.inf
-        if not math.isfinite(modulus):
-            raise ValueError(f"the semimodule value at x={x} is not finite")
-        rows.append((x, z.real, z.imag, modulus))
-    return rows
-
-
-def samples_csv(esm: EllipticSemimodule, n: int, x0: float, x1: float) -> str:
-    lines = ["x,re,im,modulus"]
-    for row in sample_rows(esm, n, x0, x1):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"

@@ -112,10 +112,10 @@ def dumps_canonical(obj, pad: str = "") -> str:
 
 
 class Report(NamedTuple):
-    """The report's sections; the level rows are written from ``records`` and ``stack``."""
+    """The report's sections; the level rows are written from ``records`` and
+    ``stack``, and the rule is the number of levels."""
 
     config: dict
-    rule: int
     records: tuple[LevelRecord, ...]
     cascade: tuple[str, ...]
     expansions: dict
@@ -138,7 +138,7 @@ class Report(NamedTuple):
         a report: ``json_text`` joins the blocks, and ``correspond --out``
         streams them to its file, so the whole text is never held."""
         config = dumps_canonical(self.config, "  ")
-        yield f'{{\n  "config": {config},\n  "rule": {self.rule},\n  "levels": '
+        yield f'{{\n  "config": {config},\n  "rule": {len(self.records)},\n  "levels": '
         yield from _write_levels(self.stack.levels, self.records)
         for key in ("cascade", "expansions", "diagnostics"):
             yield f',\n  "{key}": ' + dumps_canonical(getattr(self, key), "  ")

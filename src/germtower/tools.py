@@ -2,13 +2,15 @@
 
 ``tower``, ``classify``, ``unfold``, ``expand`` and ``samples`` are looked
 up in ``COMMANDS`` by ``cli.main``, which imports this module only when one
-of them was chosen, so a ``correspond`` process never compiles it.  This
-module does not import ``germtower.cli``: under ``python -m germtower.cli``
-that would load a second copy of it.
+of them was chosen, so a ``correspond`` process never compiles it.  Sample
+emission serves ``samples`` alone and lives here too.  This module does not
+import ``germtower.cli``: under ``python -m germtower.cli`` that would load a
+second copy of it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .config import (
@@ -21,7 +23,7 @@ from .config import (
 )
 from .cuspidal import EllipticSemimodule, Mode
 from .germs import CATALOGUE, classify_germ, format_germ, germ_from_json, versal_unfold
-from .pipeline import emit_expansion, samples_csv
+from .pipeline import emit_expansion
 from .report import dumps_canonical, write_output
 from .tower import (
     LEFT,
@@ -145,6 +147,52 @@ def _semimodule_from_json(data) -> EllipticSemimodule:
     side = LEFT if modes[0].sign == 1 else RIGHT
     carrier = tuple(ClassIndex(mode.mu, mode.m) for mode in modes)
     return EllipticSemimodule(side, carrier, tuple(mode.amplitude for mode in modes))
+
+
+# ---------------------------------------------------------------------------
+# sample emission
+
+# The most points ``sample_rows`` evaluates.  Every point is one row in
+# memory and one CSV line, so a larger count would exhaust memory before it
+# ended; the bound is fixed, not a setting.
+MAX_SAMPLES = 100_000
+
+
+def sample_rows(
+    esm: EllipticSemimodule, n: int, x0: float, x1: float
+) -> list[tuple[float, float, float, float]]:
+    """Evaluate the semimodule on n evenly spaced points of [x0, x1].
+
+    ``n`` may not exceed ``MAX_SAMPLES``.  A value that leaves the float
+    range, in a part or in its modulus, raises ValueError naming the point.
+    """
+    if n < 1:
+        raise ValueError("sample count must be >= 1")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count {n} exceeds the budget of {MAX_SAMPLES} samples")
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"sample range must be finite, got [{x0}, {x1}]")
+    if n > 1 and not x1 > x0:
+        raise ValueError("degenerate sample range: need x1 > x0")
+    rows = []
+    for i in range(n):
+        x = x0 if n == 1 else x0 + i * (x1 - x0) / (n - 1)
+        z = esm.evaluate(x)
+        try:
+            modulus = abs(z)  # inf or nan when a part is
+        except OverflowError:  # finite parts, modulus beyond the float range
+            modulus = math.inf
+        if not math.isfinite(modulus):
+            raise ValueError(f"the semimodule value at x={x} is not finite")
+        rows.append((x, z.real, z.imag, modulus))
+    return rows
+
+
+def samples_csv(esm: EllipticSemimodule, n: int, x0: float, x1: float) -> str:
+    lines = ["x,re,im,modulus"]
+    for row in sample_rows(esm, n, x0, x1):
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_samples(args) -> int:

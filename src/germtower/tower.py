@@ -274,15 +274,6 @@ def build_tower(config: TowerConfig) -> Tower:
     return Tower(config)
 
 
-_TOWER_KEYS = {
-    "quantum_modulus",
-    "offset",
-    "depth",
-    "multiplicity",
-    "complex_multiplicity",
-}
-
-
 def tower_config_from_json(data: dict) -> TowerConfig:
     """Build a TowerConfig from a plain JSON mapping.
 
@@ -292,7 +283,7 @@ def tower_config_from_json(data: dict) -> TowerConfig:
     """
     if not isinstance(data, dict):
         raise ValueError("tower config must be a JSON object")
-    unknown = set(data) - _TOWER_KEYS
+    unknown = set(data).difference(TowerConfig.__slots__)
     if unknown:
         raise ValueError(f"unknown tower config keys: {sorted(unknown)}")
     for key in ("quantum_modulus", "depth"):
@@ -302,10 +293,8 @@ def tower_config_from_json(data: dict) -> TowerConfig:
 
 
 def tower_config_to_json(config: TowerConfig) -> dict:
+    """The JSON mapping of a TowerConfig, its keys in slot order."""
     return {
-        "quantum_modulus": config.quantum_modulus,
-        "offset": config.offset,
-        "depth": config.depth,
-        "multiplicity": list(config.multiplicity),
-        "complex_multiplicity": list(config.complex_multiplicity),
+        key: value if type(value) is int else list(value)
+        for key, value in zip(config.__slots__, config._values())
     }

@@ -1,6 +1,8 @@
 """Versal deformation, blowup coverings, and the level cascade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germtower import (
     Germ,
@@ -21,6 +23,7 @@ from germtower import (
     time_space_lift,
 )
 from germtower.bisemigroup import M, MG, ST
+from germtower.blowup import _cover_map
 from germtower.germs import (
     CUSP,
     ELLIPTIC_UMBILIC,
@@ -41,7 +44,7 @@ from germtower.sheaves import (
     Semisheaf,
     shift,
 )
-from germtower.tower import LEFT, RIGHT
+from germtower.tower import LEFT, RIGHT, ClassIndex
 
 
 def space_sheaf(depth=4, side=RIGHT, nvars=1, modulus=2, offset=1):
@@ -64,7 +67,7 @@ def starred(name, depth=4, side=RIGHT):
 
 def test_deform_swallowtail_fiber():
     bundle = deform(starred(SWALLOWTAIL))
-    assert bundle.singularity.name == SWALLOWTAIL
+    assert classify_germ(bundle.base.germs[0]).name == SWALLOWTAIL
     assert [name for name, _ in bundle.fiber] == ["a1", "a2", "a3"]
     assert [format_germ(mono) for _, mono in bundle.fiber] == ["x", "x^2", "x^3"]
 
@@ -159,7 +162,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
         assert len(set(germs)) == len(germs)
         base = starred_over(germs)
         bundle = deform(base)
-        assert bundle.singularity.name == name
+        assert classify_germ(bundle.base.germs[0]).name == name
         result = blow_up(bundle)
         glued = result.covering.germs[0].total_degree
         fraction = min(1.0, glued / normal_form(name).total_degree)
@@ -168,7 +171,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
     # cannot glue onto the 2-variable germ, so the blowup is rejected
     mixed = starred_over([Germ.monomial(1, (3,)), Germ.from_coeffs(2, {(0, 2): 1, (3, 0): 1})])
     bundle = deform(mixed)
-    assert bundle.singularity.name == FOLD
+    assert classify_germ(bundle.base.germs[0]).name == FOLD
     with pytest.raises(ValueError, match="variable count"):
         blow_up(bundle)
 
@@ -262,7 +265,7 @@ def labels(stack):
 def test_generate_levels_no_scenario():
     stack = levels_for(shifted_base())
     assert labels(stack) == (ST,)
-    assert stack.rule == 1
+    assert len(stack.levels) == 1
     assert stack.cascade == ()
     (st,) = stack.levels
     assert st.cover is None and st.coverage is None
@@ -272,7 +275,7 @@ def test_generate_levels_no_scenario():
 def test_generate_levels_swallowtail_cascade():
     stack = levels_for(shifted_base(), SWALLOWTAIL)
     assert labels(stack) == (ST, MG, M)
-    assert stack.rule == 3
+    assert len(stack.levels) == 3
     assert stack.cascade == (
         "inject Swallowtail germ x^5 on 3 space sections",
         "blowup Swallowtail: covering germ x + x^2 + x^3",
@@ -285,7 +288,7 @@ def test_generate_levels_two_level_classes():
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
         stack = levels_for(base_for(name), name)
         assert labels(stack) == (ST, MG), name
-        assert stack.rule == 2
+        assert len(stack.levels) == 2
 
 
 def test_level_table_sweep():
@@ -333,6 +336,19 @@ def test_cover_map_targets_present_classes():
         assert dst in carrier
     sources = [src for src, _ in mg.cover]
     assert sources == level_carrier(stack.levels[0])
+
+
+CLASSES = st.builds(ClassIndex, st.integers(1, 6), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(CLASSES, min_size=1).map(sorted), st.lists(CLASSES))
+def test_cover_map_takes_the_largest_upper_class_at_or_below(upper, lower):
+    def reference(idx):
+        below = [u for u in upper if u <= idx]
+        return below[-1] if below else upper[0]
+
+    assert _cover_map(lower, upper) == tuple((idx, reference(idx)) for idx in lower)
 
 
 def test_plan_matches_the_built_levels():

@@ -29,7 +29,8 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
-from germtower.pipeline import MAX_SAMPLES, PipelineConfig, Report, run_pipeline
+from germtower.pipeline import PipelineConfig, Report, run_pipeline
+from germtower.tools import MAX_SAMPLES
 from germtower.tower import TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
@@ -159,14 +160,10 @@ NON_ASCII_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("argv, stdin, changes, error", NON_ASCII_NUMBERS)
-def test_number_text_must_be_ascii(capsys, monkeypatch, tmp_path, argv, stdin, changes, error):
-    # int(), float(), Fraction() and an unflagged regex \d also read the
-    # decimal digits of other scripts (here ARABIC-INDIC); none may be coerced
-    if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    if changes is not None:
-        argv += ("--config", str(golden_variant(tmp_path, **changes)))
+def assert_rejected(capsys, argv, error):
+    """``argv`` exits 2 with nothing on stdout.  An ``error`` that names the
+    program is argparse's, printed after the usage; any other is the one
+    stderr line."""
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse rejects a flag's value this way
@@ -177,6 +174,76 @@ def test_number_text_must_be_ascii(capsys, monkeypatch, tmp_path, argv, stdin, c
         assert err.startswith("usage: germtower ") and err.endswith(f"\n{error}\n")
     else:
         assert err == f"{error}\n"
+
+
+@pytest.mark.parametrize("argv, stdin, changes, error", NON_ASCII_NUMBERS)
+def test_number_text_must_be_ascii(capsys, monkeypatch, tmp_path, argv, stdin, changes, error):
+    # int(), float(), Fraction() and an unflagged regex \d also read the
+    # decimal digits of other scripts (here ARABIC-INDIC); none may be coerced
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    if changes is not None:
+        argv += ("--config", str(golden_variant(tmp_path, **changes)))
+    assert_rejected(capsys, argv, error)
+
+
+TOWER_ARGS = ("-N", "2", "--offset", "1", "--depth", "6")
+# (argv, the scalar flag argparse names or None for a list entry, the text)
+NOT_DIGITS = [
+    pytest.param(("tower", "-N", "1_0", "--depth", "2"), "--modulus/-N", "1_0", id="N-underscore"),
+    pytest.param(
+        ("tower", "-N", "2", "--offset", " +1", "--depth", "2"), "--offset", " +1",
+        id="offset-space-plus",
+    ),
+    pytest.param(("tower", "-N", "2", "--depth", "+2"), "--depth", "+2", id="depth-plus"),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--orth-dims", "3 "), "--orth-dims", "3 ",
+        id="orth-dims-space",
+    ),
+    pytest.param(
+        ("samples", "--modes-file", "modes.json", "--n", "1_0"), "--n", "1_0",
+        id="n-underscore",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--multiplicity", "1_0,1,1,1,1,1"), None, "1_0",
+        id="list-underscore",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--multiplicity", "1,,2,1,1,2,1"), None, "",
+        id="list-empty-entry",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--multiplicity", "1,2,1,1,2,1,"), None, "",
+        id="list-trailing-comma",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--multiplicity", "1, 2,1,1,2,1"), None, " 2",
+        id="list-space",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--multiplicity", "1,2,1,1,2,+1"), None, "+1",
+        id="list-plus",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--complex-multiplicity", "1,1,1,1,1,1_0"), None, "1_0",
+        id="complex-list-underscore",
+    ),
+    pytest.param(
+        ("levels", *TOWER_ARGS, "--covering-depths", "3,"), None, "",
+        id="covering-trailing-comma",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, flag, text", NOT_DIGITS)
+def test_integer_text_is_digits(capsys, argv, flag, text):
+    # int() also reads digit-group underscores, surrounding whitespace and a
+    # leading plus; an integer flag or list entry is one match of -?[0-9]+
+    if flag is None:  # a list entry: the one configuration error line
+        error = f"configuration error: invalid int value: {text!r}"
+    else:
+        error = f"germtower {argv[0]}: error: argument {flag}: invalid int value: {text!r}"
+    assert_rejected(capsys, argv, error)
 
 
 def test_tower_config_file(capsys, tmp_path):

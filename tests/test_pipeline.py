@@ -22,20 +22,13 @@ from germtower import (
     level_record,
     run_pipeline,
 )
-from germtower.config import normalize_scenario, parse_reduce_rule
+from germtower.config import _SCENARIO_ALIASES, normalize_scenario, parse_reduce_rule
 from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
-from germtower.pipeline import (
-    _DIAG_SAMPLES,
-    MAX_SAMPLES,
-    _bistring_variances,
-    _pvariance,
-    emit_expansion,
-    sample_rows,
-    samples_csv,
-)
+from germtower.pipeline import _DIAG_SAMPLES, _bistring_variances, _pvariance, emit_expansion
 from germtower.report import write_output
+from germtower.tools import MAX_SAMPLES, sample_rows, samples_csv
 from germtower.tower import ClassIndex, LEFT, RIGHT, Tower
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -60,6 +53,24 @@ def test_normalize_scenario_aliases():
     assert normalize_scenario("") is None
     with pytest.raises(ValueError):
         normalize_scenario("butterfly")
+
+
+def test_scenario_aliases_are_the_catalogue_names_spelled_three_ways():
+    # the table is derived from CATALOGUE; it must be the one written out before
+    assert _SCENARIO_ALIASES == {
+        "fold": "Fold",
+        "cusp": "Cusp",
+        "swallowtail": "Swallowtail",
+        "elliptic-umbilic": "EllipticUmbilic",
+        "elliptic_umbilic": "EllipticUmbilic",
+        "ellipticumbilic": "EllipticUmbilic",
+        "hyperbolic-umbilic": "HyperbolicUmbilic",
+        "hyperbolic_umbilic": "HyperbolicUmbilic",
+        "hyperbolicumbilic": "HyperbolicUmbilic",
+    }
+    for spelling in ("elliptic umbilic", "elliptic--umbilic"):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            normalize_scenario(spelling)
 
 
 def test_parse_reduce_rule_forms():
@@ -297,7 +308,7 @@ def test_memoized_variances_equal_each_pairs_own(parts):
 
 def test_run_pipeline_swallowtail_report():
     report = run_pipeline(make_config())
-    assert report.rule == 3
+    assert len(report.records) == 3
     assert [row["label"] for row in report.level_rows] == ["ST", "MG", "M"]
     assert len(report.cascade) == 4
     assert report.expansions["free_count"] == 3
@@ -313,7 +324,7 @@ def test_run_pipeline_swallowtail_report():
 
 def test_run_pipeline_no_scenario():
     report = run_pipeline(make_config(scenario=None))
-    assert report.rule == 1
+    assert len(report.records) == 1
     assert [row["label"] for row in report.level_rows] == ["ST"]
     assert report.cascade == ()
     assert report.expansions == {
@@ -327,7 +338,7 @@ def test_run_pipeline_no_scenario():
 def test_run_pipeline_two_level_scenarios():
     for scenario in ("fold", "cusp", "elliptic-umbilic", "hyperbolic-umbilic"):
         report = run_pipeline(make_config(scenario=scenario))
-        assert report.rule == 2, scenario
+        assert len(report.records) == 2, scenario
         assert [row["label"] for row in report.level_rows] == ["ST", "MG"], scenario
         assert report.all_diagnostics_passed(), scenario
         assert report.expansions["free_count"] == 2
@@ -669,7 +680,7 @@ def reference_report(report) -> dict:
     """The report as one dict, its level rows built as dicts, one per level."""
     return {
         "config": report.config,
-        "rule": report.rule,
+        "rule": len(report.records),
         "levels": [
             _reference_row(level, record)
             for level, record in zip(report.stack.levels, report.records, strict=True)

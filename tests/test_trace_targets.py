@@ -1,7 +1,8 @@
 """The benchmark tracer's targets and stage names all exist in the package.
 
 ``perfbench/tracer.py`` wraps functions and methods by name from outside the
-package; a target that no longer resolves breaks ``perfbench/run.py --trace 1``.
+package; a target that no longer resolves breaks ``perfbench/run.py --trace 1``,
+and one that a run never enters leaves its metrics to read zero.
 ``perfbench/run.py`` counts rejections per ``PipelineError`` stage name; a
 stage renamed in ``run_pipeline`` would leave its counter at zero.  The
 benchmark files are read here, never imported or written.
@@ -14,11 +15,20 @@ import textwrap
 import types
 from pathlib import Path
 
+from germtower.cli import EXIT_OK, main
 from germtower.pipeline import run_pipeline
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 RUNNER = PERFBENCH / "run.py"
+GOLDEN_CONFIG = ROOT / "tests" / "data" / "golden_config.json"
+
+# The traced spans that a correspond run does not enter, with the reason.
+UNREACHED = {
+    "sheaves.section_at": "a run builds no Section; only Semisheaf.sections calls section_at",
+    "pipeline.serialize": "correspond --out streams Report.chunks and never calls json_text",
+}
 
 
 def load_tracer() -> types.ModuleType:
@@ -51,6 +61,16 @@ def test_every_traced_target_is_the_object_its_defining_module_holds():
     for _, module, cls_name, _, _ in tracer.METHODS:
         cls = getattr(importlib.import_module(module), cls_name)
         assert getattr(importlib.import_module(cls.__module__), cls_name) is cls, (module, cls_name)
+
+
+def test_a_correspond_run_enters_every_traced_span_but_the_named_ones(tmp_path):
+    tracer = load_tracer()
+    argv = ["correspond", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path / "r.json")]
+    with tracer.Tracer().installed() as trace:
+        assert main(argv) == EXIT_OK
+    entered = {trace.names[span[0]] for span in trace.spans}
+    traced = {row[0] for row in tracer.FUNCTIONS + tracer.METHODS}
+    assert traced - entered == set(UNREACHED)
 
 
 def test_every_benchmark_stage_is_a_pipeline_stage():
