@@ -6,7 +6,8 @@ JSON form.  The input helpers that both CLI modules need live here too:
 strict JSON loading (no repeated key) and the config flags written as the
 same JSON.  Number text must be ASCII: ``int`` and ``float`` also read the
 decimal digits of other scripts, which would be a silent coercion.  Integer
-text is digits alone, with an optional leading minus.
+text is digits alone, with an optional leading minus; float text is a JSON
+number.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ class PipelineConfig:
 
     ``orth_dims`` (2 or 3) is validated and echoed but changes no level.
     ``plan`` is derived: every level's classes from ``plan_levels``, so a
-    config that cannot run raises ValueError here, before the run.  Two
-    configs are equal when all their normalized fields are.
+    config that cannot run raises ValueError here, before the run.
     """
 
     def __init__(
@@ -174,11 +174,6 @@ class PipelineConfig:
                 for idx in level.reduced + level.orthogonal:
                     if idx not in self.amplitude and not (self.even_classes and idx.mu % 2):
                         raise ValueError(f"amplitude table has no entry for class {idx.mu},{idx.m}")
-
-    def __eq__(self, other):
-        if type(other) is not PipelineConfig:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def finite_float(value) -> float | None:
@@ -310,9 +305,9 @@ def _load_json_file(path: str):
 
 def _number(kind: type, accepts: Callable[[str], object]) -> Callable[[str], int | float]:
     """``kind`` (``int`` or ``float``) of text that ``accepts`` admits; both
-    also read the decimal digits of other scripts, such as ``'٣'``, and
-    ``int`` reads ``' +1_0'`` as 10.  The parser keeps the kind's name, which
-    argparse writes in its error."""
+    also read the decimal digits of other scripts, such as ``'٣'``, and read
+    ``' +1_0'`` as 10.  The parser keeps the kind's name, which argparse
+    writes in its error."""
 
     def parse(text: str):
         if not accepts(text):
@@ -324,7 +319,7 @@ def _number(kind: type, accepts: Callable[[str], object]) -> Callable[[str], int
 
 
 ascii_int = _number(int, re.compile("-?[0-9]+").fullmatch)
-ascii_float = _number(float, str.isascii)
+ascii_float = _number(float, re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?").fullmatch)
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -195,25 +195,16 @@ def level_record(
     return LevelRecord(label, reduced.tower, tuple(weil), semimodules)
 
 
-def lgc(
-    b: Bisemisheaf,
-    amplitude_rule: AmplitudeRule | None = None,
-    even_only: bool = False,
-) -> Correspondence:
+def lgc(b: Bisemisheaf) -> Correspondence:
     """One-level correspondence: the whole bisemisheaf compactified.
 
     The Weil side lists every class descriptor; the cuspidal side is the
     (right, left) semimodule pair, in bijection with it.
     """
-    return Correspondence((level_record(b.level, b, None, amplitude_rule, even_only),))
+    return Correspondence((level_record(b.level, b, None),))
 
 
-def lggc_st(
-    b: Bisemisheaf,
-    reduce: Callable[[ClassIndex], bool],
-    amplitude_rule: AmplitudeRule | None = None,
-    even_only: bool = False,
-) -> Correspondence:
+def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> Correspondence:
     """Two-part correspondence: split first, then compactify each route.
 
     The endomorphism split of the right semisheaf keeps the reduced part in
@@ -228,5 +219,4 @@ def lggc_st(
     orthogonal = None
     if complementary.carrier:
         orthogonal = Bisemisheaf(emergent_project(complementary))
-    record = level_record(b.level, Bisemisheaf(reduced), orthogonal, amplitude_rule, even_only)
-    return Correspondence((record,))
+    return Correspondence((level_record(b.level, Bisemisheaf(reduced), orthogonal),))

@@ -127,10 +127,6 @@ class Semisheaf(Record):
         if not (isinstance(carrier, Carrier) and carrier.tower == self.tower):
             _set(self, "carrier", Carrier(carrier, self.tower))
 
-    def __reduce__(self):
-        # __init__ takes sections, so copy and pickle rebuild through ``over``
-        return type(self).over, self._values()
-
     def replace(self, **changes) -> "Semisheaf":
         """A copy with some fields changed, checked like a new semisheaf."""
         return self.over(**dict(zip(self.__slots__, self._values()), **changes))
@@ -204,9 +200,6 @@ class Bisemisheaf(Record):
         if right.side != RIGHT:
             raise ValueError("a bisemisheaf is built from a right semisheaf")
         _set(self, "right", right)
-
-    def __len__(self) -> int:
-        return len(self.right)
 
     @property
     def left(self) -> Semisheaf:

@@ -73,10 +73,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, past __setattr__
-        return type(self), self._values()
-
     def replace(self, **changes):
         """A copy with some fields changed, validated like a new record."""
         values = {name: getattr(self, name) for name in self.__slots__}
@@ -114,9 +110,6 @@ class Carrier(tuple):
         carrier = tuple.__new__(cls, indices)
         carrier.tower = tower
         return carrier
-
-    def __reduce__(self):
-        return Carrier, (tuple(self), self.tower)
 
     def restrict(self, mask) -> "Carrier":
         """The classes whose ``mask`` entry is true, in the same tower."""

@@ -246,6 +246,21 @@ def test_integer_text_is_digits(capsys, argv, flag, text):
     assert_rejected(capsys, argv, error)
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--x0", " 0.5"), ("--x1", "1_0"), ("--x1", "+1"), ("--x0", ".5"), ("--x1", "1."),
+        ("--x0", "01"), ("--x1", "1e5 "), ("--x0", "nan"), ("--x1", "inf"),
+    ],
+)
+def test_float_text_is_a_json_number(capsys, flag, text):
+    # float() also reads surrounding whitespace, digit-group underscores, a
+    # leading plus or zero, a bare point, nan and inf; a float flag is one
+    # match of the JSON number grammar
+    error = f"germtower samples: error: argument {flag}: invalid float value: {text!r}"
+    assert_rejected(capsys, ("samples", "--modes-file", "modes.json", flag, text), error)
+
+
 def test_tower_config_file(capsys, tmp_path):
     cfg = tmp_path / "t.json"
     cfg.write_text(json.dumps({"quantum_modulus": 3, "offset": 2, "depth": 2}))
@@ -978,6 +993,16 @@ def test_module_entry_point_runs():
 # A CLI process ends through ``run``: it flushes stdout and stderr, then
 # calls ``os._exit``.  Its exit code, stdout and stderr are those of a
 # process that ends through the interpreter's own shutdown.
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_the_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, seed):
+    # criterion 11 runs within one process, under one hash seed
+    out_file = tmp_path / "report.json"
+    env = dict(child_env(), PYTHONHASHSEED=seed)
+    proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), "--out", str(out_file), env=env)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert out_file.read_bytes() == GOLDEN_CONFIG.with_name("golden_report.json").read_bytes()
 
 
 def test_a_process_prints_all_its_output_and_exits_with_its_code(capsys, tmp_path):

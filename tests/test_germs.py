@@ -133,6 +133,8 @@ def test_truncated_and_scale_and_add():
     assert g.truncated(3) == Germ.from_coeffs(1, {(1,): 1, (3,): 1})
     assert g.scale("3/2") == Germ.from_coeffs(1, {(1,): "3/2", (3,): "3/2", (5,): "3/2"})
     assert g + g.scale(-1) == Germ.zero(1)
+    with pytest.raises(ValueError, match="different variable counts"):
+        g + Germ.from_coeffs(2, {(1, 0): 1})
 
 
 def test_a_germ_is_its_terms():

@@ -1,8 +1,5 @@
 """Semisheaf construction and the morphisms acting on them."""
 
-import copy
-import pickle
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,6 +105,23 @@ def test_semisheaf_rejects_duplicates_and_strays():
             Semisheaf.over(RIGHT, ST, TIME, tower, carrier, germs)
 
 
+@pytest.mark.parametrize(
+    "tags, error",
+    [
+        (("up", ST, TIME, None), "bad side 'up'"),
+        ((RIGHT, "XX", TIME, None), "bad level 'XX'"),
+        ((RIGHT, ST, "X", None), "bad nature 'X'"),
+        ((RIGHT, ST, TIME, "spare"), "bad role 'spare'"),
+    ],
+)
+def test_semisheaf_rejects_a_bad_tag(tags, error):
+    side, level, nature, role = tags
+    tower = small_tower(2)
+    carrier, germs = tower.class_indices(), (Germ.zero(1),) * 2
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        Semisheaf.over(side, level, nature, tower, carrier, germs, role)
+
+
 def test_a_checked_carrier_is_checked_once(monkeypatch):
     tower = small_tower(4, (1, 2, 1, 1))
     s = attach_sections(tower, RIGHT, ST, TIME, quad)
@@ -134,8 +148,6 @@ def test_a_checked_carrier_is_checked_once(monkeypatch):
     cut = s.replace(tower=short.tower, carrier=short, germs=s.germs[: len(short)])
     assert shift(emergent_project(upper)).carrier == upper.carrier and len(cut) == 3
     assert calls == []
-    # unpickling rebuilds through the checking constructor
-    assert pickle.loads(pickle.dumps(short)) == short and calls
 
 
 def test_sections_sorted_on_construction():
@@ -151,7 +163,6 @@ def test_sections_sorted_on_construction():
 
 def test_carrier_form_copies_restricts_and_maps():
     s = make_sheaf(depth=4)
-    assert copy.copy(s) == s == pickle.loads(pickle.dumps(s))
     assert [sec.germ for sec in s.sections] == list(s.germs) == [quad(idx) for idx in s.carrier]
     upper = s.restrict(lambda idx: idx.mu > 2, role=COMPLEMENTARY)
     assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
