@@ -1,6 +1,6 @@
 """Versal deformation, blowup coverings, and the embedded level cascade.
 
-A marked singular semisheaf is deformed into a contracting fiber bundle whose
+A semisheaf of one catalogue class is deformed into a contracting bundle whose
 fiber holds one monomial germ per unfolding slot, constant over the base.
 Blowing the bundle up detaches those monomials whole (the maximal blowup)
 and glues their sum into a covering sheaf.  A swallowtail covering still
@@ -39,11 +39,11 @@ from .sheaves import (
     endo_split,
     inject_singularity,
 )
-from .tower import ClassIndex, Record, Tower, _set
+from .tower import ClassIndex, Tower
 
 
 class DeformedBundle(NamedTuple):
-    """A singular base with its versal fiber of monomial germs.
+    """A base of one catalogue class with its versal fiber of monomial germs.
 
     ``fiber`` holds the (slot name, monomial germ) pairs of the base class's
     unfolding, one per slot, so its length equals the codimension; each
@@ -55,23 +55,16 @@ class DeformedBundle(NamedTuple):
 
 
 def deform(base: Semisheaf) -> DeformedBundle:
-    """Versally deform a starred semisheaf along its classified germ.
+    """Versally deform a semisheaf along its classified germ.
 
     Every class must carry a germ of one catalogue class; each distinct
     germ object is classified once, and no germ is hashed.
     """
-    if not base.singular:
-        raise ValueError("versal deformation starts from a starred (singular) semisheaf")
-    if not base.carrier:
-        raise ValueError("cannot deform an empty semisheaf")
     distinct = {id(germ): germ for germ in base.germs}.values()
     classes = {classify_germ(germ) for germ in distinct}
     if len(classes) != 1:
         raise ValueError("sections carry singularities of different kinds")
-    cls = classes.pop()
-    if cls.name not in CATALOGUE:
-        raise ValueError(f"{cls.name} germs have no tabulated versal deformation")
-    return DeformedBundle(base, versal_unfold(cls).parameters)
+    return DeformedBundle(base, versal_unfold(classes.pop()).parameters)
 
 
 class BlowupResult(NamedTuple):
@@ -90,8 +83,6 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     and all germs of a catalogue class share one total degree (Fold and the
     umbilics 3, Cusp 4, Swallowtail 5).
     """
-    if not bundle.fiber:
-        raise ValueError("cannot blow up a bundle with an empty fiber")
     if bundle.base.level == M:
         raise ValueError("the M level is outermost: nothing covers it")
     glued = Germ.zero(bundle.fiber[0][1].nvars)
@@ -99,7 +90,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
         glued = glued + mono
     fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
     level = LEVELS[LEVELS.index(bundle.base.level) + 1]
-    covering = bundle.base.map_germs(lambda _: glued, level=level, singular=False, role=None)
+    covering = bundle.base.map_germs(lambda _: glued, level=level, role=None)
     return BlowupResult(covering, fraction)
 
 
@@ -113,7 +104,7 @@ def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
 
 
 def desingularize(s: Semisheaf) -> Semisheaf:
-    """Drop the degree >= 3 monomials, keeping the Morse/linear jet; unmark.
+    """Drop the degree >= 3 monomials, keeping the Morse/linear jet.
 
     Monomials of total degree three and above contribute nothing to the
     Hessian at the origin, so the rule is a plain truncation at degree two.
@@ -123,7 +114,7 @@ def desingularize(s: Semisheaf) -> Semisheaf:
     Unclassified with corank 1, and the report's ``desingularized_sections``
     diagnostic fails on it.
     """
-    return s.map_germs(lambda germ: germ.truncated(2), singular=False)
+    return s.map_germs(lambda germ: germ.truncated(2))
 
 
 def time_space_lift(
@@ -163,18 +154,12 @@ class Level(NamedTuple):
     coverage: tuple[tuple[ClassIndex, ...], float] | None = None
 
 
-class LevelStack(Record):
-    """The levels inner to outer and the cascade log.  The selection rule
-    is the number of levels."""
+class LevelStack(NamedTuple):
+    """The levels inner to outer, as the plan lays them out, and the
+    cascade log.  The selection rule is the number of levels."""
 
-    __slots__ = ("levels", "cascade")
-
-    def __init__(self, levels: tuple[Level, ...], cascade: tuple[str, ...]):
-        labels = tuple(level.label for level in levels)
-        if labels != LEVELS[: len(labels)] or not labels:
-            raise ValueError(f"levels must run {LEVELS} inner to outer, got {labels}")
-        _set(self, "levels", levels)
-        _set(self, "cascade", cascade)
+    levels: tuple[Level, ...]
+    cascade: tuple[str, ...]
 
 
 def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
@@ -285,8 +270,6 @@ def generate_levels(
     its planned orthogonal part to time.  The left side of every level is
     the mirror of the right.
     """
-    if base.level != ST:
-        raise ValueError("level generation starts from an ST bisemisheaf")
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
 
@@ -295,10 +278,6 @@ def generate_levels(
     if singularity is None:
         st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
         return LevelStack((st,), ())
-    if orthogonal.nature != SPACE_SHIFTED:
-        raise ValueError(
-            "singularity scenarios start from a time-natured base: the projected part hosts the spatial germ"
-        )
 
     cls = CATALOGUE[singularity]
     seed = inject_singularity(orthogonal, cls)
@@ -310,13 +289,11 @@ def generate_levels(
     for step in plan[1:]:
         if step.label == M:
             cls = detect_resingularization(result)
-            if cls is None:
-                raise ValueError("expected the swallowtail covering to keep its cubic")
             cascade.append(
                 f"resingularization: covering keeps the cubic monomial x^3, classified {cls.name}"
             )
             cubic = Germ.monomial(1, (3,))
-            seed = covering.map_germs(lambda _: cubic, singular=True)
+            seed = covering.map_germs(lambda _: cubic)
         result = blow_up(deform(seed))
         cascade.append(
             f"blowup {cls.name}: covering germ {format_germ(result.covering.germs[0])}"

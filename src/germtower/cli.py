@@ -29,17 +29,18 @@ from .config import (
     EXIT_CONTRACT,
     EXIT_DIAGNOSTIC,
     EXIT_OK,
+    JSON_NUMBER,
     PipelineConfig,
     _RUN_FLAGS,
     _given,
     _load_json_file,
-    _tower_json_from_args,
     ascii_float,
     ascii_int,
     config_from_json,
 )
 from .pipeline import PipelineError, run_pipeline
 from .report import write_output
+from .tower import TowerConfig
 
 
 def _flag(parser: argparse.ArgumentParser, *names, **kwargs) -> None:
@@ -76,7 +77,7 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
     if args.config:
         return config_from_json(_load_json_file(args.config))
     data = _given(args, _RUN_FLAGS)
-    data["tower"] = _tower_json_from_args(args)
+    data["tower"] = _given(args, TowerConfig.__slots__)
     if data.get("amplitude") not in (None, "unit", "mu"):
         data["amplitude"] = _load_json_file(data["amplitude"])
     return config_from_json(data)
@@ -152,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=ascii_float, default=0.0)
     p.add_argument("--x1", type=ascii_float, default=1.0)
     p.add_argument("--csv", help="output path (default stdout)")
+    # argparse's own pattern has no exponent, so it would read -1e5 as an option
+    p._negative_number_matcher = JSON_NUMBER
 
     return parser
 

@@ -318,8 +318,11 @@ def _number(kind: type, accepts: Callable[[str], object]) -> Callable[[str], int
     return parse
 
 
+# A JSON number; anchored at the end, so that ``.match`` is a full match,
+# as argparse calls its negative-number pattern.
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 ascii_int = _number(int, re.compile("-?[0-9]+").fullmatch)
-ascii_float = _number(float, re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?").fullmatch)
+ascii_float = _number(float, JSON_NUMBER.match)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -340,9 +343,3 @@ def _given(args, keys) -> dict:
         if key in given
     }
 
-
-def _tower_json_from_args(args) -> dict:
-    data = _given(args, TowerConfig.__slots__)
-    if "quantum_modulus" not in data or "depth" not in data:
-        raise ValueError("--modulus and --depth are required without --config")
-    return data

@@ -214,8 +214,6 @@ def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> Corresponde
     modes equals the plain compactification's.
     """
     reduced, complementary = endo_split(b.right, reduce)
-    if not reduced.carrier:
-        raise ValueError("the reduce predicate left the reduced part empty")
     orthogonal = None
     if complementary.carrier:
         orthogonal = Bisemisheaf(emergent_project(complementary))

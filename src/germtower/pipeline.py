@@ -7,7 +7,8 @@ A stage that breaks its contract raises ``PipelineError`` naming it.
 The oscillator constancy diagnostic computes each bistring variance exactly,
 as ``statistics.pvariance`` does, but from integer sums over the common
 power-of-two denominator of the samples instead of ``Fraction`` arithmetic.
-Each distinct ``(mu, right amplitude, left amplitude)`` is computed once per run.
+A pair's modulus is computed once per distinct ``(mu, amplitude)``, and a
+variance once per distinct modulus tuple.
 """
 
 from __future__ import annotations

@@ -55,8 +55,6 @@ class Section(Record):
     def __init__(self, index: ClassIndex, side: str, germ: Germ, dims: int):
         if side not in SIDES:
             raise ValueError(f"section side must be left or right, got {side!r}")
-        if dims not in (1, 2):
-            raise ValueError("sections are 1- or 2-dimensional")
         if dims != germ.nvars:
             raise ValueError(
                 f"section dims {dims} does not match germ in {germ.nvars} variable(s)"
@@ -80,7 +78,7 @@ class Semisheaf(Record):
     ``__post_init__``.
     """
 
-    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role", "singular")
+    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role")
 
     def __init__(
         self,
@@ -90,21 +88,20 @@ class Semisheaf(Record):
         tower: Tower,
         sections: tuple[Section, ...],
         role: str | None = None,
-        singular: bool = False,
     ):
         ordered = sorted(sections, key=lambda sec: sec.index)
         if any(sec.side != side for sec in ordered):
             raise ValueError("section side disagrees with the semisheaf side")
         carrier = tuple(sec.index for sec in ordered)
         germs = tuple(sec.germ for sec in ordered)
-        self._fill(side, level, nature, tower, carrier, germs, role, singular)
+        self._fill(side, level, nature, tower, carrier, germs, role)
 
     @classmethod
-    def over(cls, side, level, nature, tower, carrier, germs, role=None, singular=False):
+    def over(cls, side, level, nature, tower, carrier, germs, role=None):
         """``Semisheaf(...)`` with a sorted ``carrier`` of class indices and
         one germ per class of it in ``germs`` in place of the sections."""
         s = object.__new__(cls)
-        s._fill(side, level, nature, tower, carrier, germs, role, singular)
+        s._fill(side, level, nature, tower, carrier, germs, role)
         return s
 
     def _fill(self, *values) -> None:
@@ -176,13 +173,8 @@ def attach_sections(
 ) -> Semisheaf:
     """One germ per class representative: ``germ_template`` of its index."""
     carrier = tower.class_indices()
-    germs = []
-    for idx in carrier:
-        germ = germ_template(idx)
-        if not isinstance(germ, Germ):
-            raise ValueError(f"template produced {type(germ).__name__}, expected a Germ")
-        germs.append(germ)
-    return Semisheaf.over(side, level, nature, tower, carrier, tuple(germs))
+    germs = tuple(map(germ_template, carrier))
+    return Semisheaf.over(side, level, nature, tower, carrier, germs)
 
 
 class Bisemisheaf(Record):
@@ -271,17 +263,7 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
     if at not in b.indices():
         raise ValueError(f"no bisection at class {at}")
     target = ClassIndex(at.mu + delta, at.m)
-    tower = b.tower
-    if target.mu > tower.depth:
-        raise ValueError(f"cannot create a biquantum beyond tower depth {tower.depth}")
-    if target.mu < 1:
-        raise ValueError("cannot annihilate a biquantum at the ground class mu=1")
-    if not tower.contains(target):
-        raise ValueError(f"target class {target} outside the tower rectangle")
-    if target in b.indices():
-        raise ValueError(f"target class {target} already carries a bisection")
-
-    right = b.right
+    right = b.right  # the moved carrier is checked: distinct and inside the tower
     moved = (target if idx == at else idx for idx in right.carrier)
     carrier, germs = zip(*sorted(zip(moved, right.germs), key=lambda pair: pair[0]))
     return Bisemisheaf(right.replace(carrier=carrier, germs=germs))
@@ -298,7 +280,7 @@ def annihilate_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:
 
 
 def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
-    """Replace every germ by the catalogue normal form and mark the sheaf starred.
+    """Replace every germ by the catalogue normal form.
 
     Corank-1 forms need 1-dimensional sections, umbilics need 2-dimensional
     ones; ``map_germs`` rejects a mismatch rather than embedding it.
@@ -307,4 +289,4 @@ def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
     if cls is None:
         raise ValueError("only catalogue classes can be injected")
     germ = normal_form(cls.name)
-    return s.map_germs(lambda _: germ, singular=True)
+    return s.map_germs(lambda _: germ)

@@ -15,20 +15,21 @@ import sys
 
 from .config import (
     EXIT_OK,
+    _given,
     _load_json_file,
-    _tower_json_from_args,
     finite_float,
     load_json,
     normalize_scenario,
 )
 from .cuspidal import EllipticSemimodule, Mode
-from .germs import CATALOGUE, classify_germ, format_germ, germ_from_json, versal_unfold
+from .germs import classify_germ, format_germ, germ_from_json, versal_unfold
 from .pipeline import emit_expansion
 from .report import dumps_canonical, write_output
 from .tower import (
     LEFT,
     RIGHT,
     ClassIndex,
+    TowerConfig,
     build_tower,
     tower_config_from_json,
     tower_config_to_json,
@@ -36,7 +37,7 @@ from .tower import (
 
 
 def _cmd_tower(args) -> int:
-    data = _load_json_file(args.config) if args.config else _tower_json_from_args(args)
+    data = _load_json_file(args.config) if args.config else _given(args, TowerConfig.__slots__)
     config = tower_config_from_json(data)
     tower = build_tower(config)
     print(
@@ -87,10 +88,7 @@ def _cmd_unfold(args) -> int:
     elif args.germ is None:
         raise ValueError("unfold needs --name or --germ")
     else:
-        cls = classify_germ(germ_from_json(load_json(args.germ, "--germ")))
-        if cls.name not in CATALOGUE:
-            raise ValueError(f"germ classifies {cls.name}; no unfolding to print")
-        name = cls.name
+        name = classify_germ(germ_from_json(load_json(args.germ, "--germ"))).name
     unfolding = versal_unfold(name)
     print(f"{name}: base {format_germ(unfolding.base)}  codim {unfolding.codim}")
     for slot, (coeff, mono) in enumerate(unfolding.parameters, start=1):

@@ -174,8 +174,6 @@ class TowerConfig(Record):
     ):
         for name, value in zip(self.__slots__, (quantum_modulus, offset, depth)):
             require(type(value) is int, f"tower {name}", "an integer", value)
-        if quantum_modulus < 1:
-            raise ValueError("quantum_modulus must be >= 1")
         if not 0 <= offset < quantum_modulus:
             raise ValueError("offset must satisfy 0 <= offset < quantum_modulus")
         if depth < 1:
@@ -250,9 +248,7 @@ class Tower(NamedTuple):
         return tuple(ClassIndex(mu, m) for m in range(1, self.config.multiplicity[mu - 1] + 1))
 
     def truncated(self, depth: int) -> "Tower":
-        """A copy keeping only classes mu <= depth."""
-        if not 1 <= depth <= self.depth:
-            raise ValueError(f"truncation depth {depth} outside 1..{self.depth}")
+        """A copy keeping only classes mu <= depth, for 1 <= depth <= self.depth."""
         cfg = TowerConfig(
             self.quantum_modulus,
             self.offset,

@@ -56,7 +56,7 @@ def space_sheaf(depth=4, side=RIGHT, nvars=1, modulus=2, offset=1):
     return attach_sections(tower, side, ST, SPACE_SHIFTED, template)
 
 
-def starred(name, depth=4, side=RIGHT):
+def injected(name, depth=4, side=RIGHT):
     nvars = 2 if name in (ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC) else 1
     return inject_singularity(space_sheaf(depth, side, nvars), name)
 
@@ -66,7 +66,7 @@ def starred(name, depth=4, side=RIGHT):
 
 
 def test_deform_swallowtail_fiber():
-    bundle = deform(starred(SWALLOWTAIL))
+    bundle = deform(injected(SWALLOWTAIL))
     assert classify_germ(bundle.base.germs[0]).name == SWALLOWTAIL
     assert [name for name, _ in bundle.fiber] == ["a1", "a2", "a3"]
     assert [format_germ(mono) for _, mono in bundle.fiber] == ["x", "x^2", "x^3"]
@@ -74,16 +74,12 @@ def test_deform_swallowtail_fiber():
 
 def test_deform_fiber_size_equals_codim():
     for name, codim in [(FOLD, 1), (CUSP, 2), (SWALLOWTAIL, 3), (ELLIPTIC_UMBILIC, 3), (HYPERBOLIC_UMBILIC, 3)]:
-        assert len(deform(starred(name)).fiber) == codim
+        assert len(deform(injected(name)).fiber) == codim
 
 
-def test_deform_requires_starred_uniform_catalogue():
-    plain = space_sheaf()
-    with pytest.raises(ValueError):
-        deform(plain)  # not starred
-    fake = plain.replace(singular=True)
-    with pytest.raises(ValueError):
-        deform(fake)  # Morse germs are off the catalogue
+def test_deform_requires_a_catalogue_class():
+    with pytest.raises(ValueError, match="no versal unfolding for 'Morse'"):
+        deform(space_sheaf())
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +87,18 @@ def test_deform_requires_starred_uniform_catalogue():
 
 
 def test_blowup_swallowtail_covering():
-    result = blow_up(deform(starred(SWALLOWTAIL)))
+    result = blow_up(deform(injected(SWALLOWTAIL)))
     assert [format_germ(sec.germ) for sec in result.covering.sections] == ["x + x^2 + x^3"] * 4
-    assert not result.covering.singular
+    assert classify_germ(result.covering.germs[0]).name == REGULAR
     assert result.fraction == pytest.approx(3 / 5)
 
 
 def test_blowup_tags_the_next_level_and_refuses_the_outermost():
     for base, covering in ((ST, MG), (MG, M)):
-        seed = starred(SWALLOWTAIL).replace(level=base)
+        seed = injected(SWALLOWTAIL).replace(level=base)
         assert blow_up(deform(seed)).covering.level == covering
     with pytest.raises(ValueError, match="outermost"):
-        blow_up(deform(starred(FOLD).replace(level=M)))
+        blow_up(deform(injected(FOLD).replace(level=M)))
 
 
 def test_blowup_coverings_per_class():
@@ -114,16 +110,16 @@ def test_blowup_coverings_per_class():
         HYPERBOLIC_UMBILIC: "-x - y + x*y",
     }
     for name, text in expected.items():
-        result = blow_up(deform(starred(name)))
+        result = blow_up(deform(injected(name)))
         assert format_germ(result.covering.sections[0].germ) == text
 
 
 def test_detect_resingularization_only_for_cubic_coverings():
-    swallow = blow_up(deform(starred(SWALLOWTAIL)))
+    swallow = blow_up(deform(injected(SWALLOWTAIL)))
     hit = detect_resingularization(swallow)
     assert hit is not None and hit.name == FOLD
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
-        assert detect_resingularization(blow_up(deform(starred(name)))) is None
+        assert detect_resingularization(blow_up(deform(injected(name)))) is None
 
 
 # Distinct germ objects of one catalogue class: scalings, sign flips and,
@@ -145,11 +141,11 @@ SAME_CLASS_GERMS = {
 }
 
 
-def starred_over(germs, depth=6):
+def one_class_over(germs, depth=6):
     tower = build_tower(TowerConfig(2, 1, depth))
     carrier = tower.class_indices()
     cycled = tuple(germs[i % len(germs)] for i in range(len(carrier)))
-    return Semisheaf.over(RIGHT, ST, SPACE_SHIFTED, tower, carrier, cycled, singular=True)
+    return Semisheaf.over(RIGHT, ST, SPACE_SHIFTED, tower, carrier, cycled)
 
 
 def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
@@ -160,7 +156,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
         germs = [Germ.from_coeffs(nvars, coeffs) for coeffs in forms]
         assert {classify_germ(germ).name for germ in germs} == {name}
         assert len(set(germs)) == len(germs)
-        base = starred_over(germs)
+        base = one_class_over(germs)
         bundle = deform(base)
         assert classify_germ(bundle.base.germs[0]).name == name
         result = blow_up(bundle)
@@ -169,7 +165,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
         assert result.fraction == fraction
     # a 1-variable and a 2-variable fold deform together; the 1-variable fiber
     # cannot glue onto the 2-variable germ, so the blowup is rejected
-    mixed = starred_over([Germ.monomial(1, (3,)), Germ.from_coeffs(2, {(0, 2): 1, (3, 0): 1})])
+    mixed = one_class_over([Germ.monomial(1, (3,)), Germ.from_coeffs(2, {(0, 2): 1, (3, 0): 1})])
     bundle = deform(mixed)
     assert classify_germ(bundle.base.germs[0]).name == FOLD
     with pytest.raises(ValueError, match="variable count"):
@@ -178,7 +174,7 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
 
 def test_deform_rejects_a_base_of_two_classes():
     folds = [Germ.monomial(1, (3,)), Germ.from_coeffs(1, {(3,): -2})]
-    two = starred_over(folds + [Germ.monomial(1, (4,))])
+    two = one_class_over(folds + [Germ.monomial(1, (4,))])
     with pytest.raises(ValueError, match="different kinds"):
         deform(two)
 
@@ -187,10 +183,9 @@ def test_deform_rejects_a_base_of_two_classes():
 # desingularize
 
 
-def test_desingularize_truncates_and_unmarks():
-    s = starred(SWALLOWTAIL)
+def test_desingularize_truncates():
+    s = injected(SWALLOWTAIL)
     out = desingularize(s)
-    assert not out.singular
     assert all(sec.germ.is_zero for sec in out.sections)  # x^5 truncates to nothing
     covering = blow_up(deform(s)).covering
     flat = desingularize(covering)
@@ -199,7 +194,7 @@ def test_desingularize_truncates_and_unmarks():
 
 
 def test_desingularize_idempotent():
-    covering = blow_up(deform(starred(HYPERBOLIC_UMBILIC))).covering
+    covering = blow_up(deform(injected(HYPERBOLIC_UMBILIC))).covering
     once = desingularize(covering)
     assert desingularize(once) == once
 
@@ -321,11 +316,10 @@ def test_level_natures_are_paired():
 def test_st_orthogonal_holds_injected_germ():
     stack = levels_for(shifted_base(), CUSP)
     st = stack.levels[0]
-    assert st.orthogonal.right.singular
     assert all(
         classify_germ(sec.germ).name == CUSP for sec in st.orthogonal.right.sections
     )
-    assert not st.reduced.right.singular
+    assert all(classify_germ(germ).name == MORSE for germ in st.reduced.right.germs)
 
 
 def test_cover_map_targets_present_classes():
@@ -380,6 +374,10 @@ def test_covering_depths_truncate():
     assert all(idx.mu <= 2 for idx in level_carrier(m))
     with pytest.raises(ValueError, match="covering_depths"):
         plan_for(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(9, 2))
+    # a depth outside the tower is refused with no scenario too
+    for depths in ((0, 1), (7, 1)):
+        with pytest.raises(ValueError, match=rf"depth {depths[0]} outside 1\.\.6"):
+            plan_for(shifted_base(depth=6), None, covering_depths=depths)
     # default reduce leaves the covering on classes 4..6; depth 3 empties it
     with pytest.raises(ValueError, match="covering_depths"):
         plan_for(shifted_base(depth=6), SWALLOWTAIL, covering_depths=(3, 2))
@@ -403,7 +401,7 @@ def test_generate_levels_input_validation():
     with pytest.raises(ValueError, match="reduce"):
         plan_for(base, reduce=lambda idx: False)  # empty reduced part
     sp_base = shifted_base(nature=SPACE_SHIFTED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time lift expects a shifted space"):
         levels_for(sp_base, FOLD)  # projected part would be temporal
 
 

@@ -128,8 +128,7 @@ def test_tower_prints_classes_and_places(capsys, tmp_path):
 
 def test_tower_requires_modulus_and_depth(capsys):
     code, out, err = run_cli(capsys, "tower", "--offset", "1")
-    assert code == EXIT_CONFIG
-    assert "configuration error" in err
+    assert (code, err) == (EXIT_CONFIG, "configuration error: tower config is missing 'quantum_modulus'\n")
     # a depth beyond the class budget is refused before anything is built
     code, out, err = run_cli(capsys, "tower", "-N", "2", "--depth", str(10**12))
     assert (code, out) == (EXIT_CONFIG, "")
@@ -328,10 +327,14 @@ def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
         '{"nvars": 1, "coeffs": [[[3], "1"]], "bogus": 5}',
         '{"nvars": 1, "coeffs": [[[3], "1"]], "max_degree": null}',
         '{"nvars": 1, "coeffs": [[[3], "1"]], "nvars": 1}',
+        '{"nvars": true, "coeffs": [[[3], "1"]]}',
+        '{"nvars": 1.0, "coeffs": [[[3], "1"]]}',
+        '{"nvars": 1, "coeffs": [[[3], "1"]], "max_degree": -1}',
     ],
     ids=[
         "exponents-not-a-list", "max-degree-string", "huge-decimal-exponent",
-        "unknown-key", "max-degree-null", "repeated-key",
+        "unknown-key", "max-degree-null", "repeated-key", "nvars-bool", "nvars-float",
+        "max-degree-negative",
     ],
 )
 def test_malformed_germ_is_a_config_error(capsys, tmp_path, germ):
@@ -622,8 +625,9 @@ def test_unfold_from_germ(capsys):
 def test_unfold_rejects_off_catalogue_germ(capsys):
     germ = json.dumps({"nvars": 1, "coeffs": [[[2], "1"]]})
     code, _, err = run_cli(capsys, "unfold", "--germ", germ)
-    assert code == EXIT_CONFIG
-    assert "Morse" in err
+    assert (code, err) == (EXIT_CONFIG, "configuration error: no versal unfolding for 'Morse'\n")
+    code, _, err = run_cli(capsys, "unfold", "--name", "none")
+    assert (code, err) == (EXIT_CONFIG, "configuration error: unfold needs a catalogue class name\n")
     # neither --name nor --germ
     code, out, err = run_cli(capsys, "unfold")
     assert (code, out) == (EXIT_CONFIG, "")
@@ -926,6 +930,7 @@ def test_samples_bad_modes_file(capsys, tmp_path):
     path = tmp_path / "modes.json"
     for modes in (
         [],
+        5,
         {"modes": [mode]},
         [5],
         [mode, dict(mode, mu=2, sign=-1)],  # mixed signs
@@ -948,9 +953,27 @@ def test_samples_bad_modes_file(capsys, tmp_path):
         code, out, err = run_cli(capsys, "samples", "--modes-file", str(path))
         assert (code, out) == (EXIT_CONFIG, ""), modes
         assert err.startswith("configuration error:") and err.count("\n") == 1, modes
+    path.write_text("[]")
+    err = run_cli(capsys, "samples", "--modes-file", str(path))[2]
+    assert err == "configuration error: the modes file holds no modes\n"
     missing = tmp_path / "nope.json"
     code, _, _ = run_cli(capsys, "samples", "--modes-file", str(missing))
     assert code == EXIT_CONFIG
+
+
+def test_float_flags_take_every_json_number(capsys, tmp_path):
+    path = tmp_path / "modes.json"
+    path.write_text(json_text([{"mu": 1, "m": 1, "amplitude": 1.0, "sign": 1}]))
+    # argparse's own negative-number pattern has no exponent
+    argv = ("samples", "--modes-file", str(path), "--n", "2", "--x0", "-1e5", "--x1", "-1e-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    xs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert xs == pytest.approx([-1e5, -0.1])
+    # 1e400 is a JSON number that float reads as inf
+    code, out, err = run_cli(capsys, "samples", "--modes-file", str(path), "--x1", "1e400")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: sample range must be finite, got [0.0, inf]\n"
 
 
 def test_samples_count_has_a_budget(capsys, tmp_path):

@@ -183,7 +183,7 @@ def test_lggc_st_all_reduced_drops_orthogonal():
 
 def test_lggc_st_rejects_empty_reduced():
     b = bisheaf(depth=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot compactify an empty semisheaf"):
         lggc_st(b, reduce=lambda idx: False)
 
 

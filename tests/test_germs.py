@@ -82,6 +82,8 @@ def test_snap_to_fraction():
     assert snap_to_fraction("3E-0004300 ") == Fraction(3, 10**4300)
     with pytest.raises(ValueError, match="decimal exponent"):
         snap_to_fraction("1e" + "9" * 5000)
+    with pytest.raises(ValueError, match="zero denominator"):
+        snap_to_fraction("1/0")
     with pytest.raises(ValueError):
         snap_to_fraction(object())
 

@@ -142,6 +142,9 @@ def test_config_json_roundtrip():
         config_from_json({"tower": raw["tower"], "mystery": 1})
     with pytest.raises(ValueError):
         config_from_json({"scenario": "fold"})
+    for data in (5, None):
+        with pytest.raises(ValueError, match="pipeline config must be a JSON object"):
+            config_from_json(data)
 
 
 def test_config_germ_template_parsed():

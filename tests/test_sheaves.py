@@ -199,7 +199,7 @@ def test_tensor_requires_matching_pair():
         tensor(r, make_sheaf(LEFT, template=cubic_at_3))
     # nor is one that differs only in a tag the pair cannot hold
     with pytest.raises(ValueError):
-        tensor(r, l.replace(singular=True))
+        tensor(r, l.replace(role=REDUCED))
 
 
 def test_default_reduce_keeps_lower_half():
@@ -308,22 +308,22 @@ def test_biquantum_round_trip_is_identity():
 
 
 def test_biquantum_rejections():
+    # the moved carrier is checked like any other: distinct, inside the tower
     b = partial_bisheaf(depth=3, present=(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate or unsorted section at"):
         create_biquantum(b, ClassIndex(1, 1))  # target occupied
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mu=0, m=1\) outside the tower"):
         annihilate_biquantum(b, ClassIndex(1, 1))  # ground class
-    with pytest.raises(ValueError):
-        create_biquantum(b, ClassIndex(3, 1))  # nothing there
+    with pytest.raises(ValueError, match=r"no bisection at class ClassIndex\(mu=2, m=1\)"):
+        create_biquantum(partial_bisheaf(depth=3, present=(1,)), ClassIndex(2, 1))  # nothing there
     top = partial_bisheaf(depth=3, present=(3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mu=4, m=1\) outside the tower"):
         create_biquantum(top, ClassIndex(3, 1))  # beyond depth
 
 
 def test_inject_singularity_swallowtail():
     s = make_sheaf(template=lambda idx: Germ.monomial(1, (2,)))
     out = inject_singularity(s, SWALLOWTAIL)
-    assert out.singular
     assert all(classify_germ(sec.germ).name == SWALLOWTAIL for sec in out.sections)
     assert out.carrier == s.carrier
 

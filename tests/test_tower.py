@@ -150,6 +150,8 @@ def test_json_roundtrip():
     # a copy would restore its fields past the immutability guard
     with pytest.raises(AttributeError, match="immutable"):
         copy.copy(cfg)
+    with pytest.raises(AttributeError, match="immutable"):
+        del cfg.depth
 
 
 @pytest.mark.parametrize(
@@ -187,3 +189,5 @@ def test_json_rejects_unknown_and_missing_keys():
         tower_config_from_json({"quantum_modulus": 2, "depth": 1, "levels": 3})
     with pytest.raises(ValueError):
         tower_config_from_json({"quantum_modulus": 2})
+    with pytest.raises(ValueError, match="tower config must be a JSON object"):
+        tower_config_from_json(5)
