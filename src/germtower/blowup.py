@@ -63,7 +63,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
     distinct = {id(germ): germ for germ in base.germs}.values()
     classes = {classify_germ(germ) for germ in distinct}
     if len(classes) != 1:
-        raise ValueError("sections carry singularities of different kinds")
+        raise ValueError("deform needs germs of one catalogue class, found " + str(len(classes)))
     return DeformedBundle(base, versal_unfold(classes.pop()).parameters)
 
 

@@ -3,15 +3,17 @@
 Reports are byte-deterministic: the same config always serializes to the
 same JSON bytes.  That is guaranteed by a small canonical emitter (fixed key
 insertion order, floats printed with 17 significant digits) rather than by
-the standard library encoder, whose float formatting cannot be pinned.  The
-emitter walks the report once, appending chunks in output order, and escapes
-strings through one translation table (quote, backslash, control characters).
-The level rows, most of a deep report, skip the walk: ``_write_levels``
-writes them as text from the level records, each item formatted as its list
-is written.  ``Report.chunks`` is the one writer of a report: it yields the
-text in blocks, so a caller that streams them to a file never holds the
-whole text; ``Report.json_text`` joins them.  ``write_output`` is the one
-writer of an output file.
+the standard library encoder, whose float formatting cannot be pinned.  Text
+has one shape: a JSON container is the join of its item texts, and strings
+are escaped through one translation table (quote, backslash, control
+characters).  ``dumps_canonical`` writes the sections whose nesting the
+schema bounds.  The level rows, most of a deep report, are written as text
+from the level records by ``_write_levels``, each list through ``_listed``
+in blocks of items, each item formatted as its list is written.
+``Report.chunks`` is the one writer of a report: it yields the text in
+order, so a caller that streams it to a file never holds the whole text;
+``Report.json_text`` joins it.  ``write_output`` is the one writer of an
+output file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,9 +34,8 @@ _ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
 _ESCAPES[ord('"')] = '\\"'
 _ESCAPES[ord("\\")] = "\\\\"
 
-# The writers join their pending chunks into one block this often.  A deep
-# report is about 100k small chunks; kept in one list until the end, they
-# peak at about 4 MB for a 0.6 MB report, against about 1.2 MB in blocks.
+# ``_listed`` joins this many list items into one block, so a level list of
+# any length is never held as one text while it is streamed.
 _BLOCK_CHUNKS = 2048
 
 
@@ -50,65 +51,44 @@ def _float_text(value: float) -> str:
 def dumps_canonical(obj, pad: str = "") -> str:
     """Serialize to JSON with pinned float formatting (17 significant digits).
 
-    One recursive walk appends the text in output order, each container
-    indented two spaces deeper than its parent, so every character is
-    copied a bounded number of times whatever the nesting depth.  Strings
-    are escaped through the one ``str.translate`` table ``_ESCAPES``.  Keys
-    are ``str(key)``, ints ``str(value)``, floats ``format(value, ".17g")``;
+    Each container is the join of its item texts, indented two spaces deeper
+    than its parent, so a character is copied a few times per enclosing
+    container; it serves only sections whose nesting the schema bounds.  Strings are
+    escaped through the one ``str.translate`` table ``_ESCAPES``.  Keys are
+    ``str(key)``, ints ``str(value)``, floats ``format(value, ".17g")``;
     NaN and infinity raise ``ValueError`` and any other type ``TypeError``.
     ``pad`` is the indent of the line that ``obj`` starts on.
     """
-    blocks: list[str] = []
-    chunks: list[str] = []
-    append = chunks.append
-
-    def emit(obj, pad: str) -> None:
-        if obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, str):
-            append('"' + obj.translate(_ESCAPES) + '"')
-        elif isinstance(obj, int):
-            append(str(obj))
-        elif isinstance(obj, float):
-            append(_float_text(obj))
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                append("[]")
-                return
-            inner = pad + "  "
-            if all(type(value) is int for value in obj):  # not bools: one join
-                append("[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + pad + "]")
-            else:
-                sep = "[\n" + inner
-                for value in obj:
-                    append(sep)
-                    emit(value, inner)
-                    sep = ",\n" + inner
-                append("\n" + pad + "]")
-        elif isinstance(obj, dict):
-            if not obj:
-                append("{}")
-                return
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for key, value in obj.items():
-                append(sep + '"' + str(key).translate(_ESCAPES) + '": ')
-                emit(value, inner)
-                sep = ",\n" + inner
-            append("\n" + pad + "}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return '"' + obj.translate(_ESCAPES) + '"'
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        marks = "[]"
+        if all(type(value) is int for value in obj):  # not bools: one join
+            items = map(str, obj)
         else:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-        if len(chunks) >= _BLOCK_CHUNKS:
-            blocks.append("".join(chunks))
-            chunks.clear()
-
-    emit(obj, pad)
-    blocks.append("".join(chunks))
-    return "".join(blocks)
+            items = [dumps_canonical(value, inner) for value in obj]
+    elif isinstance(obj, dict):
+        marks = "{}"
+        items = [
+            '"' + str(key).translate(_ESCAPES) + '": ' + dumps_canonical(value, inner)
+            for key, value in obj.items()
+        ]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not obj:
+        return marks
+    return marks[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + marks[1]
 
 
 class Report(NamedTuple):
@@ -134,9 +114,10 @@ class Report(NamedTuple):
         return "".join(self.chunks())
 
     def chunks(self) -> Iterator[str]:
-        """The report's text in blocks, in order.  This is the one writer of
-        a report: ``json_text`` joins the blocks, and ``correspond --out``
-        streams them to its file, so the whole text is never held."""
+        """The report's text in order, its level lists in blocks.  This is
+        the one writer of a report: ``json_text`` joins the texts, and
+        ``correspond --out`` streams them to its file, so the whole text is
+        never held."""
         config = dumps_canonical(self.config, "  ")
         yield f'{{\n  "config": {config},\n  "rule": {len(self.records)},\n  "levels": '
         yield from _write_levels(self.stack.levels, self.records)
@@ -145,87 +126,77 @@ class Report(NamedTuple):
         yield "\n}\n"
 
 
+def _listed(pad: str, items: Iterable[str] | None) -> Iterator[str]:
+    """Yield the JSON list of the item texts ``items``, each on its own
+    line, ``_BLOCK_CHUNKS`` to a block and closed at indent ``pad``: ``[]``
+    when there is none, and null for None."""
+    if items is None:
+        yield "null"
+        return
+    items = iter(items)
+    mark = "["
+    while block := list(islice(items, _BLOCK_CHUNKS)):
+        yield mark  # apart, so the block is not copied to prefix it
+        yield ",".join(block)
+        mark = ","
+    yield "[]" if mark == "[" else f"\n{pad}]"
+
+
 def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> Iterator[str]:
-    """Yield the report's ``levels`` list in blocks, written straight from
+    """Yield the report's ``levels`` list in order, written straight from
     each level and the index rows of its record.
 
-    The pending chunks are joined into one block whenever they reach
-    ``_BLOCK_CHUNKS``.  A list item is formatted as its list is written, so
-    no text outlives its part; a part's mode texts up to ``"sign": `` are
-    formatted once and shared by both sides.  Every level row sits at one
-    depth of the report, its keys at 6 spaces.
+    Every list goes through ``_listed``, its items formatted as it is
+    written, so no item text outlives its block; a part's amplitude texts
+    are formatted once for both sides.  Every level row sits at one depth
+    of the report, its keys at 6 spaces.
     """
-    out: list[str] = []
-    append, extend = out.append, out.extend
-
-    def listed(pad: str, items, *ends) -> Iterator[str]:
-        """Append the list of the texts ``items``, each followed by its
-        ``ends``, or null for None; yield each block as it fills."""
-        if items is None:
-            append("null")
-            return
-        chunks = chain.from_iterable(zip(chain(("[",), repeat(",")), items, *ends))
-        if next(chunks, None) is None:  # no item
-            append("[]")
-            return
-        append("[")
-        while True:
-            extend(islice(chunks, max(_BLOCK_CHUNKS - len(out), 0)))
-            if len(out) < _BLOCK_CHUNKS:  # every chunk is taken
-                break
-            block = "".join(out)
-            out.clear()
-            yield block
-        append(f"\n{pad}]")
-
     sep = "["
     for level, record in zip(levels, records):
         tower = record.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
-        append(f'{sep}\n    {{\n      "label": {dumps_canonical(level.label)},\n      "tower": ')
-        append(f'{dumps_canonical(shape, "      ")},\n      "weil_side": ')
+        yield (
+            f'{sep}\n    {{\n      "label": {dumps_canonical(level.label)},\n      "tower": '
+            f'{dumps_canonical(shape, "      ")},\n      "weil_side": '
+        )
         n, offset = tower.quantum_modulus, tower.offset
-        weil = (
+        yield from _listed("      ", (
             f'\n        {{\n          "mu": {mu},\n          "m": {m},\n'
             f'          "degree": {offset + mu * n}\n        }}'
             for mu, m in record.weil
-        )
-        yield from listed("      ", weil)
+        ))
         for key, part in zip(("reduced", "orthogonal"), record.parts + (None,)):
-            append(f',\n      "{key}": ')
+            yield f',\n      "{key}": '
             if part is None:
-                append("null")
+                yield "null"
                 continue
             if not all(map(math.isfinite, part.amplitudes)):
                 raise ValueError(_NOT_FINITE)
-            prefixes = [
-                f'\n          {{\n            "mu": {mu},\n            "m": {m},\n'
-                f'            "amplitude": {amplitude:.17g},\n            "sign": '
-                for (mu, m), amplitude in zip(part.carrier, part.amplitudes)
-            ]
-            for mark, side, sign in (("{", "right", -1), (",", "left", 1)):
-                append(f'{mark}\n        "{side}": ')
-                yield from listed("        ", prefixes, repeat(f"{sign}\n          }}"))
-            append("\n      }")
-        append(f',\n      "mode_pairs": {record.mode_pair_count()},\n      "cover": ')
-        cover = level.cover and (
+            amplitudes = [f"{amplitude:.17g}" for amplitude in part.amplitudes]
+            for mark, side, sign in (("{", "right", "-1"), (",", "left", "1")):
+                yield f'{mark}\n        "{side}": '
+                yield from _listed("        ", (
+                    f'\n          {{\n            "mu": {mu},\n            "m": {m},\n'
+                    f'            "amplitude": {amplitude},\n            "sign": {sign}\n          }}'
+                    for (mu, m), amplitude in zip(part.carrier, amplitudes)
+                ))
+            yield "\n      }"
+        yield f',\n      "mode_pairs": {record.mode_pair_count()},\n      "cover": '
+        yield from _listed("      ", level.cover and (
             f"\n        [\n          [\n            {a_mu},\n            {a_m}\n          ],"
             f"\n          [\n            {b_mu},\n            {b_m}\n          ]\n        ]"
             for (a_mu, a_m), (b_mu, b_m) in level.cover
-        )
-        yield from listed("      ", cover)
-        append(',\n      "coverage": ')
+        ))
+        yield ',\n      "coverage": '
         fraction = level.coverage and _float_text(level.coverage[1])
-        coverage = level.coverage and (
+        yield from _listed("      ", level.coverage and (
             f"\n        [\n          [\n            {mu},\n            {m}\n          ],"
             f"\n          {fraction}\n        ]"
             for mu, m in level.coverage[0]
-        )
-        yield from listed("      ", coverage)
-        append("\n    }")
+        ))
+        yield "\n    }"
         sep = ","
-    append("\n  ]")
-    yield "".join(out)
+    yield "\n  ]"
 
 
 def write_output(raw: str, chunks: Iterable[str]) -> None:

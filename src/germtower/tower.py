@@ -46,8 +46,7 @@ class Record:
     sets them with ``_set``; assigning to a field afterwards raises
     AttributeError.
     Records are equal only to records of the same type with equal fields,
-    and hash and print by their fields.  ``replace`` builds a new record
-    through ``__init__``, so validation runs again.
+    and hash and print by their fields.
     """
 
     __slots__ = ()
@@ -56,7 +55,7 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; use replace()")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -72,12 +71,6 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-    def replace(self, **changes):
-        """A copy with some fields changed, validated like a new record."""
-        values = {name: getattr(self, name) for name in self.__slots__}
-        values.update(changes)
-        return type(self)(**values)
 
 
 class ClassIndex(NamedTuple):

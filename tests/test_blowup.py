@@ -175,8 +175,14 @@ def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
 def test_deform_rejects_a_base_of_two_classes():
     folds = [Germ.monomial(1, (3,)), Germ.from_coeffs(1, {(3,): -2})]
     two = one_class_over(folds + [Germ.monomial(1, (4,))])
-    with pytest.raises(ValueError, match="different kinds"):
+    with pytest.raises(ValueError, match="one catalogue class, found 2"):
         deform(two)
+
+
+def test_deform_rejects_an_empty_base():
+    empty = space_sheaf().replace(carrier=(), germs=())
+    with pytest.raises(ValueError, match="one catalogue class, found 0"):
+        deform(empty)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,6 @@ def test_mode_validation():
     mode = Mode(1, 1, 1.0, 1)
     with pytest.raises(AttributeError):
         mode.sign = -1
-    with pytest.raises(ValueError):
-        mode.replace(sign=0)
-    assert mode.replace(sign=-1) == Mode(1, 1, 1.0, -1)
     assert mode != (1, 1, 1.0, 1)
 
 

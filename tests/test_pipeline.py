@@ -189,7 +189,7 @@ def test_dumps_canonical_is_valid_json_and_order_preserving():
 
 
 def test_dumps_canonical_large_report_is_exact():
-    # well past the emitter's chunk block size, nested two levels deep
+    # 3,000 rows of mixed values, nested two levels deep
     obj = {"rows": [{"i": i, "x": i / 7, "s": f"r{i}\t"} for i in range(3000)]}
     text = dumps_canonical(obj)
     assert json.loads(text) == obj
@@ -245,6 +245,25 @@ JSON_SCALARS = (
 @example({"multiplicity": [1, 2], "even": [False, True], "mixed": [0, 1.5, "2"]}, "  ")
 def test_dumps_canonical_joins_int_lists_as_the_per_value_walk_writes_them(obj, pad):
     assert dumps_canonical(obj, pad) == _per_value_walk(obj, pad)
+
+
+JSON_TEXT = st.text(st.characters(min_codepoint=0x20), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | JSON_TEXT,
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+        max_leaves=20,
+    ),
+    st.sampled_from(["", "  ", "      "]),
+)
+@example({"a\\": ["\"", [], {}, [1, True]], "": {"b": None}}, "  ")
+def test_dumps_canonical_writes_the_standard_library_text_without_floats(obj, pad):
+    # the standard encoder agrees wherever it needs no float and no \n-style escape
+    expected = json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
+    assert dumps_canonical(obj, pad) == expected
 
 
 # ---------------------------------------------------------------------------

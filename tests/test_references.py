@@ -33,7 +33,6 @@ ALLOWED = {
     "tower.Record.__setattr__": "the immutability guard: raises when a field is assigned",
     "tower.Record.__delattr__": "the immutability guard: raises when a field is deleted",
     "tower.Record.__repr__": "pytest's failure output prints records through it",
-    "tower.Record.replace": "the documented record API, which Semisheaf overrides",
     "cuspidal.EllipticSemimodule.modes": "the benchmark counts cuspidal.modes through it",
 }
 
