@@ -12,14 +12,15 @@ handlers of the other five live in ``tools``, imported only when one of
 them runs.  Without a bytecode cache every process compiles this module
 last, so it holds no more than those two.
 
-A process enters through ``run``: it flushes stdout and stderr, then ends
-with ``os._exit``, so neither ``atexit`` handlers nor interpreter teardown
-run.  Library and test callers use ``main``, which returns the exit code.
+A process enters through ``run``: with the cyclic collector off, it flushes
+stdout and stderr after ``main`` and ends with ``os._exit``, so neither
+``atexit`` handlers nor teardown run.  Library and test callers use ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import NoReturn
@@ -177,9 +178,10 @@ def main(argv=None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry: ``main``, a flush of stdout and stderr, then
-    ``os._exit``.  A failed flush leaves through ``sys.exit`` instead, so the
-    interpreter's shutdown reports it as it would after any other command."""
+    """The process entry: ``main`` with the cyclic collector off, a flush of
+    stdout and stderr, then ``os._exit``.  A failed flush leaves through
+    ``sys.exit``, so the shutdown reports it as after any other command."""
+    gc.disable()  # the process frees nothing at exit, so no cycle needs finding
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

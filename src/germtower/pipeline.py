@@ -4,17 +4,18 @@
 returns a ``Report`` (``report``), which writes the deterministic JSON text.
 A stage that breaks its contract raises ``PipelineError`` naming it.
 
-The oscillator constancy diagnostic computes each bistring variance exactly,
-as ``statistics.pvariance`` does, but from integer sums over the common
-power-of-two denominator of the samples instead of ``Fraction`` arithmetic.
-A pair's modulus is computed once per distinct ``(mu, amplitude)``, and a
-variance once per distinct modulus tuple.
+The oscillator constancy diagnostic evaluates the bistring moduli of the
+distinct ``(mu, amplitude)`` keys a sample column at a time, and computes a
+variance exactly (``statistics.pvariance`` from integer sums, not ``Fraction``)
+only for the distinct modulus tuples that can hold the maximum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice, repeat
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
 from .blowup import LevelStack, desingularize, generate_levels
@@ -24,7 +25,7 @@ from .config import (
     config_from_json,  # noqa: F401  (perfbench/tracer.py wraps it here as pipeline.config)
     config_to_json,
 )
-from .cuspidal import LevelRecord, bistring_modulus, level_record
+from .cuspidal import LevelRecord, level_record
 from .germs import CATALOGUE, MORSE, REGULAR, Germ, classify_germ, format_germ
 from .report import Report
 from .sheaves import TIME, Bisemisheaf, attach_sections, shift
@@ -92,37 +93,49 @@ def _pvariance(values: Sequence[float]) -> float:
     return (count * s2 - s1 * s1) / (count * count * scale * scale)
 
 
-# what ``bistring_modulus`` reads of a mode: a run builds no ``Mode``
-_String = NamedTuple("_String", [("mu", int), ("amplitude", float), ("sign", int)])
+def _bistring_moduli(keys: Iterable[tuple[int, float]]) -> Iterator[tuple[float, ...]]:
+    """Each key's bistring moduli at ``_DIAG_SAMPLES``, a sample column per
+    block of keys: the conjugate strings ``p -+ i*q``, ``p, q = a*cos(t),
+    a*sin(t)``, ``t = (pi*mu)*x``, give ``p*p + q*q``, bit for bit as
+    ``bistring_modulus`` does."""
+    keys = iter(keys)
+    while block := list(islice(keys, 128)):  # bounds the lists at the class budget
+        phases = [math.pi * mu for mu, _ in block]
+        amplitudes = [a for _, a in block]
+        columns = []
+        for x in _DIAG_SAMPLES:
+            t = list(map(mul, phases, repeat(x)))
+            p = list(map(mul, amplitudes, map(math.cos, t)))
+            q = list(map(mul, amplitudes, map(math.sin, t)))
+            columns.append(list(map(add, map(mul, p, p), map(mul, q, q))))
+        yield from zip(*columns)
 
 
-def _bistring_variances(records: Sequence[LevelRecord]) -> list[float]:
-    """Every mode pair's bistring modulus variance, in record order.
-
-    A pair's two strings share the class and the amplitude of one record
-    row, so its modulus depends on ``(mu, amplitude)`` alone and is computed
-    once per distinct key.  A variance is a pure function of the modulus
-    values, so it is computed once per distinct modulus tuple.
-    """
-    by_key: dict[tuple[int, float], float] = {}
-    by_modulus: dict[tuple[float, ...], float] = {}
-    out = []
-    for part in (part for record in records for part in record.parts):
-        for (mu, _), amplitude in zip(part.carrier, part.amplitudes):
-            variance = by_key.get((mu, amplitude))
-            if variance is None:
-                right, left = _String(mu, amplitude, -1), _String(mu, amplitude, 1)
-                modulus = tuple(bistring_modulus(right, left, _DIAG_SAMPLES))
-                variance = by_modulus.get(modulus)
-                if variance is None:
-                    try:
-                        variance = _pvariance(modulus)
-                    except OverflowError:  # finite, but beyond the float range
-                        variance = math.inf
-                    by_modulus[modulus] = variance
-                by_key[mu, amplitude] = variance
-            out.append(variance)
-    return out
+def _worst_bistring_variance(records: Sequence[LevelRecord]) -> tuple[float, bool]:
+    """The largest bistring modulus variance of the records' mode pairs, and
+    whether all are below ``1e-12``.  With every modulus finite, a tuple whose
+    range is under half the widest range ``R`` is skipped: its variance is
+    below ``R*R/16`` (Popoviciu), the widest one's at least ``R*R/12``.
+    Otherwise every distinct tuple counts, in pair order, so the result is
+    ``max`` of the pairs' own variances even if one is ``nan``."""
+    keys = dict.fromkeys(
+        key
+        for record in records
+        for part in record.parts
+        for key in zip(map(itemgetter(0), part.carrier), part.amplitudes)
+    )
+    tuples = list(dict.fromkeys(_bistring_moduli(keys)))
+    ranges = [max(moduli) - min(moduli) for moduli in tuples]
+    if all(map(math.isfinite, ranges)):
+        half = max(ranges, default=0.0) / 2
+        tuples = [moduli for moduli, r in zip(tuples, ranges) if r >= half]
+    variances = []
+    for moduli in tuples:
+        try:
+            variances.append(_pvariance(moduli))
+        except OverflowError:  # finite, but beyond the float range
+            variances.append(math.inf)
+    return max(variances, default=0.0), all(v < 1e-12 for v in variances)
 
 
 def _diagnostics(
@@ -138,8 +151,7 @@ def _diagnostics(
         or set(level.reduced.indices()).isdisjoint(level.orthogonal.indices())
         for level in stack.levels
     )
-    variances = _bistring_variances(records)
-    worst = max(variances) if variances else 0.0
+    worst, constant = _worst_bistring_variance(records)
     for germ, (label, idx) in desingularized.items():
         cls = classify_germ(germ)
         if cls.name not in (REGULAR, MORSE):
@@ -153,7 +165,6 @@ def _diagnostics(
         classify_ok = True
         detail = "post-desingularization germs classify Regular or Morse"
     counted = f"{len(records)} level(s): weil classes equal cuspidal mode pairs"
-    constant = all(v < 1e-12 for v in variances)
     diags = (
         ("level_bijection", bijection, counted),
         ("split_partition", partition_ok, "reduced and orthogonal parts partition every carrier"),

@@ -242,14 +242,11 @@ class Tower(NamedTuple):
 
     def truncated(self, depth: int) -> "Tower":
         """A copy keeping only classes mu <= depth, for 1 <= depth <= self.depth."""
-        cfg = TowerConfig(
-            self.quantum_modulus,
-            self.offset,
-            depth,
-            self.config.multiplicity[:depth],
-            self.config.complex_multiplicity[:depth],
-        )
-        return Tower(cfg)
+        if not 1 <= depth <= self.depth:
+            raise ValueError("truncation depth %s outside 1..%s" % (depth, self.depth))
+        config = self.config
+        multiplicities = config.multiplicity[:depth], config.complex_multiplicity[:depth]
+        return Tower(TowerConfig(config.quantum_modulus, config.offset, depth, *multiplicities))
 
 
 def build_tower(config: TowerConfig) -> Tower:

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import errno
 import functools
+import gc
 import io
 import json
 import math
@@ -1013,9 +1014,10 @@ def test_module_entry_point_runs():
     assert "total 4" in proc.stdout
 
 
-# A CLI process ends through ``run``: it flushes stdout and stderr, then
-# calls ``os._exit``.  Its exit code, stdout and stderr are those of a
-# process that ends through the interpreter's own shutdown.
+# A CLI process ends through ``run``: with the cyclic collector off, it
+# flushes stdout and stderr, then calls ``os._exit``.  Its exit code,
+# stdout and stderr are those of a process that ends through the
+# interpreter's own shutdown.
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -1112,6 +1114,28 @@ def test_a_process_skips_atexit_and_flushes_a_buffered_stderr(tmp_path):
     # the installed script takes the same exit
     pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["scripts"] == {"germtower": "germtower.cli:run"}
+
+
+def test_a_process_runs_without_the_cyclic_collector(capsys):
+    # run turns the collector off for its own process; main, which library
+    # and test callers use, leaves it as it finds it
+    code = (
+        "import gc, germtower.cli as cli\n"
+        "main = cli.main\n"
+        "def seen():\n"
+        "    print('collector on:', gc.isenabled())\n"
+        "    return main(['expand', '--levels', 'ST'])\n"
+        "cli.main = seen\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("collector on: False\n")
+    assert gc.isenabled()
+    assert run_cli(capsys, "expand", "--levels", "ST")[0] == EXIT_OK
+    assert gc.isenabled()
 
 
 def test_cli_import_stays_off_the_introspection_modules():

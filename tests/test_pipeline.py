@@ -22,14 +22,26 @@ from germtower import (
     level_record,
     run_pipeline,
 )
-from germtower.config import _SCENARIO_ALIASES, normalize_scenario, parse_reduce_rule
+from germtower.config import (
+    _SCENARIO_ALIASES,
+    _amplitude_callable,
+    normalize_scenario,
+    parse_reduce_rule,
+)
 from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
-from germtower.pipeline import _DIAG_SAMPLES, _bistring_variances, _pvariance, emit_expansion
+from germtower.pipeline import (
+    _DIAG_SAMPLES,
+    _bistring_moduli,
+    _pvariance,
+    _worst_bistring_variance,
+    emit_expansion,
+)
 from germtower.report import write_output
 from germtower.tools import MAX_SAMPLES, sample_rows, samples_csv
-from germtower.tower import ClassIndex, LEFT, RIGHT, Tower
+from germtower.tower import ClassIndex, LEFT, MAX_CLASSES, RIGHT, Tower, tower_config_from_json
+from test_sweep import SWEEP, load_gen
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -308,10 +320,14 @@ def _bistring_record(pairs) -> LevelRecord:
 )
 @example([[(2, 0.0), (2, -0.0), (2, 1.5), (3, -0.0)]])
 @example([[(1, 1e300), (1, 1e300)], [(3, 1e200), (1, 1e300), (2, 1e155)]])
+@example([[(1, 1.0), (2, 1e150)]])
+@example([[(3, 1e155), (1, 1.3e154), (2, 0.5)]])
+@example([[(3, 1.0), (57, 1.0)]])  # the widest range is not the largest variance
 def test_memoized_variances_equal_each_pairs_own(parts):
-    # one modulus per distinct (mu, amplitude) key and one variance per
-    # distinct modulus; each must be the one its pair computes alone, from
-    # its Mode views, bit for bit, signed zeros and overflow included
+    # one modulus tuple per distinct (mu, amplitude) key and a variance only
+    # for the tuples that can hold the maximum; the worst variance and the
+    # pass flag must be those of every pair computed alone, from its Mode
+    # views, bit for bit, signed zeros, overflow and inf included
     records = [_bistring_record(pairs) for pairs in parts]
     expected = []
     for record in records:
@@ -321,7 +337,44 @@ def test_memoized_variances_equal_each_pairs_own(parts):
                 expected.append(_pvariance(bistring_modulus(mr, ml, _DIAG_SAMPLES)))
             except OverflowError:
                 expected.append(math.inf)
-    assert list(map(repr, _bistring_variances(records))) == list(map(repr, expected))
+    worst, constant = _worst_bistring_variance(records)
+    assert (repr(worst), constant) == (repr(max(expected)), all(v < 1e-12 for v in expected))
+
+
+def _assert_moduli_are_bistring_modulus(keys):
+    got = list(map(repr, _bistring_moduli(keys)))
+    expected = [
+        repr(tuple(bistring_modulus(Mode(mu, 1, a, -1), Mode(mu, 1, a, 1), _DIAG_SAMPLES)))
+        for mu, a in keys
+    ]
+    assert got == expected
+
+
+def _sweep_keys() -> dict:
+    gen = load_gen()
+    keys = {}
+    for workload, seeds, ops in SWEEP:
+        for seed in seeds:
+            for op in ops:
+                data = gen.op_config(workload, seed, op)
+                rule = _amplitude_callable(data["amplitude"])
+                classes = Tower(tower_config_from_json(data["tower"])).class_indices()
+                keys.update(dict.fromkeys((idx.mu, float(rule(idx))) for idx in classes))
+    return keys
+
+
+def test_column_moduli_are_bistring_modulus_over_the_sweeps_keys():
+    # every (mu, amplitude) that a benchmark config's classes can give
+    keys = _sweep_keys()
+    assert len(keys) > 1000
+    _assert_moduli_are_bistring_modulus(list(keys))
+
+
+def test_column_moduli_are_bistring_modulus_up_to_the_class_budget():
+    mus = range(1, MAX_CLASSES + 1)
+    _assert_moduli_are_bistring_modulus([(mu, (1.0, float(mu), mu / 7)[mu % 3]) for mu in mus])
+    edges = (0.0, -0.0, 5e-324, 1e-160, 1e150, 1e200, 1e300)
+    _assert_moduli_are_bistring_modulus([(mu, a) for mu in mus[::997] for a in edges])
 
 
 # ---------------------------------------------------------------------------

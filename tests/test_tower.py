@@ -103,6 +103,13 @@ def test_truncated_keeps_prefix():
     assert short.real_degree(2) == tower.real_degree(2)
 
 
+@pytest.mark.parametrize("depth", [0, 4, 5])
+def test_truncation_outside_the_tower_names_its_range(depth):
+    tower = build_tower(TowerConfig(2, 1, 3))
+    with pytest.raises(ValueError, match=rf"^truncation depth {depth} outside 1\.\.3$"):
+        tower.truncated(depth)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

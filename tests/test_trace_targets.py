@@ -28,6 +28,7 @@ GOLDEN_CONFIG = ROOT / "tests" / "data" / "golden_config.json"
 UNREACHED = {
     "sheaves.section_at": "a run builds no Section; only Semisheaf.sections calls section_at",
     "pipeline.serialize": "correspond --out streams Report.chunks and never calls json_text",
+    "cuspidal.bistring": "the oscillator diagnostic evaluates every key's moduli in columns",
 }
 
 
