@@ -28,6 +28,7 @@ from .germs import (
     SingularityClass,
     classify_germ,
     format_germ,
+    slot_sum,
     versal_unfold,
 )
 from .sheaves import (
@@ -64,7 +65,7 @@ def deform(base: Semisheaf) -> DeformedBundle:
     classes = {classify_germ(germ) for germ in distinct}
     if len(classes) != 1:
         raise ValueError("deform needs germs of one catalogue class, found " + str(len(classes)))
-    return DeformedBundle(base, versal_unfold(classes.pop()).parameters)
+    return DeformedBundle(base, versal_unfold(classes.pop().name).parameters)
 
 
 class BlowupResult(NamedTuple):
@@ -85,9 +86,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     """
     if bundle.base.level == M:
         raise ValueError("the M level is outermost: nothing covers it")
-    glued = Germ.zero(bundle.fiber[0][1].nvars)
-    for _, mono in bundle.fiber:
-        glued = glued + mono
+    glued = slot_sum(bundle.fiber)
     fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
     level = LEVELS[LEVELS.index(bundle.base.level) + 1]
     covering = bundle.base.map_germs(lambda _: glued, level=level, role=None)
@@ -265,10 +264,11 @@ def generate_levels(
     """Build the embedded level stack that ``plan_levels`` laid out.
 
     The base must be a shifted ST bisemisheaf.  The endomorphism split of
-    its right semisheaf makes the ST space part, which hosts the injected
-    singularity; each covering is truncated to its planned depth and lifts
-    its planned orthogonal part to time.  The left side of every level is
-    the mirror of the right.
+    its right semisheaf makes the ST space part.  ``inject_singularity``
+    places both seeds, the scenario's form there and at M the detected
+    ``Fold`` on the MG covering.  Each covering is truncated to its planned
+    depth and lifts its planned orthogonal part to time.  The left side of
+    every level is the mirror of the right.
     """
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
@@ -279,24 +279,23 @@ def generate_levels(
         st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
         return LevelStack((st,), ())
 
-    cls = CATALOGUE[singularity]
-    seed = inject_singularity(orthogonal, cls)
+    seed = inject_singularity(orthogonal, singularity)
     cascade = [
-        f"inject {cls.name} germ {format_germ(seed.germs[0])} "
+        f"inject {singularity} germ {format_germ(seed.germs[0])} "
         f"on {len(seed)} space sections"
     ]
     levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(seed))]
     for step in plan[1:]:
         if step.label == M:
-            cls = detect_resingularization(result)
+            singularity = detect_resingularization(result).name
             cascade.append(
-                f"resingularization: covering keeps the cubic monomial x^3, classified {cls.name}"
+                "resingularization: covering keeps the cubic monomial x^3, "
+                f"classified {singularity}"
             )
-            cubic = Germ.monomial(1, (3,))
-            seed = covering.map_germs(lambda _: cubic)
+            seed = inject_singularity(covering, singularity)
         result = blow_up(deform(seed))
         cascade.append(
-            f"blowup {cls.name}: covering germ {format_germ(result.covering.germs[0])}"
+            f"blowup {singularity}: covering germ {format_germ(result.covering.germs[0])}"
         )
         covering = result.covering
         if step.depth < covering.tower.depth:

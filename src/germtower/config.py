@@ -23,6 +23,7 @@ from .blowup import plan_levels
 from .cuspidal import unit_amplitude
 from .germs import CATALOGUE, Germ, germ_from_json, germ_to_json, normal_form
 from .tower import (
+    INT_TEXT_BOUND,
     ClassIndex,
     TowerConfig,
     build_tower,
@@ -211,12 +212,17 @@ def _amplitude(value) -> str | dict[ClassIndex, float]:
 
 
 def _germ_template(value) -> dict[ClassIndex, Germ] | None:
-    """A germ per class key, from germ JSON objects; None when left out."""
+    """A germ per class key, from germ JSON objects; None when left out.
+    The report echoes each coefficient, so each must write as text."""
     if value == ():
         return None
     if not isinstance(value, dict) or not all(isinstance(g, dict) for g in value.values()):
         raise ValueError("germ_template must map class keys to germ JSON objects")
-    return {_class_key(key, "germ_template"): germ_from_json(g) for key, g in value.items()}
+    table = {_class_key(key, "germ_template"): germ_from_json(g) for key, g in value.items()}
+    for idx, germ in table.items():
+        if any(max(abs(c.numerator), c.denominator) >= INT_TEXT_BOUND for _, c in germ.terms):
+            raise ValueError("germ_template: class %d,%d has a coefficient past 4300 digits" % idx)
+    return table
 
 
 def _amplitude_callable(value) -> Callable[[ClassIndex], float]:

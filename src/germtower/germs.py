@@ -23,8 +23,9 @@ from .tower import Record, _set
 _SNAP_LIMIT = 10**9
 
 # Fraction expands a decimal exponent exactly, so "1e30000000" would build a
-# 30-million-digit integer.  The bound is fixed at the interpreter's default
-# int_max_str_digits; it is not a setting.
+# 30-million-digit integer.  This bound keeps that work small; it is fixed,
+# not a setting.  It admits "1e4300", whose 4301 digits the report cannot
+# write: the config's germ_template check rejects that one.
 _MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
@@ -86,7 +87,8 @@ class Germ(Record):
 
     A germ is its value: two germs are equal when their variable counts and
     term lists agree.  ``from_coeffs`` may truncate the jet as it builds it;
-    the order is not kept.
+    the order is not kept.  ``coefficient`` and the classification read
+    ``terms``; ``derivative`` is taken in the first variable.
 
     Germ operations build a new germ on every call; a sheaf morphism applies
     one to each distinct germ object it holds, not to each section (see
@@ -131,10 +133,6 @@ class Germ(Record):
         return Germ.from_coeffs(nvars, {})
 
     @property
-    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
-
-    @property
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -142,19 +140,8 @@ class Germ(Record):
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
-
-    def gradient_at_zero(self) -> tuple[Fraction, ...]:
-        out = []
-        for i in range(self.nvars):
-            e = tuple(1 if j == i else 0 for j in range(self.nvars))
-            out.append(self.coefficient(e))
-        return tuple(out)
+        return dict(self.terms).get(tuple(exps), Fraction(0))
 
     def hessian_at_zero(self) -> tuple[tuple[Fraction, ...], ...]:
         """Exact Hessian matrix of the jet at the origin."""
@@ -165,27 +152,17 @@ class Germ(Record):
         c = 2 * self.coefficient((0, 2))
         return ((a, b), (b, c))
 
-    def derivative(self, var: int = 0) -> "Germ":
-        """Formal partial derivative with respect to variable ``var``."""
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} outside 0..{self.nvars - 1}")
+    def derivative(self) -> "Germ":
+        """Formal partial derivative with respect to the first variable."""
         out = {}
         for exps, coeff in self.terms:
-            if exps[var] == 0:
-                continue
-            new = list(exps)
-            new[var] -= 1
-            out[tuple(new)] = coeff * exps[var]
+            if exps[0]:
+                out[(exps[0] - 1, *exps[1:])] = coeff * exps[0]
         return Germ.from_coeffs(self.nvars, out)
 
     def truncated(self, degree: int) -> "Germ":
         """Drop every monomial of total degree above ``degree``."""
         return Germ.from_coeffs(self.nvars, self.terms, degree)
-
-    def scale(self, factor) -> "Germ":
-        f = snap_to_fraction(factor)
-        scaled = {e: c * f for e, c in self.terms}
-        return Germ.from_coeffs(self.nvars, scaled)
 
     def __add__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
@@ -351,9 +328,9 @@ def classify_germ(g: Germ) -> SingularityClass:
 
     The decision tree is exact:
 
-    * nonzero value or gradient at the origin -> ``Regular`` (no singular
-      content; the zero jet also lands here, so desingularized sections
-      always classify),
+    * a term of total degree <= 1 (a nonzero value or gradient at the
+      origin) -> ``Regular`` (no singular content; the zero jet also lands
+      here, so desingularized sections always classify),
     * full-rank Hessian -> ``Morse``,
     * corank 1 -> pure powers ``x^(k+1)`` (after splitting off an explicit
       diagonal Morse direction in two variables) give fold/cusp/swallowtail,
@@ -363,7 +340,7 @@ def classify_germ(g: Germ) -> SingularityClass:
     Everything else is ``Unclassified`` with the computed corank.  The
     umbilic search compares coefficient tables; nothing is cached.
     """
-    if g.constant_term != 0 or any(g.gradient_at_zero()) or g.is_zero:
+    if g.is_zero or any(sum(e) <= 1 for e, _ in g.terms):
         return SingularityClass(REGULAR, 0, 0)
     rank = _hessian_rank(g.hessian_at_zero())
     cr = g.nvars - rank
@@ -384,20 +361,18 @@ class Unfolding(NamedTuple):
     ``parameters`` holds (slot name, attached monomial germ) pairs; the slot
     count equals the codimension.  A named coefficient may occupy several
     slots when it multiplies a sum of monomials in the catalogue formula.
+    ``slot_sum(parameters)``, every slot set to 1, is what ``blow_up``
+    glues and what ``unfold`` adds to the base.
     """
 
     base: Germ
     parameters: tuple[tuple[str, Germ], ...]
     codim: int
 
-    def instantiate(self, values: Mapping[str, object] | None = None) -> Germ:
-        """The unfolded germ with the given slot values (missing names -> 0)."""
-        values = dict(values or {})
-        total = self.base
-        for name, mono in self.parameters:
-            if name in values:
-                total = total + mono.scale(values[name])
-        return total
+
+def slot_sum(parameters: tuple[tuple[str, Germ], ...]) -> Germ:
+    """The sum of the slot monomials, in slot order: every slot set to 1."""
+    return sum((mono for _, mono in parameters), Germ.zero(parameters[0][1].nvars))
 
 
 def _slots(nvars: int, entries: Iterable[tuple[str, dict]]) -> tuple:
@@ -419,13 +394,12 @@ _UNFOLDINGS: dict[str, tuple] = {
 }
 
 
-def versal_unfold(c: SingularityClass | str) -> Unfolding:
-    """The catalogue versal unfolding of a degenerate class.
+def versal_unfold(name: str) -> Unfolding:
+    """The catalogue versal unfolding of the class ``name``.
 
-    Raises for Regular, Morse, and Unclassified inputs: only the five
-    catalogue classes carry a tabulated unfolding.
+    Raises for Regular, Morse, and Unclassified: only the five catalogue
+    classes carry a tabulated unfolding.
     """
-    name = c if isinstance(c, str) else c.name
     if name not in CATALOGUE:
         raise ValueError(f"no versal unfolding for {name!r}")
     return Unfolding(normal_form(name), _UNFOLDINGS[name], CATALOGUE[name].codim)

@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Callable
 
 from .bisemigroup import LEVELS
-from .germs import CATALOGUE, Germ, SingularityClass, normal_form
+from .germs import Germ, normal_form
 from .tower import LEFT, RIGHT, SIDES, Carrier, ClassIndex, Record, Tower, _set
 
 # Nature tags: plain time/space fields and their shifted (primed) versions.
@@ -69,32 +69,26 @@ class Semisheaf(Record):
     """One germ per class of a ``Carrier``, with side, level, nature and
     role tags; ``sections`` builds ``Section`` views when read.
 
-    ``__init__`` takes sections, ``over`` and ``replace`` a carrier and
-    germs.  Each build ends in ``__post_init__``, which checks the tags and
-    that the carrier is a ``Carrier`` of the sheaf's tower.  Any other
-    carrier, such as one made from sections, is checked class by class and
-    stored as a ``Carrier``; one derived from a checked carrier is not
-    checked again.  The benchmark's tracer counts sheaf builds by wrapping
+    ``__init__`` takes sections and sets no role; ``over`` and ``replace``
+    take a carrier, germs and a role.  Each build ends in ``__post_init__``,
+    which checks the tags and that the carrier is a ``Carrier`` of the
+    sheaf's tower.  Any other carrier, such as one made from sections, is
+    checked class by class and stored as a ``Carrier``; one derived from a
+    checked carrier is not checked again.  The benchmark's tracer counts sheaf builds by wrapping
     ``__post_init__``.
     """
 
     __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role")
 
     def __init__(
-        self,
-        side: str,
-        level: str,
-        nature: str,
-        tower: Tower,
-        sections: tuple[Section, ...],
-        role: str | None = None,
+        self, side: str, level: str, nature: str, tower: Tower, sections: tuple[Section, ...]
     ):
         ordered = sorted(sections, key=lambda sec: sec.index)
         if any(sec.side != side for sec in ordered):
             raise ValueError("section side disagrees with the semisheaf side")
         carrier = tuple(sec.index for sec in ordered)
         germs = tuple(sec.germ for sec in ordered)
-        self._fill(side, level, nature, tower, carrier, germs, role)
+        self._fill(side, level, nature, tower, carrier, germs, None)
 
     @classmethod
     def over(cls, side, level, nature, tower, carrier, germs, role=None):
@@ -255,7 +249,7 @@ def shift(s: Semisheaf) -> Semisheaf:
     """
     if s.nature not in _SHIFTED:
         raise ValueError(f"semisheaf of nature {s.nature!r} is already shifted")
-    return s.map_germs(lambda germ: germ.derivative(0), nature=_SHIFTED[s.nature])
+    return s.map_germs(lambda germ: germ.derivative(), nature=_SHIFTED[s.nature])
 
 
 def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
@@ -279,14 +273,13 @@ def annihilate_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:
     return _move_bisection(b, at, -1)
 
 
-def inject_singularity(s: Semisheaf, c: SingularityClass | str) -> Semisheaf:
-    """Replace every germ by the catalogue normal form.
+def inject_singularity(s: Semisheaf, name: str) -> Semisheaf:
+    """Replace every germ by the normal form of the catalogue class ``name``.
 
-    Corank-1 forms need 1-dimensional sections, umbilics need 2-dimensional
-    ones; ``map_germs`` rejects a mismatch rather than embedding it.
+    It places both cascade seeds: the scenario's form on the ST space part
+    and ``Fold`` on the MG covering at M.  Corank-1 forms need
+    1-dimensional sections, umbilics 2-dimensional ones; ``map_germs``
+    rejects a mismatch rather than embedding it.
     """
-    cls = CATALOGUE.get(c if isinstance(c, str) else c.name)
-    if cls is None:
-        raise ValueError("only catalogue classes can be injected")
-    germ = normal_form(cls.name)
+    germ = normal_form(name)
     return s.map_germs(lambda _: germ)

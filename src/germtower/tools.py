@@ -22,7 +22,7 @@ from .config import (
     normalize_scenario,
 )
 from .cuspidal import EllipticSemimodule, Mode
-from .germs import classify_germ, format_germ, germ_from_json, versal_unfold
+from .germs import classify_germ, format_germ, germ_from_json, slot_sum, versal_unfold
 from .pipeline import emit_expansion
 from .report import dumps_canonical, write_output
 from .tower import (
@@ -93,7 +93,7 @@ def _cmd_unfold(args) -> int:
     print(f"{name}: base {format_germ(unfolding.base)}  codim {unfolding.codim}")
     for slot, (coeff, mono) in enumerate(unfolding.parameters, start=1):
         print(f"  slot {slot}: {coeff} * ({format_germ(mono)})")
-    full = unfolding.instantiate({n: 1 for n, _ in unfolding.parameters})
+    full = unfolding.base + slot_sum(unfolding.parameters)
     print(f"  unfolded (all slots = 1): {format_germ(full)}")
     return EXIT_OK
 

@@ -23,6 +23,11 @@ SIDES = (LEFT, RIGHT)
 # setting.
 MAX_CLASSES = 100_000
 
+# The report writes each integer as text, which Python caps at 4300 digits
+# (int_max_str_digits), so a config number at or past this bound would fail
+# in the report.  The bound is fixed, not a setting.
+INT_TEXT_BOUND = 10**4300
+
 # Records set their fields once, in __init__, past their own __setattr__.
 _set = object.__setattr__
 
@@ -146,7 +151,9 @@ class TowerConfig(Record):
         default.  Kept independent of ``multiplicity``.
 
     Every number must be an ``int`` (not a bool); nothing is coerced.  The
-    depth and the sum of the multiplicities may not exceed ``MAX_CLASSES``.
+    depth and the sum of the multiplicities may not exceed ``MAX_CLASSES``,
+    and the largest degree ``offset + N * max(mu * m^(mu))`` must stay
+    below ``INT_TEXT_BOUND``.
     """
 
     __slots__ = (
@@ -179,15 +186,15 @@ class TowerConfig(Record):
                 f"tower multiplicities sum to {sum(multiplicity)} classes, "
                 f"beyond the budget of {MAX_CLASSES}"
             )
+        dilation = _multiplicity(complex_multiplicity, depth, "complex_multiplicity")
+        peak = max(mu * m for mu, m in enumerate(dilation, 1))
+        if offset + quantum_modulus * peak >= INT_TEXT_BOUND:
+            raise ValueError("tower degrees reach 10**4300, beyond the report's integer text")
         _set(self, "quantum_modulus", quantum_modulus)
         _set(self, "offset", offset)
         _set(self, "depth", depth)
         _set(self, "multiplicity", multiplicity)
-        _set(
-            self,
-            "complex_multiplicity",
-            _multiplicity(complex_multiplicity, depth, "complex_multiplicity"),
-        )
+        _set(self, "complex_multiplicity", dilation)
 
 
 class Tower(NamedTuple):

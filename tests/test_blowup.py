@@ -22,6 +22,7 @@ from germtower import (
     tensor,
     time_space_lift,
 )
+import germtower.blowup as blowup_module
 from germtower.bisemigroup import M, MG, ST
 from germtower.blowup import _cover_map
 from germtower.germs import (
@@ -283,6 +284,19 @@ def test_generate_levels_swallowtail_cascade():
         "resingularization: covering keeps the cubic monomial x^3, classified Fold",
         "blowup Fold: covering germ x",
     )
+
+
+def test_inject_singularity_places_both_swallowtail_seeds(monkeypatch):
+    seeds = []
+
+    def recording(s, name):
+        seeds.append((s.level, name, inject_singularity(s, name)))
+        return seeds[-1][2]
+
+    monkeypatch.setattr(blowup_module, "inject_singularity", recording)
+    levels_for(shifted_base(), SWALLOWTAIL)
+    assert [(level, name) for level, name, _ in seeds] == [(ST, SWALLOWTAIL), (MG, FOLD)]
+    assert all(germ is normal_form(FOLD) for germ in seeds[1][2].germs)
 
 
 def test_generate_levels_two_level_classes():

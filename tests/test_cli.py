@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -30,6 +31,7 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
+from germtower.config import config_from_json
 from germtower.pipeline import PipelineConfig, Report, run_pipeline
 from germtower.tools import MAX_SAMPLES
 from germtower.tower import TowerConfig, tower_config_to_json
@@ -319,6 +321,54 @@ def test_non_rational_coefficient_is_a_config_error(capsys, tmp_path, coeff):
     assert_germ_rejected(capsys, tmp_path, '{"nvars": 1, "coeffs": [[[3], %s]]}' % coeff)
 
 
+@pytest.mark.parametrize("coeff", ["1e4300", "-1e4300", "123e4299", "1e-4300"])
+def test_a_template_coefficient_the_report_cannot_write_is_a_config_error(
+    capsys, tmp_path, coeff
+):
+    germ = {"nvars": 1, "coeffs": [[[3], coeff]]}
+    config = {"tower": {"quantum_modulus": 2, "depth": 1}, "germ_template": {"1,1": germ}}
+    error = "germ_template: class 1,1 has a coefficient past 4300 digits"
+    with pytest.raises(ValueError, match=error):
+        config_from_json(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert_rejected(capsys, ["correspond", "--config", str(path)], "configuration error: " + error)
+    # classify and unfold never write the coefficient
+    (tmp_path / "germ.jsonl").write_text(json.dumps(germ))
+    assert run_cli(capsys, "classify", "--file", str(tmp_path / "germ.jsonl"))[:2] == (
+        EXIT_OK, "Fold corank=1 codim=1\n"
+    )
+    assert run_cli(capsys, "unfold", "--germ", json.dumps(germ))[0] == EXIT_OK
+    germ["coeffs"][0][1] = "1e4299"  # 4,300 digits
+    path.write_text(json.dumps(config))
+    code, _, _ = run_cli(capsys, "correspond", "--config", str(path), "--out", str(tmp_path / "r"))
+    assert code == EXIT_OK
+
+
+TOWER_PAST_THE_TEXT = "tower degrees reach 10**4300, beyond the report's integer text"
+
+
+def test_a_tower_whose_degrees_the_report_cannot_write_is_a_config_error(capsys, tmp_path):
+    big = 10**4299
+    # offset + N * max(mu * m^(mu)) is 10**4300 - 1, then 10**4300
+    TowerConfig(big, big - 1, 9)
+    TowerConfig(big // 10, 0, 2, (), (1, 49))
+    for args in ((big, 0, 10), (big // 10, 0, 2, (), (1, 50))):
+        with pytest.raises(ValueError, match=re.escape(TOWER_PAST_THE_TEXT)):
+            TowerConfig(*args)
+    tower = {"quantum_modulus": big, "offset": 0, "depth": 10}
+    (tmp_path / "tower.json").write_text(json.dumps(tower))
+    (tmp_path / "config.json").write_text(json.dumps({"tower": tower}))
+    error = "configuration error: " + TOWER_PAST_THE_TEXT
+    for argv in (
+        ["correspond", "--config", str(tmp_path / "config.json")],
+        ["correspond", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r")],
+        ["tower", "--config", str(tmp_path / "tower.json")],
+    ):
+        assert_rejected(capsys, argv, error)
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize(
     "germ",
     [
@@ -605,14 +655,32 @@ def test_mutated_germ_and_modes_json_exit_0_or_2(tmp_path_factory, germ, modes):
         assert_contract_exit(code, err, value, (EXIT_OK, EXIT_CONFIG))
 
 
+UNFOLDED = {
+    "fold": "Fold: base x^3  codim 1\n  slot 1: a1 * (x)\n  unfolded (all slots = 1): x + x^3\n",
+    "cusp": (
+        "Cusp: base x^4  codim 2\n  slot 1: a1 * (x)\n  slot 2: a2 * (x^2)\n"
+        "  unfolded (all slots = 1): x + x^2 + x^4\n"
+    ),
+    "swallowtail": (
+        "Swallowtail: base x^5  codim 3\n  slot 1: a1 * (x)\n  slot 2: a2 * (x^2)\n"
+        "  slot 3: a3 * (x^3)\n  unfolded (all slots = 1): x + x^2 + x^3 + x^5\n"
+    ),
+    "elliptic-umbilic": (
+        "EllipticUmbilic: base x^3 - 3*x*y^2  codim 3\n  slot 1: b1 * (x^2)\n"
+        "  slot 2: b1 * (y^2)\n  slot 3: b2 * (-y)\n"
+        "  unfolded (all slots = 1): -y + x^2 + y^2 + x^3 - 3*x*y^2\n"
+    ),
+    "hyperbolic-umbilic": (
+        "HyperbolicUmbilic: base x^3 + y^3  codim 3\n  slot 1: b2 * (-y)\n"
+        "  slot 2: b3 * (-x)\n  slot 3: b4 * (x*y)\n"
+        "  unfolded (all slots = 1): -x - y + x*y + x^3 + y^3\n"
+    ),
+}
+
+
 def test_unfold_by_name(capsys):
-    code, out, _ = run_cli(capsys, "unfold", "--name", "cusp")
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "Cusp: base x^4  codim 2"
-    assert lines[1] == "  slot 1: a1 * (x)"
-    assert lines[2] == "  slot 2: a2 * (x^2)"
-    assert lines[3] == "  unfolded (all slots = 1): x + x^2 + x^4"
+    for name, text in UNFOLDED.items():
+        assert run_cli(capsys, "unfold", "--name", name) == (EXIT_OK, text, ""), name
 
 
 def test_unfold_from_germ(capsys):

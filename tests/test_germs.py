@@ -30,6 +30,7 @@ from germtower.germs import (
     UNCLASSIFIED,
     germ_from_json,
     germ_to_json,
+    slot_sum,
     snap_to_fraction,
 )
 
@@ -122,19 +123,15 @@ def test_nvars_limited_to_two():
 
 def test_derivative_is_formal():
     g = Germ.from_coeffs(1, {(3,): 1, (1,): 2, (0,): 5})
-    assert g.derivative(0) == Germ.from_coeffs(1, {(2,): 3, (0,): 2})
+    assert g.derivative() == Germ.from_coeffs(1, {(2,): 3, (0,): 2})
     g2 = Germ.from_coeffs(2, {(2, 1): 4})
-    assert g2.derivative(0) == Germ.from_coeffs(2, {(1, 1): 8})
-    assert g2.derivative(1) == Germ.from_coeffs(2, {(2, 0): 4})
-    with pytest.raises(ValueError):
-        g.derivative(1)
+    assert g2.derivative() == Germ.from_coeffs(2, {(1, 1): 8})
 
 
-def test_truncated_and_scale_and_add():
+def test_truncated_and_add():
     g = Germ.from_coeffs(1, {(1,): 1, (3,): 1, (5,): 1})
     assert g.truncated(3) == Germ.from_coeffs(1, {(1,): 1, (3,): 1})
-    assert g.scale("3/2") == Germ.from_coeffs(1, {(1,): "3/2", (3,): "3/2", (5,): "3/2"})
-    assert g + g.scale(-1) == Germ.zero(1)
+    assert g + Germ.from_coeffs(1, {(1,): -1, (3,): -1, (5,): -1}) == Germ.zero(1)
     with pytest.raises(ValueError, match="different variable counts"):
         g + Germ.from_coeffs(2, {(1, 0): 1})
 
@@ -146,10 +143,9 @@ def test_a_germ_is_its_terms():
     raw = Germ(1, terms)
     built = Germ.from_coeffs(1, {(2,): 1, (3,): 1})
     assert raw == built and hash(raw) == hash(built)
-    assert raw.derivative(0) == Germ.from_coeffs(1, {(1,): 2, (2,): 3})
+    assert raw.derivative() == Germ.from_coeffs(1, {(1,): 2, (2,): 3})
     assert raw.truncated(5).terms == terms
     assert raw.truncated(2) == Germ.monomial(1, (2,))
-    assert raw.scale(2) == Germ.from_coeffs(1, {(2,): 2, (3,): 2})
     assert (raw + Germ.zero(1)).terms == (Germ.zero(1) + raw).terms == terms
     read = germ_from_json({"nvars": 1, "coeffs": [[[2], 1], [[4], 1]], "max_degree": 3})
     assert read == Germ.monomial(1, (2,))
@@ -289,7 +285,8 @@ def test_umbilics_up_to_swap_flip_scale():
     ]
     for g in variants:
         assert classify_germ(g) == CATALOGUE[ELLIPTIC_UMBILIC]
-    assert classify_germ(hu.scale("-5/4")) == CATALOGUE[HYPERBOLIC_UMBILIC]
+    scaled = Germ.from_coeffs(2, {e: c * Fraction(-5, 4) for e, c in hu.terms})
+    assert classify_germ(scaled) == CATALOGUE[HYPERBOLIC_UMBILIC]
     assert classify_germ(eu) != classify_germ(hu)
 
 
@@ -314,7 +311,7 @@ def reference_matches_cubic_form(g: Germ, form: Germ) -> bool:
             out[e] = coeff * sx ** e[0] * sy ** e[1]
         h = Germ.from_coeffs(2, out)
         scale = h.coefficient(lead_exps) / lead_coeff
-        if scale != 0 and h == form.scale(scale):
+        if scale != 0 and h == Germ.from_coeffs(2, {e: c * scale for e, c in form.terms}):
             return True
     return False
 
@@ -369,6 +366,20 @@ def test_class_survives_swap_sign_flips_and_scaling(g, scale):
         assert classify_germ(image) == expected, (format_germ(g), format_germ(image))
 
 
+def reference_regular(g: Germ) -> bool:
+    """The earlier Regular test, kept as the oracle of the one-pass test: a
+    nonzero value or gradient at the origin, or the zero jet."""
+    value = g.coefficient((0,) * g.nvars)
+    gradient = [g.coefficient([int(j == i) for j in range(g.nvars)]) for i in range(g.nvars)]
+    return value != 0 or any(gradient) or g.is_zero
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=st.one_of(classifier_inputs(), small_jets()))
+def test_regular_is_a_term_of_degree_at_most_one_or_the_zero_jet(g):
+    assert (classify_germ(g).name == REGULAR) == reference_regular(g), format_germ(g)
+
+
 def test_codim_tracks_power_degree():
     for degree, codim in [(3, 1), (4, 2), (5, 3), (7, 5)]:
         assert classify_germ(Germ.monomial(1, (degree,))).codim == codim
@@ -414,14 +425,18 @@ def test_umbilic_unfoldings_term_for_term():
     ]
 
 
-def test_instantiate_reproduces_formulas():
-    cusp = versal_unfold(CUSP).instantiate({"a1": 2, "a2": "1/2"})
-    assert cusp == Germ.from_coeffs(1, {(4,): 1, (1,): 2, (2,): "1/2"})
-    eu = versal_unfold(ELLIPTIC_UMBILIC).instantiate({"b1": 3, "b2": 5})
-    # b1 multiplies both quadratic slots at once
-    assert eu == Germ.from_coeffs(2, {(3, 0): 1, (1, 2): -3, (2, 0): 3, (0, 2): 3, (0, 1): -5})
-    assert versal_unfold(FOLD).instantiate() == normal_form(FOLD)
-    assert versal_unfold(FOLD).instantiate({"nope": 1}) == normal_form(FOLD)
+def test_slot_sum_is_every_slot_set_to_one():
+    sums = {
+        FOLD: Germ.from_coeffs(1, {(1,): 1}),
+        CUSP: Germ.from_coeffs(1, {(1,): 1, (2,): 1}),
+        SWALLOWTAIL: Germ.from_coeffs(1, {(1,): 1, (2,): 1, (3,): 1}),
+        # b1 occupies both quadratic slots
+        ELLIPTIC_UMBILIC: Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1, (0, 1): -1}),
+        HYPERBOLIC_UMBILIC: Germ.from_coeffs(2, {(0, 1): -1, (1, 0): -1, (1, 1): 1}),
+    }
+    assert set(sums) == set(CATALOGUE)
+    for name, expected in sums.items():
+        assert slot_sum(versal_unfold(name).parameters) == expected, name
 
 
 def test_unfolding_rejects_off_catalogue():

@@ -351,7 +351,7 @@ def test_map_germs_runs_once_per_germ_object(monkeypatch):
 
     def derive(germ):
         calls.append(germ)
-        return germ.derivative(0)
+        return germ.derivative()
 
     builds = []
     post_init = Semisheaf.__post_init__

@@ -130,6 +130,13 @@ def test_invalid_configs_rejected(kwargs):
         TowerConfig(**kwargs)
 
 
+def test_a_depth_below_one_is_rejected_by_name():
+    # the degree bound's max() also raises on a tower of no class, so only
+    # the message shows which check caught it
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        TowerConfig(3, 0, 0)
+
+
 def test_class_budget_admits_towers_at_the_bound():
     assert TowerConfig(3, 0, MAX_CLASSES).depth == MAX_CLASSES
     assert sum(TowerConfig(3, 0, 2, (MAX_CLASSES - 1, 1)).multiplicity) == MAX_CLASSES
