@@ -18,7 +18,8 @@ right parts, which carry the left mirrors.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, NamedTuple
+from operator import not_
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bisemigroup import LEVELS, M, MG, ST
 from .germs import (
@@ -40,7 +41,7 @@ from .sheaves import (
     endo_split,
     inject_singularity,
 )
-from .tower import ClassIndex, Tower
+from .tower import Carrier, ClassIndex, Tower
 
 
 class DeformedBundle(NamedTuple):
@@ -116,18 +117,16 @@ def desingularize(s: Semisheaf) -> Semisheaf:
     return s.map_germs(lambda germ: germ.truncated(2))
 
 
-def time_space_lift(
-    space: Semisheaf, reduce: Callable[[ClassIndex], bool]
-) -> tuple[Semisheaf, Semisheaf]:
+def time_space_lift(space: Semisheaf, mask: Sequence) -> tuple[Semisheaf, Semisheaf]:
     """Lift a shifted space semisheaf to (time part, space residual).
 
-    The endomorphism split keeps the reduced part as the space residual and
-    the complementary part is projected onto the time direction, coming back
-    with the shifted time nature.
+    The endomorphism split by ``mask`` keeps the reduced part as the space
+    residual and the complementary part is projected onto the time
+    direction, coming back with the shifted time nature.
     """
     if space.nature != SPACE_SHIFTED:
         raise ValueError("the time lift expects a shifted space semisheaf (Sp)")
-    residual, complementary = endo_split(space, reduce)
+    residual, complementary = endo_split(space, mask)
     time = emergent_project(complementary)
     return time, residual
 
@@ -140,16 +139,16 @@ class Level(NamedTuple):
     """One shell of the cascade: a reduced/orthogonal bisemisheaf pair.
 
     The two parts carry complementary shifted natures (one time, one space),
-    forming the level's paired space-time record.  ``cover`` maps every class
-    of the previous level to the class covering it here; ``coverage`` holds
-    the blowup base's classes and the degree fraction that covers each of
-    them.  Both are None on the inner level.
+    forming the level's paired space-time record.  ``carrier`` holds the
+    sorted classes of both parts; ``_cover_map`` maps the previous level's
+    onto it.  ``coverage`` holds the blowup base's classes and the degree
+    fraction that covers each of them, None on the inner level.
     """
 
     label: str
+    carrier: Carrier
     reduced: Bisemisheaf
     orthogonal: Bisemisheaf | None
-    cover: tuple[tuple[ClassIndex, ClassIndex], ...] | None = None
     coverage: tuple[tuple[ClassIndex, ...], float] | None = None
 
 
@@ -161,15 +160,13 @@ class LevelStack(NamedTuple):
     cascade: tuple[str, ...]
 
 
-def _cover_map(lower, upper) -> tuple[tuple[ClassIndex, ClassIndex], ...]:
-    """Each class of ``lower`` with the largest class of ``upper`` at or
-    below it, or with the first class of ``upper`` when none is."""
-    upper = sorted(upper)
-    out = []
+def _cover_map(lower, upper) -> Iterator[tuple[ClassIndex, ClassIndex]]:
+    """Each class of ``lower`` with the largest class of the sorted
+    ``upper`` at or below it, or with the first class of ``upper`` when none
+    is, yielded as the report writes them."""
     for idx in lower:
         pos = bisect.bisect_right(upper, idx)
-        out.append((idx, upper[pos - 1] if pos else upper[0]))
-    return tuple(out)
+        yield idx, upper[pos - 1] if pos else upper[0]
 
 
 def _pair_or_none(right: Semisheaf) -> Bisemisheaf | None:
@@ -187,14 +184,17 @@ def _rule_for(cls: SingularityClass) -> int:
 
 
 class LevelPlan(NamedTuple):
-    """A level's tower depth, the sorted classes of its two parts (the
-    orthogonal one may be empty) and its cover map (None on ST)."""
+    """A level's sorted classes, in its tower truncated to its depth, and a
+    mask byte per class, true where the reduced part keeps it; the others
+    make the orthogonal part, which may be empty."""
 
     label: str
-    depth: int
-    reduced: tuple[ClassIndex, ...]
-    orthogonal: tuple[ClassIndex, ...]
-    cover: tuple[tuple[ClassIndex, ClassIndex], ...] | None
+    carrier: Carrier
+    mask: bytes
+
+    def parts(self) -> tuple[Carrier, Carrier]:
+        """The classes of the reduced part and of the orthogonal part."""
+        return self.carrier.restrict(self.mask), self.carrier.restrict(map(not_, self.mask))
 
 
 def plan_levels(
@@ -214,9 +214,10 @@ def plan_levels(
     3. corank 1 with codimension 3 (the swallowtail) -> the covering still
        carries the cubic monomial, so a second deformation adds the M level.
 
-    The reduce predicate splits the tower into ST's reduced and space
-    parts.  The MG covering carries the space part, the M covering the MG
-    covering; each is truncated to its covering depth, if given, and keeps
+    ST's carrier is the tower's class carrier, built here once for the
+    config and the run; the reduce predicate's mask splits it into ST's
+    reduced and space parts.  The MG covering carries the space part, the M
+    covering the MG covering; each is truncated to its covering depth, if given, and keeps
     the lower half of its mu values reduced.  With ``even_only`` every
     nonempty part needs an even class.  Failures name the config key.
     """
@@ -224,35 +225,31 @@ def plan_levels(
         if not 1 <= cut <= tower.depth:
             raise ValueError(f"covering_depths: depth {cut} outside 1..{tower.depth}")
     classes = tower.class_indices()
-    reduced = tuple(idx for idx in classes if reduce(idx))
-    space = tuple(idx for idx in classes if not reduce(idx))
-    if not reduced:
+    mask = bytes(map(reduce, classes))
+    if not any(mask):
         raise ValueError("reduce: the rule leaves the reduced part empty")
-    levels = [LevelPlan(ST, tower.depth, reduced, space, None)]
+    levels = [LevelPlan(ST, classes, mask)]
     if singularity is not None:
         cls = CATALOGUE.get(singularity)
         if cls is None:
             raise ValueError(f"scenario {singularity!r} is not a catalogue singularity class")
-        if not space:
+        if all(mask):
             raise ValueError(f"reduce: the rule leaves no space part for the {cls.name} scenario")
-        covering, depth = space, tower.depth
+        covering = classes.restrict(map(not_, mask))
         labels = (MG, M)[: _rule_for(cls) - 1]
         for label, cut in zip(labels, covering_depths or (None, None)):
             if cut is not None:
+                depth = covering.tower.depth
                 if cut > depth:
                     raise ValueError(f"covering_depths: d2 = {cut} may not exceed d1 = {depth}")
-                covering = tuple(idx for idx in covering if idx.mu <= cut)
-                depth = cut
+                covering = covering.truncated(cut)
                 if not covering:
                     raise ValueError(f"covering_depths: depth {cut} empties the {label} covering")
             mus = sorted({idx.mu for idx in covering})
             half = mus[(len(mus) - 1) // 2]
-            kept = tuple(idx for idx in covering if idx.mu <= half)
-            lifted = tuple(idx for idx in covering if idx.mu > half)
-            cover = _cover_map(sorted(levels[-1].reduced + levels[-1].orthogonal), covering)
-            levels.append(LevelPlan(label, depth, kept, lifted, cover))
+            levels.append(LevelPlan(label, covering, bytes(idx.mu <= half for idx in covering)))
     for level in levels if even_only else ():
-        for name, part in (("reduced", level.reduced), ("orthogonal", level.orthogonal)):
+        for name, part in zip(("reduced", "orthogonal"), level.parts()):
             if part and all(idx.mu % 2 for idx in part):
                 raise ValueError(f"even_classes: the {level.label} {name} part has no even class")
     return tuple(levels)
@@ -263,20 +260,22 @@ def generate_levels(
 ) -> LevelStack:
     """Build the embedded level stack that ``plan_levels`` laid out.
 
-    The base must be a shifted ST bisemisheaf.  The endomorphism split of
-    its right semisheaf makes the ST space part.  ``inject_singularity``
+    The base must be a shifted ST bisemisheaf over the plan's ST carrier,
+    as each planned mask picks classes by position.  The endomorphism split
+    of its right semisheaf makes the ST space part.  ``inject_singularity``
     places both seeds, the scenario's form there and at M the detected
-    ``Fold`` on the MG covering.  Each covering is truncated to its planned
-    depth and lifts its planned orthogonal part to time.  The left side of
-    every level is the mirror of the right.
+    ``Fold`` on the MG covering.  A covering deeper than its plan is cut to
+    the planned carrier, a prefix of its classes, and lifts its planned
+    orthogonal part to time.  The left side of every level is the mirror of
+    the right.
     """
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
 
-    reduced, complementary = endo_split(base.right, set(plan[0].reduced).__contains__)
+    reduced, complementary = endo_split(base.right, plan[0].mask)
     orthogonal = emergent_project(complementary)
     if singularity is None:
-        st = Level(ST, Bisemisheaf(reduced), _pair_or_none(orthogonal))
+        st = Level(ST, base.right.carrier, Bisemisheaf(reduced), _pair_or_none(orthogonal))
         return LevelStack((st,), ())
 
     seed = inject_singularity(orthogonal, singularity)
@@ -284,7 +283,7 @@ def generate_levels(
         f"inject {singularity} germ {format_germ(seed.germs[0])} "
         f"on {len(seed)} space sections"
     ]
-    levels = [Level(ST, Bisemisheaf(reduced), Bisemisheaf(seed))]
+    levels = [Level(ST, base.right.carrier, Bisemisheaf(reduced), Bisemisheaf(seed))]
     for step in plan[1:]:
         if step.label == M:
             singularity = detect_resingularization(result).name
@@ -298,12 +297,12 @@ def generate_levels(
             f"blowup {singularity}: covering germ {format_germ(result.covering.germs[0])}"
         )
         covering = result.covering
-        if step.depth < covering.tower.depth:
-            carrier = covering.carrier.truncated(step.depth)
+        if step.carrier.tower.depth < covering.tower.depth:
+            carrier = step.carrier
             germs = covering.germs[: len(carrier)]
             covering = covering.replace(tower=carrier.tower, carrier=carrier, germs=germs)
-        time, residual = time_space_lift(covering, set(step.reduced).__contains__)
+        time, residual = time_space_lift(covering, step.mask)
         parts = Bisemisheaf(residual), _pair_or_none(time)
-        levels.append(Level(step.label, *parts, step.cover, (seed.carrier, result.fraction)))
+        levels.append(Level(step.label, covering.carrier, *parts, (seed.carrier, result.fraction)))
 
     return LevelStack(tuple(levels), tuple(cascade))

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -158,23 +159,24 @@ class PipelineConfig:
         self.plan = plan_levels(
             tower, self.scenario, predicate, self.covering_depths, self.even_classes
         )
+        st = self.plan[0]
         if self.germ_template is not None:
-            for idx in tower.class_indices():
+            for idx in st.carrier:
                 if idx not in self.germ_template:
                     raise ValueError(f"germ_template has no entry for class {idx.mu},{idx.m}")
             if self.scenario is not None:
                 nvars = normal_form(self.scenario).nvars
-                for idx in self.plan[0].orthogonal:
+                for idx in st.parts()[1]:
                     if self.germ_template[idx].nvars != nvars:
                         raise ValueError(
                             f"germ_template: class {idx.mu},{idx.m} hosts the "
                             f"{self.scenario} germ in {nvars} variable(s)"
                         )
         if isinstance(self.amplitude, dict):
-            for level in self.plan:
-                for idx in level.reduced + level.orthogonal:
-                    if idx not in self.amplitude and not (self.even_classes and idx.mu % 2):
-                        raise ValueError(f"amplitude table has no entry for class {idx.mu},{idx.m}")
+            # every level's classes are ST's, so ST's parts name the first gap
+            for idx in chain(*st.parts()):
+                if idx not in self.amplitude and not (self.even_classes and idx.mu % 2):
+                    raise ValueError(f"amplitude table has no entry for class {idx.mu},{idx.m}")
 
 
 def finite_float(value) -> float | None:
@@ -213,14 +215,16 @@ def _amplitude(value) -> str | dict[ClassIndex, float]:
 
 def _germ_template(value) -> dict[ClassIndex, Germ] | None:
     """A germ per class key, from germ JSON objects; None when left out.
-    The report echoes each coefficient, so each must write as text."""
+    The report echoes each coefficient ``c``, and a failing diagnostic the
+    shifted ``c * e`` of a term's first exponent ``e``: both write as text."""
     if value == ():
         return None
     if not isinstance(value, dict) or not all(isinstance(g, dict) for g in value.values()):
         raise ValueError("germ_template must map class keys to germ JSON objects")
     table = {_class_key(key, "germ_template"): germ_from_json(g) for key, g in value.items()}
     for idx, germ in table.items():
-        if any(max(abs(c.numerator), c.denominator) >= INT_TEXT_BOUND for _, c in germ.terms):
+        values = (v for exps, c in germ.terms for v in (c, c * exps[0]))
+        if any(max(abs(v.numerator), v.denominator) >= INT_TEXT_BOUND for v in values):
             raise ValueError("germ_template: class %d,%d has a coefficient past 4300 digits" % idx)
     return table
 

@@ -213,7 +213,7 @@ def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> Corresponde
     compactifying commute on mode indices, so the union of the two parts'
     modes equals the plain compactification's.
     """
-    reduced, complementary = endo_split(b.right, reduce)
+    reduced, complementary = endo_split(b.right, bytes(map(reduce, b.right.carrier)))
     orthogonal = None
     if complementary.carrier:
         orthogonal = Bisemisheaf(emergent_project(complementary))

@@ -29,7 +29,7 @@ from .cuspidal import LevelRecord, level_record
 from .germs import CATALOGUE, MORSE, REGULAR, Germ, classify_germ, format_germ
 from .report import Report
 from .sheaves import TIME, Bisemisheaf, attach_sections, shift
-from .tower import RIGHT, ClassIndex, build_tower
+from .tower import RIGHT, ClassIndex
 
 
 class PipelineError(RuntimeError):
@@ -47,8 +47,11 @@ class PipelineError(RuntimeError):
 _DIAG_SAMPLES = (0.0, 0.37, 0.75, 1.5, 2.25, -0.6)
 
 
-def _default_template(scenario: str | None) -> Callable[[ClassIndex], Germ]:
-    if scenario is not None and CATALOGUE[scenario].corank == 2:
+def _template(config: PipelineConfig) -> Callable[[ClassIndex], Germ]:
+    """Each tower class's germ: the config's template, or the scenario's default."""
+    if config.germ_template is not None:
+        return config.germ_template.__getitem__
+    if config.scenario is not None and CATALOGUE[config.scenario].corank == 2:
         quadric = Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1})
         return lambda idx: quadric
     square = Germ.monomial(1, (2,))
@@ -183,13 +186,9 @@ def run_pipeline(config: PipelineConfig) -> Report:
         except ValueError as exc:
             raise PipelineError(name, str(exc)) from exc
 
-    tower = stage("tower", build_tower, config.tower)
-    if config.germ_template is None:
-        template = _default_template(config.scenario)
-    else:
-        template = config.germ_template.__getitem__
-
-    right = stage("sections", attach_sections, tower, RIGHT, ST, TIME, template)
+    template = stage("tower", _template, config)
+    # the config's plan holds the tower's class carrier, built once
+    right = stage("sections", attach_sections, config.plan[0].carrier, RIGHT, ST, TIME, template)
     right = stage("shift", shift, right)
     base = stage("tensor", Bisemisheaf, right)
 

@@ -25,7 +25,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .blowup import Level, LevelStack
+from .blowup import Level, LevelStack, _cover_map
 from .cuspidal import LevelRecord
 
 # Escape table for JSON strings: the quote and the backslash get a backslash,
@@ -148,10 +148,11 @@ def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> It
 
     Every list goes through ``_listed``, its items formatted as it is
     written, so no item text outlives its block; a part's amplitude texts
-    are formatted once for both sides.  Every level row sits at one depth
-    of the report, its keys at 6 spaces.
+    are formatted once for both sides, and the cover pairs as
+    ``_cover_map`` yields them.  Every level row sits at one depth of the
+    report, its keys at 6 spaces.
     """
-    sep = "["
+    sep, lower = "[", None
     for level, record in zip(levels, records):
         tower = record.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
@@ -182,10 +183,10 @@ def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> It
                 ))
             yield "\n      }"
         yield f',\n      "mode_pairs": {record.mode_pair_count()},\n      "cover": '
-        yield from _listed("      ", level.cover and (
+        yield from _listed("      ", lower and (
             f"\n        [\n          [\n            {a_mu},\n            {a_m}\n          ],"
             f"\n          [\n            {b_mu},\n            {b_m}\n          ]\n        ]"
-            for (a_mu, a_m), (b_mu, b_m) in level.cover
+            for (a_mu, a_m), (b_mu, b_m) in _cover_map(lower, level.carrier)
         ))
         yield ',\n      "coverage": '
         fraction = level.coverage and _float_text(level.coverage[1])
@@ -195,7 +196,7 @@ def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> It
             for mu, m in level.coverage[0]
         ))
         yield "\n    }"
-        sep = ","
+        sep, lower = ",", level.carrier
     yield "\n  ]"
 
 

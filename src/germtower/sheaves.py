@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import compress
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bisemigroup import LEVELS
 from .germs import Germ, normal_form
@@ -151,24 +151,22 @@ class Semisheaf(Record):
                     raise ValueError("a germ map must keep each germ's variable count")
         return self.replace(germs=tuple(images[id(germ)] for germ in self.germs), **tags)
 
-    def restrict(self, keep: Callable[[ClassIndex], bool], **tags) -> "Semisheaf":
-        """A copy over the classes where ``keep`` holds, with ``tags`` changed."""
-        mask = [bool(keep(idx)) for idx in self.carrier]
+    def restrict(self, mask: Sequence, **tags) -> "Semisheaf":
+        """A copy over the classes whose ``mask`` entry is true, with ``tags`` changed."""
         carrier = self.carrier.restrict(mask)
         return self.replace(carrier=carrier, germs=tuple(compress(self.germs, mask)), **tags)
 
 
 def attach_sections(
-    tower: Tower,
+    classes: Carrier,
     side: str,
     level: str,
     nature: str,
     germ_template: Callable[[ClassIndex], Germ],
 ) -> Semisheaf:
-    """One germ per class representative: ``germ_template`` of its index."""
-    carrier = tower.class_indices()
-    germs = tuple(map(germ_template, carrier))
-    return Semisheaf.over(side, level, nature, tower, carrier, germs)
+    """One germ per class of the carrier ``classes``: ``germ_template`` of its index."""
+    germs = tuple(map(germ_template, classes))
+    return Semisheaf.over(side, level, nature, classes.tower, classes, germs)
 
 
 class Bisemisheaf(Record):
@@ -218,15 +216,14 @@ def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
     return pair
 
 
-def endo_split(
-    s: Semisheaf, reduce: Callable[[ClassIndex], bool]
-) -> tuple[Semisheaf, Semisheaf]:
-    """Endomorphism split into the reduced part and its complementary part.
+def endo_split(s: Semisheaf, mask: Sequence) -> tuple[Semisheaf, Semisheaf]:
+    """Endomorphism split into the reduced part, the classes whose ``mask``
+    entry is true, and its complementary part.
 
     Every class lands in exactly one output; all other tags are preserved.
     """
-    reduced = s.restrict(reduce, role=REDUCED)
-    complementary = s.restrict(lambda idx: not reduce(idx), role=COMPLEMENTARY)
+    reduced = s.restrict(mask, role=REDUCED)
+    complementary = s.restrict([not keep for keep in mask], role=COMPLEMENTARY)
     return reduced, complementary
 
 

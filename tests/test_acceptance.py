@@ -198,8 +198,8 @@ def _random_tower(rng):
 def _square_pair(tower):
     template = lambda idx: Germ.monomial(1, (2,))
     return tensor(
-        attach_sections(tower, RIGHT, ST, TIME, template),
-        attach_sections(tower, LEFT, ST, TIME, template),
+        attach_sections(tower.class_indices(), RIGHT, ST, TIME, template),
+        attach_sections(tower.class_indices(), LEFT, ST, TIME, template),
     )
 
 

@@ -54,7 +54,7 @@ def space_sheaf(depth=4, side=RIGHT, nvars=1, modulus=2, offset=1):
         template = lambda idx: Germ.from_coeffs(1, {(2,): 1})
     else:
         template = lambda idx: Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1})
-    return attach_sections(tower, side, ST, SPACE_SHIFTED, template)
+    return attach_sections(tower.class_indices(), side, ST, SPACE_SHIFTED, template)
 
 
 def injected(name, depth=4, side=RIGHT):
@@ -212,16 +212,17 @@ def test_desingularize_idempotent():
 
 def test_time_space_lift_orientation():
     s = space_sheaf(depth=4)
-    time, residual = time_space_lift(s, parse_reduce_rule("mu<=H", 4))
+    time, residual = time_space_lift(s, list(map(parse_reduce_rule("mu<=H", 4), s.carrier)))
     assert time.nature == TIME_SHIFTED
     assert residual.nature == SPACE_SHIFTED
     assert time.role == ORTHOGONAL
     assert residual.role == REDUCED
     assert sorted(time.carrier + residual.carrier) == list(s.carrier)
     tower = build_tower(TowerConfig(2, 1, 2))
-    t_sheaf = attach_sections(tower, RIGHT, ST, TIME_SHIFTED, lambda idx: Germ.monomial(1, (2,)))
+    classes = tower.class_indices()
+    t_sheaf = attach_sections(classes, RIGHT, ST, TIME_SHIFTED, lambda idx: Germ.monomial(1, (2,)))
     with pytest.raises(ValueError):
-        time_space_lift(t_sheaf, parse_reduce_rule("mu<=H", 2))
+        time_space_lift(t_sheaf, [True, False])
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +236,8 @@ def shifted_base(depth=6, modulus=2, offset=1, nature=TIME_SHIFTED, nvars=1):
     else:
         template = lambda idx: Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1})
     return tensor(
-        attach_sections(tower, RIGHT, ST, nature, template),
-        attach_sections(tower, LEFT, ST, nature, template),
+        attach_sections(tower.class_indices(), RIGHT, ST, nature, template),
+        attach_sections(tower.class_indices(), LEFT, ST, nature, template),
     )
 
 
@@ -270,7 +271,7 @@ def test_generate_levels_no_scenario():
     assert len(stack.levels) == 1
     assert stack.cascade == ()
     (st,) = stack.levels
-    assert st.cover is None and st.coverage is None
+    assert st.coverage is None and list(st.carrier) == level_carrier(st)
     assert st.orthogonal is not None
 
 
@@ -330,7 +331,7 @@ def test_level_natures_are_paired():
     for level in (mg, m):
         assert level.reduced.nature == SPACE_SHIFTED
         assert level.orthogonal.nature == TIME_SHIFTED
-        assert level.cover is not None and level.coverage is not None
+        assert level.coverage is not None and list(level.carrier) == level_carrier(level)
 
 
 def test_st_orthogonal_holds_injected_germ():
@@ -344,12 +345,13 @@ def test_st_orthogonal_holds_injected_germ():
 
 def test_cover_map_targets_present_classes():
     stack = levels_for(shifted_base(depth=6), SWALLOWTAIL)
-    mg = stack.levels[1]
+    st_level, mg = stack.levels[:2]
+    cover = tuple(_cover_map(st_level.carrier, mg.carrier))
     carrier = set(level_carrier(mg))
-    for src, dst in mg.cover:
+    for src, dst in cover:
         assert dst in carrier
-    sources = [src for src, _ in mg.cover]
-    assert sources == level_carrier(stack.levels[0])
+    sources = [src for src, _ in cover]
+    assert sources == level_carrier(st_level)
 
 
 CLASSES = st.builds(ClassIndex, st.integers(1, 6), st.integers(1, 3))
@@ -362,7 +364,7 @@ def test_cover_map_takes_the_largest_upper_class_at_or_below(upper, lower):
         below = [u for u in upper if u <= idx]
         return below[-1] if below else upper[0]
 
-    assert _cover_map(lower, upper) == tuple((idx, reference(idx)) for idx in lower)
+    assert tuple(_cover_map(lower, upper)) == tuple((idx, reference(idx)) for idx in lower)
 
 
 def test_plan_matches_the_built_levels():
@@ -371,13 +373,18 @@ def test_plan_matches_the_built_levels():
     stack = generate_levels(base, SWALLOWTAIL, plan)
     for step, level in zip(plan, stack.levels, strict=True):
         assert step.label == level.label
-        assert step.depth == level.reduced.tower.depth
-        assert step.reduced == level.reduced.indices()
-        orthogonal = () if level.orthogonal is None else level.orthogonal.indices()
-        assert step.orthogonal == orthogonal
-        assert step.cover == level.cover
+        assert step.carrier.tower.depth == level.reduced.tower.depth
+        reduced, orthogonal = step.parts()
+        assert reduced == level.reduced.indices()
+        assert orthogonal == (() if level.orthogonal is None else level.orthogonal.indices())
+        assert step.carrier == level.carrier == tuple(level_carrier(level))
+    # the cover the report writes from the level carriers is the one the
+    # built levels' classes give
+    for lower, upper in zip(stack.levels, stack.levels[1:]):
+        expected = _cover_map(level_carrier(lower), level_carrier(upper))
+        assert tuple(_cover_map(lower.carrier, upper.carrier)) == tuple(expected)
     # the M covering {5} keeps its only class reduced
-    assert plan[-1].orthogonal == () and stack.levels[-1].orthogonal is None
+    assert plan[-1].parts()[1] == () and stack.levels[-1].orthogonal is None
 
 
 def test_covering_depths_truncate():
@@ -411,8 +418,8 @@ def test_generate_levels_input_validation():
     with pytest.raises(ValueError):
         plan_for(base, "Morse")
     unshifted = tensor(
-        attach_sections(base.tower, RIGHT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
-        attach_sections(base.tower, LEFT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
+        attach_sections(base.tower.class_indices(), RIGHT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
+        attach_sections(base.tower.class_indices(), LEFT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
     )
     with pytest.raises(ValueError):
         generate_levels(unshifted, None, plan_for(unshifted))

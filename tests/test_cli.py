@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germtower.cli import (
@@ -31,7 +31,7 @@ from germtower.cli import (
     EXIT_OK,
     main,
 )
-from germtower.config import config_from_json
+from germtower.config import config_from_json, load_json
 from germtower.pipeline import PipelineConfig, Report, run_pipeline
 from germtower.tools import MAX_SAMPLES
 from germtower.tower import TowerConfig, tower_config_to_json
@@ -630,6 +630,53 @@ def test_mutated_golden_configs_exit_with_a_contract_code(tmp_path_factory, conf
     ):
         code, err = quiet_main(argv)
         assert_contract_exit(code, err, value, (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_DIAGNOSTIC))
+
+
+# a coefficient of up to the 4,300 digits the report can write, often at
+# the top of that range, so that its shift by an exponent can pass it
+COEFFICIENTS = st.builds(
+    "{}e{}".format, st.integers(1, 9), st.integers(4290, 4299) | st.integers(0, 4299)
+)
+
+
+@st.composite
+def large_templates(draw) -> dict:
+    """The golden config with any scenario and a germ template over its
+    classes, whose coefficients reach the report's 4,300 digits."""
+    config = json.loads(GOLDEN_CONFIG.read_text())
+    scenarios = [None, "fold", "cusp", "swallowtail", "elliptic-umbilic", "hyperbolic-umbilic"]
+    config["scenario"] = draw(st.sampled_from(scenarios))
+    nvars = 2 if "umbilic" in str(config["scenario"]) else draw(st.integers(1, 2))
+    exponents = st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars)
+    terms = st.lists(st.tuples(exponents, COEFFICIENTS).map(list), min_size=1, max_size=3)
+    config["germ_template"] = {key: {"nvars": nvars, "coeffs": draw(terms)} for key in GOLDEN_CLASSES}
+    return config
+
+
+# shifts to 27e4299*x^2, which a failing diagnostic would write
+SHIFT_PAST_THE_TEXT = {
+    "tower": {"quantum_modulus": 2, "depth": 1},
+    "germ_template": {"1,1": {"nvars": 2, "coeffs": [[[3, 0], "9e4299"]]}},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=golden_mutants() | large_templates())
+@example(config=SHIFT_PAST_THE_TEXT)
+def test_a_config_the_config_accepts_never_exits_3(tmp_path_factory, config):
+    # exit 3 is left for a contract breach inside the run, never the input's
+    # fault: an accepted config exits 0 or 4, a rejected one 2 with one line
+    text = json_text(config)
+    try:
+        config_from_json(load_json(text, "config"))
+    except ValueError:
+        allowed = (EXIT_CONFIG,)
+    else:
+        allowed = (EXIT_OK, EXIT_DIAGNOSTIC)
+    path = tmp_path_factory.getbasetemp() / "accepted.json"
+    path.write_text(text)
+    code, err = quiet_main(["correspond", "--config", str(path)])
+    assert_contract_exit(code, err, config, allowed)
 
 
 ELLIPTIC = {"nvars": 2, "coeffs": [[[3, 0], "1"], [[1, 2], "-3"]]}

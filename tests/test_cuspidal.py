@@ -31,8 +31,8 @@ def bisheaf(depth=4, mult=(), modulus=2, offset=1, nature=TIME):
     tower = build_tower(TowerConfig(modulus, offset, depth, mult))
     template = lambda idx: Germ.from_coeffs(1, {(2,): idx.mu})
     return tensor(
-        attach_sections(tower, RIGHT, ST, nature, template),
-        attach_sections(tower, LEFT, ST, nature, template),
+        attach_sections(tower.class_indices(), RIGHT, ST, nature, template),
+        attach_sections(tower.class_indices(), LEFT, ST, nature, template),
     )
 
 
@@ -84,7 +84,7 @@ def test_even_class_convention():
 
 def test_compactify_rejects_empty():
     b = bisheaf(depth=2)
-    reduced, comp = endo_split(b.right, lambda idx: False)
+    reduced, comp = endo_split(b.right, [False] * len(b.right))
     with pytest.raises(ValueError):
         compactify(reduced)
 
@@ -196,8 +196,8 @@ def test_split_compactify_mode_multiset_identity(modulus, depth, cut, data):
     tower = build_tower(TowerConfig(modulus, offset, depth, mult))
     template = lambda idx: Germ.monomial(1, (2,))
     b = tensor(
-        attach_sections(tower, RIGHT, ST, TIME, template),
-        attach_sections(tower, LEFT, ST, TIME, template),
+        attach_sections(tower.class_indices(), RIGHT, ST, TIME, template),
+        attach_sections(tower.class_indices(), LEFT, ST, TIME, template),
     )
     whole = sorted(compactify(b.right).mode_indices())
     pred = lambda idx: idx.mu <= cut

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from germtower.config import (
     normalize_scenario,
     parse_reduce_rule,
 )
+from germtower.blowup import _cover_map
 from germtower.cuspidal import EllipticSemimodule, LevelRecord, WeilDescriptor, bistring_modulus
 from germtower.germs import HYPERBOLIC_UMBILIC, germ_from_json
 from germtower.sheaves import Bisemisheaf, Section, Semisheaf
@@ -482,7 +486,7 @@ def test_cascade_runs_on_the_right_semisheaf_only(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(pipeline_module, "attach_sections", lambda tower, side, *rest: side)
+    count(pipeline_module, "attach_sections", lambda classes, side, *rest: side)
     count(pipeline_module, "shift", lambda s: s.side)
     count(blowup_module, "deform", lambda s: s.side)
     count(blowup_module, "blow_up", lambda bundle: bundle.base.side)
@@ -732,7 +736,15 @@ def _reference_pair(pair):
     }
 
 
-def _reference_row(level, record) -> dict:
+def _classes(level) -> list:
+    """The sorted classes of a level's built parts."""
+    parts = (level.reduced, level.orthogonal)
+    return sorted(idx for part in parts if part is not None for idx in part.indices())
+
+
+def _reference_row(level, record, lower) -> dict:
+    """``lower`` is the previous level, None for the first; the cover maps
+    its classes onto this level's by the one cover rule."""
     return {
         "label": level.label,
         "tower": {
@@ -744,7 +756,9 @@ def _reference_row(level, record) -> dict:
         "reduced": _reference_pair(record.reduced),
         "orthogonal": _reference_pair(record.orthogonal),
         "mode_pairs": record.mode_pair_count(),
-        "cover": None if level.cover is None else [[list(a), list(b)] for a, b in level.cover],
+        "cover": None
+        if lower is None
+        else [[list(a), list(b)] for a, b in _cover_map(_classes(lower), _classes(level))],
         "coverage": None
         if level.coverage is None
         else [[list(idx), level.coverage[1]] for idx in level.coverage[0]],
@@ -757,8 +771,10 @@ def reference_report(report) -> dict:
         "config": report.config,
         "rule": len(report.records),
         "levels": [
-            _reference_row(level, record)
-            for level, record in zip(report.stack.levels, report.records, strict=True)
+            _reference_row(level, record, lower)
+            for level, record, lower in zip(
+                report.stack.levels, report.records, (None, *report.stack.levels[:-1]), strict=True
+            )
         ],
         "cascade": list(report.cascade),
         "expansions": report.expansions,
@@ -834,6 +850,39 @@ def test_writing_a_deep_report_to_its_file_peaks_below_its_length(tmp_path):
     size = path.stat().st_size
     assert size > 800_000
     assert peak < size, peak / size
+
+
+# The class budget: tower.MAX_CLASSES classes, every one of them in a level.
+CLASS_BUDGET = {
+    "tower": {"quantum_modulus": 2, "offset": 0, "depth": MAX_CLASSES, "multiplicity": []},
+    "scenario": "swallowtail",
+    "reduce": "mu<=H",
+    "amplitude": "unit",
+}
+# A child process runs config_from_json and run_pipeline under tracemalloc,
+# with the cyclic collector off as in the CLI, and prints the traced peak.
+BUDGET_PEAK = """
+import gc, json, sys, tracemalloc
+from germtower import config_from_json, run_pipeline
+data = json.loads(sys.argv[1])
+gc.disable()
+tracemalloc.start()
+report = run_pipeline(config_from_json(data))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_config_and_run_at_the_class_budget_peak_below_40_mib():
+    # one class carrier serves the config, the plan and the run, the plan
+    # splits each level by a byte mask, and the cover map is never held
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", BUDGET_PEAK, json.dumps(CLASS_BUDGET)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    peak = int(child.stdout)
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf])

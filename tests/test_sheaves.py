@@ -50,12 +50,12 @@ def half(depth):
 
 
 def make_sheaf(side=RIGHT, nature=TIME, depth=4, template=quad, level=ST):
-    return attach_sections(small_tower(depth), side, level, nature, template)
+    return attach_sections(small_tower(depth).class_indices(), side, level, nature, template)
 
 
 def test_attach_sections_covers_all_classes():
     tower = small_tower(3, (1, 2, 1))
-    s = attach_sections(tower, LEFT, ST, SPACE, quad)
+    s = attach_sections(tower.class_indices(), LEFT, ST, SPACE, quad)
     assert s.carrier == tower.class_indices()
     assert len(s) == 4
     assert s.section_at(ClassIndex(2, 2)).germ == Germ.from_coeffs(1, {(2,): 2})
@@ -121,7 +121,7 @@ def test_semisheaf_rejects_a_bad_tag(tags, error):
 
 def test_a_checked_carrier_is_checked_once(monkeypatch):
     tower = small_tower(4, (1, 2, 1, 1))
-    s = attach_sections(tower, RIGHT, ST, TIME, quad)
+    s = attach_sections(tower.class_indices(), RIGHT, ST, TIME, quad)
     assert isinstance(s.carrier, Carrier) and s.carrier.tower is tower
     # a raw carrier is checked class by class and stored checked
     raw = Semisheaf.over(RIGHT, ST, TIME, tower, tuple(s.carrier), s.germs)
@@ -137,7 +137,7 @@ def test_a_checked_carrier_is_checked_once(monkeypatch):
     calls = []
     contains = Tower.contains
     monkeypatch.setattr(Tower, "contains", lambda self, idx: calls.append(idx) or contains(self, idx))
-    upper = s.restrict(lambda idx: idx.mu > 2, role=COMPLEMENTARY)
+    upper = s.restrict([idx.mu > 2 for idx in s.carrier], role=COMPLEMENTARY)
     assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
     short = s.carrier.truncated(2)
     assert short == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
@@ -161,7 +161,7 @@ def test_sections_sorted_on_construction():
 def test_carrier_form_copies_restricts_and_maps():
     s = make_sheaf(depth=4)
     assert [sec.germ for sec in s.sections] == list(s.germs) == [quad(idx) for idx in s.carrier]
-    upper = s.restrict(lambda idx: idx.mu > 2, role=COMPLEMENTARY)
+    upper = s.restrict([idx.mu > 2 for idx in s.carrier], role=COMPLEMENTARY)
     assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
     assert upper.germs == (quad(ClassIndex(3, 1)), quad(ClassIndex(4, 1)))
     assert upper.role == COMPLEMENTARY and upper.nature == s.nature
@@ -208,7 +208,7 @@ def test_default_reduce_keeps_lower_half():
 
 def test_endo_split_partition_and_roles():
     s = make_sheaf(depth=5)
-    reduced, comp = endo_split(s, half(5))
+    reduced, comp = endo_split(s, list(map(half(5), s.carrier)))
     assert reduced.role == REDUCED and comp.role == COMPLEMENTARY
     assert set(reduced.carrier) | set(comp.carrier) == set(s.carrier)
     assert not set(reduced.carrier) & set(comp.carrier)
@@ -218,7 +218,7 @@ def test_endo_split_partition_and_roles():
 @given(depth=st.integers(min_value=1, max_value=8), cut=st.integers(min_value=0, max_value=9))
 def test_endo_split_partition_any_predicate(depth, cut):
     s = make_sheaf(depth=depth)
-    reduced, comp = endo_split(s, lambda idx: idx.mu <= cut)
+    reduced, comp = endo_split(s, [idx.mu <= cut for idx in s.carrier])
     merged = sorted(reduced.carrier + comp.carrier)
     assert tuple(merged) == s.carrier
     assert all(idx.mu <= cut for idx in reduced.carrier)
@@ -226,12 +226,12 @@ def test_endo_split_partition_any_predicate(depth, cut):
 
 
 def test_emergent_project_flips_nature_and_sets_role():
-    _, comp = endo_split(make_sheaf(nature=TIME, depth=4), half(4))
+    _, comp = endo_split(make_sheaf(nature=TIME, depth=4), [True, True, False, False])
     proj = emergent_project(comp)
     assert proj.nature == SPACE
     assert proj.role == ORTHOGONAL
 
-    _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4), half(4))
+    _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4), [True, True, False, False])
     proj_t = emergent_project(comp_s)
     assert proj_t.nature == TIME_SHIFTED
 
@@ -240,7 +240,7 @@ def test_emergent_project_requires_complementary():
     s = make_sheaf()
     with pytest.raises(ValueError):
         emergent_project(s)
-    reduced, comp = endo_split(s, half(4))
+    reduced, comp = endo_split(s, list(map(half(4), s.carrier)))
     with pytest.raises(ValueError):
         emergent_project(reduced)
 
@@ -257,7 +257,7 @@ def test_shift_differentiates_and_primes():
 
 def test_shift_two_variable_first_var():
     tower = small_tower(1)
-    s = attach_sections(tower, RIGHT, ST, SPACE, lambda idx: Germ.from_coeffs(2, {(2, 1): 1}))
+    s = attach_sections(tower.class_indices(), RIGHT, ST, SPACE, lambda idx: Germ.from_coeffs(2, {(2, 1): 1}))
     assert shift(s).section_at(ClassIndex(1, 1)).germ == Germ.from_coeffs(2, {(1, 1): 2})
 
 
@@ -329,7 +329,7 @@ def test_inject_singularity_dims_must_match():
     s = make_sheaf(template=lambda idx: Germ.monomial(1, (2,)))
     with pytest.raises(ValueError):
         inject_singularity(s, ELLIPTIC_UMBILIC)
-    two = attach_sections(small_tower(2), RIGHT, ST, SPACE, lambda idx: Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1}))
+    two = attach_sections(small_tower(2).class_indices(), RIGHT, ST, SPACE, lambda idx: Germ.from_coeffs(2, {(2, 0): 1, (0, 2): 1}))
     out = inject_singularity(two, ELLIPTIC_UMBILIC)
     assert all(classify_germ(sec.germ).name == ELLIPTIC_UMBILIC for sec in out.sections)
     with pytest.raises(ValueError):
@@ -346,7 +346,7 @@ def test_map_germs_runs_once_per_germ_object(monkeypatch):
         ClassIndex(3, 1): twin,
         ClassIndex(4, 1): triplet,
     }
-    s = attach_sections(small_tower(4), RIGHT, ST, TIME, template.__getitem__)
+    s = attach_sections(small_tower(4).class_indices(), RIGHT, ST, TIME, template.__getitem__)
     calls = []
 
     def derive(germ):
