@@ -25,7 +25,6 @@ from .blowup import (
     time_space_lift,
 )
 from .cuspidal import (
-    Correspondence,
     EllipticSemimodule,
     LevelRecord,
     Mode,

@@ -271,6 +271,8 @@ def generate_levels(
     """
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
+    if base.right.carrier != plan[0].carrier:
+        raise ValueError("the base's %d classes are not the plan's ST carrier" % len(base.right))
 
     reduced, complementary = endo_split(base.right, plan[0].mask)
     orthogonal = emergent_project(complementary)

@@ -6,8 +6,9 @@ right.  The summed modes form an elliptic semimodule; paired left/right modes
 at the same class behave like the two strings of a harmonic bistring whose
 pointwise modulus is constant.  One builder, ``level_record``, pairs a
 level's Weil-side class listing with its compactified reduced and orthogonal
-cuspidal parts; the pipeline calls it per level, and ``lgc`` (no split) and
-``lggc_st`` (split and project first) are routes into it.
+cuspidal parts, and labels it with the reduced part's level; the pipeline
+calls it per level, and ``lgc`` (no split) and ``lggc_st`` (split and
+project first) each return its one record for a bisemisheaf.
 
 Records hold index rows, not objects: a semimodule is a side, a carrier of
 classes and one amplitude per class, and a record keeps its Weil classes
@@ -22,7 +23,7 @@ import cmath
 from typing import Callable, NamedTuple, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
-from .tower import LEFT, ClassIndex, Record, Tower, _set
+from .tower import LEFT, ClassIndex, Record, Tower
 
 AmplitudeRule = Callable[[ClassIndex], float]
 
@@ -41,10 +42,7 @@ class Mode(Record):
             raise ValueError("mode sign must be +1 (left) or -1 (right)")
         if amplitude < 0:
             raise ValueError("mode amplitude must be non-negative")
-        _set(self, "mu", mu)
-        _set(self, "m", m)
-        _set(self, "amplitude", amplitude)
-        _set(self, "sign", sign)
+        super().__init__(mu, m, amplitude, sign)
 
 
 class EllipticSemimodule(NamedTuple):
@@ -166,15 +164,7 @@ def _mirrored(right: EllipticSemimodule) -> tuple[EllipticSemimodule, EllipticSe
     return right, right._replace(side=LEFT)
 
 
-class Correspondence(NamedTuple):
-    levels: tuple[LevelRecord, ...]
-
-    def bijection_holds(self) -> bool:
-        return all(level.bijection_holds() for level in self.levels)
-
-
 def level_record(
-    label: str,
     reduced: Bisemisheaf,
     orthogonal: Bisemisheaf | None,
     amplitude_rule: AmplitudeRule | None = None,
@@ -182,29 +172,30 @@ def level_record(
 ) -> LevelRecord:
     """Compactify a level's reduced and orthogonal parts into one record.
 
-    The Weil side lists every class of both parts in index order, with its
-    degree in the reduced part's tower; ``even_only`` drops the odd classes
-    there as it does from the modes.  Each part's right semisheaf is
-    compactified once; ``Bisemisheaf.left`` is never read.
+    The record takes the reduced part's level as its label.  The Weil side
+    lists every class of both parts in index order, with its degree in the
+    reduced part's tower; ``even_only`` drops the odd classes there as it
+    does from the modes.  Each part's right semisheaf is compactified once;
+    ``Bisemisheaf.left`` is never read.
     """
     parts = (reduced,) if orthogonal is None else (reduced, orthogonal)
     weil = sorted(
         idx for part in parts for idx in part.indices() if not (even_only and idx.mu % 2)
     )
     semimodules = tuple(compactify(part.right, amplitude_rule, even_only) for part in parts)
-    return LevelRecord(label, reduced.tower, tuple(weil), semimodules)
+    return LevelRecord(reduced.level, reduced.tower, tuple(weil), semimodules)
 
 
-def lgc(b: Bisemisheaf) -> Correspondence:
+def lgc(b: Bisemisheaf) -> LevelRecord:
     """One-level correspondence: the whole bisemisheaf compactified.
 
     The Weil side lists every class descriptor; the cuspidal side is the
     (right, left) semimodule pair, in bijection with it.
     """
-    return Correspondence((level_record(b.level, b, None),))
+    return level_record(b, None)
 
 
-def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> Correspondence:
+def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> LevelRecord:
     """Two-part correspondence: split first, then compactify each route.
 
     The endomorphism split of the right semisheaf keeps the reduced part in
@@ -217,4 +208,4 @@ def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> Corresponde
     orthogonal = None
     if complementary.carrier:
         orthogonal = Bisemisheaf(emergent_project(complementary))
-    return Correspondence((level_record(b.level, Bisemisheaf(reduced), orthogonal),))
+    return level_record(Bisemisheaf(reduced), orthogonal)

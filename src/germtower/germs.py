@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .tower import Record, _set
+from .tower import Record
 
 # Floats are snapped to rationals before exact arithmetic.  The snap is lossy:
 # only the nearest fraction with denominator <= 10^9 is kept.
@@ -96,10 +96,6 @@ class Germ(Record):
     """
 
     __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: tuple[tuple[tuple[int, ...], Fraction], ...]):
-        _set(self, "nvars", nvars)
-        _set(self, "terms", terms)
 
     @staticmethod
     def from_coeffs(nvars: int, coeffs, max_degree: int | None = None) -> "Germ":

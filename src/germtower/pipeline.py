@@ -213,7 +213,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
         stage(
             "compactify",
             level_record,
-            level.label,
             level.reduced,
             level.orthogonal,
             amplitude_rule,

@@ -1,7 +1,8 @@
 """Germ-valued semisheaves over a tower and the morphisms acting on them.
 
 A semisheaf holds a carrier of class indices and one polynomial germ per
-class; only this module knows that layout.  The carrier is a
+class; only this module knows that layout, and a ``Section`` (index,
+side, germ) is the view of one class, built when read.  The carrier is a
 ``tower.Carrier``, checked once against its tower: one derived by
 restriction or truncation holds by construction, and only a carrier made
 from raw sections or indices is checked class by class.  The morphisms
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 from .bisemigroup import LEVELS
 from .germs import Germ, normal_form
-from .tower import LEFT, RIGHT, SIDES, Carrier, ClassIndex, Record, Tower, _set
+from .tower import LEFT, RIGHT, SIDES, Carrier, ClassIndex, Record, Tower
 
 # Nature tags: plain time/space fields and their shifted (primed) versions.
 TIME = "T"
@@ -50,19 +51,12 @@ class Section(Record):
     """One germ attached at a class index: the view of one class of a
     semisheaf, built at the API edge."""
 
-    __slots__ = ("index", "side", "germ", "dims")
+    __slots__ = ("index", "side", "germ")
 
-    def __init__(self, index: ClassIndex, side: str, germ: Germ, dims: int):
+    def __init__(self, index: ClassIndex, side: str, germ: Germ):
         if side not in SIDES:
             raise ValueError(f"section side must be left or right, got {side!r}")
-        if dims != germ.nvars:
-            raise ValueError(
-                f"section dims {dims} does not match germ in {germ.nvars} variable(s)"
-            )
-        _set(self, "index", index)
-        _set(self, "side", side)
-        _set(self, "germ", germ)
-        _set(self, "dims", dims)
+        super().__init__(index, side, germ)
 
 
 class Semisheaf(Record):
@@ -88,20 +82,17 @@ class Semisheaf(Record):
             raise ValueError("section side disagrees with the semisheaf side")
         carrier = tuple(sec.index for sec in ordered)
         germs = tuple(sec.germ for sec in ordered)
-        self._fill(side, level, nature, tower, carrier, germs, None)
+        super().__init__(side, level, nature, tower, carrier, germs, None)
+        self.__post_init__()
 
     @classmethod
     def over(cls, side, level, nature, tower, carrier, germs, role=None):
         """``Semisheaf(...)`` with a sorted ``carrier`` of class indices and
         one germ per class of it in ``germs`` in place of the sections."""
         s = object.__new__(cls)
-        s._fill(side, level, nature, tower, carrier, germs, role)
+        Record.__init__(s, side, level, nature, tower, carrier, germs, role)
+        s.__post_init__()
         return s
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -116,7 +107,7 @@ class Semisheaf(Record):
         if len(self.germs) != len(carrier):
             raise ValueError("a semisheaf holds one germ per carrier class")
         if not (isinstance(carrier, Carrier) and carrier.tower == self.tower):
-            _set(self, "carrier", Carrier(carrier, self.tower))
+            object.__setattr__(self, "carrier", Carrier(carrier, self.tower))
 
     def replace(self, **changes) -> "Semisheaf":
         """A copy with some fields changed, checked like a new semisheaf."""
@@ -133,8 +124,7 @@ class Semisheaf(Record):
         pos = bisect.bisect_left(self.carrier, index)
         if pos == len(self.carrier) or self.carrier[pos] != index:
             raise KeyError(index)
-        germ = self.germs[pos]
-        return Section(self.carrier[pos], self.side, germ, germ.nvars)
+        return Section(self.carrier[pos], self.side, self.germs[pos])
 
     def map_germs(self, fn: Callable[[Germ], Germ], **tags) -> "Semisheaf":
         """A copy with each germ replaced by ``fn(germ)`` and ``tags`` changed.
@@ -183,7 +173,7 @@ class Bisemisheaf(Record):
     def __init__(self, right: Semisheaf):
         if right.side != RIGHT:
             raise ValueError("a bisemisheaf is built from a right semisheaf")
-        _set(self, "right", right)
+        super().__init__(right)
 
     @property
     def left(self) -> Semisheaf:

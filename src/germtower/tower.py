@@ -5,6 +5,8 @@ equivalent completions on the left and on the right side.  Completions are
 pure bookkeeping objects: each one is identified by its class index and an
 integer degree ``offset + mu * N`` where ``N`` is the quantum size.  Every
 degree in a tower is therefore congruent to the offset modulo ``N``.
+``Record``, the base of every validated record, fills its fields in one
+constructor.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ MAX_CLASSES = 100_000
 # in the report.  The bound is fixed, not a setting.
 INT_TEXT_BOUND = 10**4300
 
-# Records set their fields once, in __init__, past their own __setattr__.
-_set = object.__setattr__
-
 
 def int_list(values) -> bool:
     """Whether ``values`` is a list or tuple of ints (bools are not ints here)."""
@@ -48,13 +47,19 @@ class Record:
 
     A subclass lists its fields in ``__slots__``, takes them as the
     ``__init__`` parameters of the same names and order, validates them and
-    sets them with ``_set``; assigning to a field afterwards raises
-    AttributeError.
+    passes them on to ``Record.__init__``, which fills the slots in order;
+    assigning to a field afterwards raises AttributeError.
     Records are equal only to records of the same type with equal fields,
     and hash and print by their fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError("%s takes %d fields" % (type(self).__name__, len(self.__slots__)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -190,11 +195,7 @@ class TowerConfig(Record):
         peak = max(mu * m for mu, m in enumerate(dilation, 1))
         if offset + quantum_modulus * peak >= INT_TEXT_BOUND:
             raise ValueError("tower degrees reach 10**4300, beyond the report's integer text")
-        _set(self, "quantum_modulus", quantum_modulus)
-        _set(self, "offset", offset)
-        _set(self, "depth", depth)
-        _set(self, "multiplicity", multiplicity)
-        _set(self, "complex_multiplicity", dilation)
+        super().__init__(quantum_modulus, offset, depth, multiplicity, dilation)
 
 
 class Tower(NamedTuple):

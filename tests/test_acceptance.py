@@ -209,10 +209,9 @@ def test_criterion_05_lgc_bijection():
     start = time.perf_counter()
     for _ in range(20):
         b = _square_pair(_random_tower(rng))
-        correspondence = lgc(b)
-        assert correspondence.bijection_holds()
-        for record in correspondence.levels:
-            assert len(record.weil_side) == record.mode_pair_count()
+        record = lgc(b)
+        assert record.bijection_holds()
+        assert len(record.weil_side) == record.mode_pair_count()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"bijection sweep took {elapsed:.3f} s"
 
@@ -227,7 +226,7 @@ def test_criterion_06_commutative_diagram():
         cut = rng.choice(mus)
         predicate = lambda idx, cut=cut: idx.mu <= cut
         # route 1: split, then compactify each part
-        record = lggc_st(b, reduce=predicate).levels[0]
+        record = lggc_st(b, reduce=predicate)
         split_first = sorted(record.reduced[0].mode_indices())
         orth_first = (
             sorted(record.orthogonal[0].mode_indices())
@@ -263,7 +262,7 @@ def _single_bisection(rng):
 
     def one(side):
         return Semisheaf(
-            side, ST, TIME, tower, (Section(at, side, Germ.monomial(1, (2,)), 1),)
+            side, ST, TIME, tower, (Section(at, side, Germ.monomial(1, (2,))),)
         )
 
     return tensor(one(RIGHT), one(LEFT)), at

@@ -423,6 +423,10 @@ def test_generate_levels_input_validation():
     )
     with pytest.raises(ValueError):
         generate_levels(unshifted, None, plan_for(unshifted))
+    # a mask picks classes by position, so the base must be over the plan's carrier
+    deeper_plan = plan_for(shifted_base(depth=6), SWALLOWTAIL)
+    with pytest.raises(ValueError, match="base's 4 classes are not the plan's ST carrier"):
+        generate_levels(shifted_base(depth=4), SWALLOWTAIL, deeper_plan)
     with pytest.raises(ValueError, match="reduce"):
         plan_for(base, FOLD, reduce=lambda idx: True)  # empty space part
     with pytest.raises(ValueError, match="reduce"):

@@ -1039,6 +1039,13 @@ def test_samples_to_stdout_and_file(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert csv_path.read_text().splitlines()[0] == "x,re,im,modulus"
+    # one unit mode at mu 1: at x = 0.5 the im column reads the file's sign
+    for sign in (1, -1):
+        modes.write_text(json.dumps([{"mu": 1, "m": 1, "amplitude": 1.0, "sign": sign}]))
+        code, out, _ = run_cli(capsys, "samples", "--modes-file", str(modes), "--n", "3")
+        assert code == EXIT_OK
+        x, _, im, _ = out.splitlines()[2].split(",")
+        assert (float(x), float(im)) == (0.5, sign)
 
 
 def test_samples_bad_modes_file(capsys, tmp_path):
@@ -1101,6 +1108,11 @@ def test_samples_count_has_a_budget(capsys, tmp_path):
     assert err == (
         f"configuration error: sample count {n} exceeds the budget of {MAX_SAMPLES} samples\n"
     )
+    # the budget itself runs
+    argv = ("samples", "--modes-file", str(path), "--n", str(MAX_SAMPLES))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("\n") == MAX_SAMPLES + 1
 
 
 @pytest.mark.parametrize("depth", [1_000, 50_000])

@@ -137,9 +137,8 @@ def test_bistring_modulus_rejects_mismatches():
 
 def test_lgc_bijection_and_degrees():
     b = bisheaf(depth=4, mult=(1, 2, 1, 3), modulus=3, offset=1)
-    corr = lgc(b)
-    assert corr.bijection_holds()
-    (record,) = corr.levels
+    record = lgc(b)
+    assert record.bijection_holds()
     assert len(record.weil_side) == len(b.indices()) == 7
     assert record.mode_pair_count() == 7
     assert [w.degree for w in record.weil_side] == [
@@ -151,7 +150,7 @@ def test_lgc_bijection_and_degrees():
 
 def test_lgc_even_convention_filters_both_sides():
     b = bisheaf(depth=4)
-    record = level_record(b.level, b, None, even_only=True)
+    record = level_record(b, None, even_only=True)
     assert [w.mu for w in record.weil_side] == [2, 4]
     assert [m.mu for m in record.reduced[0].modes] == [2, 4]
     assert record.bijection_holds()
@@ -159,23 +158,21 @@ def test_lgc_even_convention_filters_both_sides():
 
 def test_lggc_st_splits_then_compactifies():
     b = bisheaf(depth=4)
-    corr = lggc_st(b, parse_reduce_rule("mu<=H", 4))
-    (record,) = corr.levels
+    record = lggc_st(b, parse_reduce_rule("mu<=H", 4))
     assert record.orthogonal is not None
     assert [m.mu for m in record.reduced[0].modes] == [1, 2]
     assert [m.mu for m in record.orthogonal[0].modes] == [3, 4]
-    assert corr.bijection_holds()
+    assert record.bijection_holds()
     # split-then-compactify covers the same classes as compactify-whole
     assert cusp_mode_indices(record) == b.indices()
 
 
 def test_lggc_st_all_reduced_drops_orthogonal():
     b = bisheaf(depth=3)
-    corr = lggc_st(b, reduce=lambda idx: True)
-    (record,) = corr.levels
+    record = lggc_st(b, reduce=lambda idx: True)
     assert record.orthogonal is None
     assert record.mode_pair_count() == 3
-    assert corr.bijection_holds()
+    assert record.bijection_holds()
 
 
 def test_lggc_st_rejects_empty_reduced():
@@ -203,5 +200,5 @@ def test_split_compactify_mode_multiset_identity(modulus, depth, cut, data):
     pred = lambda idx: idx.mu <= cut
     if not any(pred(i) for i in b.indices()):
         return
-    corr = lggc_st(b, reduce=pred)
-    assert list(cusp_mode_indices(corr.levels[0])) == whole
+    record = lggc_st(b, reduce=pred)
+    assert list(cusp_mode_indices(record)) == whole

@@ -131,6 +131,7 @@ def test_derivative_is_formal():
 def test_truncated_and_add():
     g = Germ.from_coeffs(1, {(1,): 1, (3,): 1, (5,): 1})
     assert g.truncated(3) == Germ.from_coeffs(1, {(1,): 1, (3,): 1})
+    assert Germ.from_coeffs(1, {(0,): 7, (1,): 1}, max_degree=0) == Germ.from_coeffs(1, {(0,): 7})
     assert g + Germ.from_coeffs(1, {(1,): -1, (3,): -1, (5,): -1}) == Germ.zero(1)
     with pytest.raises(ValueError, match="different variable counts"):
         g + Germ.from_coeffs(2, {(1, 0): 1})
@@ -141,6 +142,8 @@ def test_a_germ_is_its_terms():
     # and a JSON truncation order cuts the jet as it is read.
     terms = (((2,), Fraction(1)), ((3,), Fraction(1)))
     raw = Germ(1, terms)
+    with pytest.raises(TypeError, match="^Germ takes 2 fields$"):
+        Germ(1)  # a record is filled whole or not at all
     built = Germ.from_coeffs(1, {(2,): 1, (3,): 1})
     assert raw == built and hash(raw) == hash(built)
     assert raw.derivative() == Germ.from_coeffs(1, {(1,): 2, (2,): 3})

@@ -450,7 +450,7 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
     config = make_config(scenario=scenario, tower=tower, reduce_rule=reduce_rule)
     report = run_pipeline(config)
     for level, row in zip(report.stack.levels, report.level_rows, strict=True):
-        record = level_record(level.label, level.reduced, level.orthogonal)
+        record = level_record(level.reduced, level.orthogonal)
         weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
         parts = [part for part in (record.reduced, record.orthogonal) if part is not None]
         cusp = tuple(sorted(idx for _, left in parts for idx in left.mode_indices()))

@@ -67,26 +67,22 @@ def test_attach_sections_covers_all_classes():
 
 def test_section_validation():
     with pytest.raises(ValueError):
-        Section(ClassIndex(1, 1), "middle", Germ.zero(1), 1)
-    with pytest.raises(ValueError):
-        Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 3)
-    with pytest.raises(ValueError):
-        Section(ClassIndex(1, 1), LEFT, Germ.zero(2), 1)
-    sec = Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 1)
+        Section(ClassIndex(1, 1), "middle", Germ.zero(1))
+    sec = Section(ClassIndex(1, 1), LEFT, Germ.zero(1))
     with pytest.raises(AttributeError):
-        sec.dims = 2
-    assert sec != (sec.index, sec.side, sec.germ, sec.dims)
+        sec.germ = Germ.zero(2)
+    assert sec != (sec.index, sec.side, sec.germ)
 
 
 def test_semisheaf_rejects_duplicates_and_strays():
     tower = small_tower(2)
-    sec = Section(ClassIndex(1, 1), RIGHT, Germ.zero(1), 1)
+    sec = Section(ClassIndex(1, 1), RIGHT, Germ.zero(1))
     with pytest.raises(ValueError):
         Semisheaf(RIGHT, ST, TIME, tower, (sec, sec))
-    stray = Section(ClassIndex(5, 1), RIGHT, Germ.zero(1), 1)
+    stray = Section(ClassIndex(5, 1), RIGHT, Germ.zero(1))
     with pytest.raises(ValueError):
         Semisheaf(RIGHT, ST, TIME, tower, (stray,))
-    wrong_side = Section(ClassIndex(1, 1), LEFT, Germ.zero(1), 1)
+    wrong_side = Section(ClassIndex(1, 1), LEFT, Germ.zero(1))
     with pytest.raises(ValueError):
         Semisheaf(RIGHT, ST, TIME, tower, (wrong_side,))
     # the carrier form is checked the same way, and must come sorted
@@ -150,9 +146,9 @@ def test_a_checked_carrier_is_checked_once(monkeypatch):
 def test_sections_sorted_on_construction():
     tower = small_tower(2, (1, 2))
     secs = [
-        Section(ClassIndex(2, 2), RIGHT, Germ.zero(1), 1),
-        Section(ClassIndex(1, 1), RIGHT, Germ.zero(1), 1),
-        Section(ClassIndex(2, 1), RIGHT, Germ.zero(1), 1),
+        Section(ClassIndex(2, 2), RIGHT, Germ.zero(1)),
+        Section(ClassIndex(1, 1), RIGHT, Germ.zero(1)),
+        Section(ClassIndex(2, 1), RIGHT, Germ.zero(1)),
     ]
     s = Semisheaf(RIGHT, ST, TIME, tower, tuple(secs))
     assert s.carrier == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
@@ -266,7 +262,7 @@ def partial_bisheaf(depth=4, present=(1, 3)):
     tower = small_tower(depth)
     def build(side):
         secs = tuple(
-            Section(ClassIndex(mu, 1), side, Germ.monomial(1, (2,)), 1) for mu in present
+            Section(ClassIndex(mu, 1), side, Germ.monomial(1, (2,))) for mu in present
         )
         return Semisheaf(side, ST, TIME, tower, secs)
     return tensor(build(RIGHT), build(LEFT))
@@ -291,7 +287,7 @@ def test_biquantum_move_reorders_the_carrier():
     # (1,1) moves to (2,1), past (1,2); its germ moves with it
     tower = small_tower(2, (2, 1))
     square, cube = Germ.monomial(1, (2,)), Germ.monomial(1, (3,))
-    secs = (Section(ClassIndex(1, 1), RIGHT, square, 1), Section(ClassIndex(1, 2), RIGHT, cube, 1))
+    secs = (Section(ClassIndex(1, 1), RIGHT, square), Section(ClassIndex(1, 2), RIGHT, cube))
     b = Bisemisheaf(Semisheaf(RIGHT, ST, TIME, tower, secs))
     out = create_biquantum(b, ClassIndex(1, 1))
     assert out.indices() == (ClassIndex(1, 2), ClassIndex(2, 1))

@@ -101,6 +101,7 @@ def test_truncated_keeps_prefix():
     assert short.depth == 2
     assert short.class_indices() == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
     assert short.real_degree(2) == tower.real_degree(2)
+    assert tower.truncated(tower.depth) == tower
 
 
 @pytest.mark.parametrize("depth", [0, 4, 5])
