@@ -15,7 +15,6 @@ from .blowup import (
     BlowupResult,
     DeformedBundle,
     Level,
-    LevelStack,
     blow_up,
     deform,
     desingularize,

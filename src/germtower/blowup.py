@@ -10,9 +10,9 @@ outer as ST then MG then M.
 
 Which classes each level holds follows from the config alone:
 ``plan_levels`` works them out before the run, and ``generate_levels``
-builds the sheaves along that plan.  The cascade runs on the right
-semisheaf of the base only; every level's bisemisheaves are built from its
-right parts, which carry the left mirrors.
+builds the levels and the cascade log along that plan.  The cascade runs
+on the right semisheaf of the base only; every level's bisemisheaves are
+built from its right parts, which carry the left mirrors.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     return BlowupResult(covering, fraction)
 
 
-def detect_resingularization(result: BlowupResult) -> SingularityClass | None:
+def detect_resingularization(covering: Semisheaf) -> SingularityClass | None:
     """Report the fold carried by a covering whose germs keep a cubic monomial."""
-    for germ in result.covering.germs:
+    for germ in covering.germs:
         for exps, coeff in germ.terms:
             if coeff and (exps == (3,) or exps == (3, 0)):
                 return CATALOGUE[FOLD]
@@ -139,25 +139,16 @@ class Level(NamedTuple):
     """One shell of the cascade: a reduced/orthogonal bisemisheaf pair.
 
     The two parts carry complementary shifted natures (one time, one space),
-    forming the level's paired space-time record.  ``carrier`` holds the
-    sorted classes of both parts; ``_cover_map`` maps the previous level's
-    onto it.  ``coverage`` holds the blowup base's classes and the degree
-    fraction that covers each of them, None on the inner level.
+    forming the level's paired space-time record, labelled ``reduced.level``.
+    ``carrier`` holds the sorted classes of both parts; ``_cover_map`` maps
+    the previous level's onto it.  ``coverage`` holds the blowup base's
+    classes and the degree fraction covering each, None on the inner level.
     """
 
-    label: str
     carrier: Carrier
     reduced: Bisemisheaf
     orthogonal: Bisemisheaf | None
     coverage: tuple[tuple[ClassIndex, ...], float] | None = None
-
-
-class LevelStack(NamedTuple):
-    """The levels inner to outer, as the plan lays them out, and the
-    cascade log.  The selection rule is the number of levels."""
-
-    levels: tuple[Level, ...]
-    cascade: tuple[str, ...]
 
 
 def _cover_map(lower, upper) -> Iterator[tuple[ClassIndex, ClassIndex]]:
@@ -167,10 +158,6 @@ def _cover_map(lower, upper) -> Iterator[tuple[ClassIndex, ClassIndex]]:
     for idx in lower:
         pos = bisect.bisect_right(upper, idx)
         yield idx, upper[pos - 1] if pos else upper[0]
-
-
-def _pair_or_none(right: Semisheaf) -> Bisemisheaf | None:
-    return Bisemisheaf(right) if right.carrier else None
 
 
 def _rule_for(cls: SingularityClass) -> int:
@@ -257,17 +244,17 @@ def plan_levels(
 
 def generate_levels(
     base: Bisemisheaf, singularity: str | None, plan: tuple[LevelPlan, ...]
-) -> LevelStack:
-    """Build the embedded level stack that ``plan_levels`` laid out.
+) -> tuple[tuple[Level, ...], tuple[str, ...]]:
+    """The embedded levels that ``plan_levels`` laid out, and the cascade log.
 
     The base must be a shifted ST bisemisheaf over the plan's ST carrier,
     as each planned mask picks classes by position.  The endomorphism split
-    of its right semisheaf makes the ST space part.  ``inject_singularity``
-    places both seeds, the scenario's form there and at M the detected
-    ``Fold`` on the MG covering.  A covering deeper than its plan is cut to
-    the planned carrier, a prefix of its classes, and lifts its planned
-    orthogonal part to time.  The left side of every level is the mirror of
-    the right.
+    of its right semisheaf makes the ST space part, projected to the ST
+    seed.  A covering deeper than its plan is cut to the planned carrier,
+    a prefix of its classes, and lifts its planned orthogonal part to time.
+    ``inject_singularity`` places both seeds: the scenario's form on ST,
+    and at M the ``Fold`` found on the uncut MG covering, on the cut one.
+    The left side of every level is the mirror of the right.
     """
     if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
@@ -275,20 +262,19 @@ def generate_levels(
         raise ValueError("the base's %d classes are not the plan's ST carrier" % len(base.right))
 
     reduced, complementary = endo_split(base.right, plan[0].mask)
-    orthogonal = emergent_project(complementary)
-    if singularity is None:
-        st = Level(ST, base.right.carrier, Bisemisheaf(reduced), _pair_or_none(orthogonal))
-        return LevelStack((st,), ())
-
-    seed = inject_singularity(orthogonal, singularity)
-    cascade = [
-        f"inject {singularity} germ {format_germ(seed.germs[0])} "
-        f"on {len(seed)} space sections"
-    ]
-    levels = [Level(ST, base.right.carrier, Bisemisheaf(reduced), Bisemisheaf(seed))]
+    seed = emergent_project(complementary)
+    cascade = []
+    if singularity is not None:
+        seed = inject_singularity(seed, singularity)
+        cascade.append(
+            f"inject {singularity} germ {format_germ(seed.germs[0])} "
+            f"on {len(seed)} space sections"
+        )
+    orthogonal = Bisemisheaf(seed) if seed.carrier else None
+    levels = [Level(base.right.carrier, Bisemisheaf(reduced), orthogonal)]
     for step in plan[1:]:
         if step.label == M:
-            singularity = detect_resingularization(result).name
+            singularity = detect_resingularization(result.covering).name
             cascade.append(
                 "resingularization: covering keeps the cubic monomial x^3, "
                 f"classified {singularity}"
@@ -304,7 +290,7 @@ def generate_levels(
             germs = covering.germs[: len(carrier)]
             covering = covering.replace(tower=carrier.tower, carrier=carrier, germs=germs)
         time, residual = time_space_lift(covering, step.mask)
-        parts = Bisemisheaf(residual), _pair_or_none(time)
-        levels.append(Level(step.label, covering.carrier, *parts, (seed.carrier, result.fraction)))
+        parts = Bisemisheaf(residual), Bisemisheaf(time) if time.carrier else None
+        levels.append(Level(covering.carrier, *parts, (seed.carrier, result.fraction)))
 
-    return LevelStack(tuple(levels), tuple(cascade))
+    return tuple(levels), tuple(cascade)

@@ -205,7 +205,5 @@ def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> LevelRecord
     modes equals the plain compactification's.
     """
     reduced, complementary = endo_split(b.right, bytes(map(reduce, b.right.carrier)))
-    orthogonal = None
-    if complementary.carrier:
-        orthogonal = Bisemisheaf(emergent_project(complementary))
-    return level_record(Bisemisheaf(reduced), orthogonal)
+    space = emergent_project(complementary)
+    return level_record(Bisemisheaf(reduced), Bisemisheaf(space) if space.carrier else None)

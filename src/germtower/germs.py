@@ -121,8 +121,8 @@ class Germ(Record):
         return Germ(nvars, tuple(sorted(kept.items())))
 
     @staticmethod
-    def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Germ":
-        return Germ.from_coeffs(nvars, {tuple(exps): coeff})
+    def monomial(nvars: int, exps: Sequence[int]) -> "Germ":
+        return Germ.from_coeffs(nvars, {tuple(exps): 1})
 
     @staticmethod
     def zero(nvars: int) -> "Germ":
@@ -293,8 +293,8 @@ def _matches_cubic_form(g: Germ, form: Germ) -> bool:
     return False
 
 
-def _classify_two_vars(g: Germ, rank: int) -> SingularityClass:
-    if rank == 1:
+def _classify_two_vars(g: Germ, cr: int) -> SingularityClass:
+    if cr == 1:
         # Splitting off the Morse direction is attempted only when the
         # quadratic part is already diagonal; shears are outside the
         # declared search set.
@@ -338,13 +338,12 @@ def classify_germ(g: Germ) -> SingularityClass:
     """
     if g.is_zero or any(sum(e) <= 1 for e, _ in g.terms):
         return SingularityClass(REGULAR, 0, 0)
-    rank = _hessian_rank(g.hessian_at_zero())
-    cr = g.nvars - rank
+    cr = corank(g)
     if cr == 0:
         return SingularityClass(MORSE, 0, 0)
     if g.nvars == 1:
         return _classify_pure_power(g)
-    return _classify_two_vars(g, rank)
+    return _classify_two_vars(g, cr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """End-to-end pipeline: tower -> sheaves -> cascade -> correspondence report.
 
 ``run_pipeline`` runs a ``PipelineConfig`` (``config``) stage by stage and
-returns a ``Report`` (``report``), which writes the deterministic JSON text.
+returns a ``Report`` (``report``) of its levels, records and cascade log.
 A stage that breaks its contract raises ``PipelineError`` naming it.
 
 The oscillator constancy diagnostic evaluates the bistring moduli of the
@@ -18,7 +18,7 @@ from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bisemigroup import FREE, ST, expand_sum_product
-from .blowup import LevelStack, desingularize, generate_levels
+from .blowup import Level, desingularize, generate_levels
 from .config import (
     PipelineConfig,
     _amplitude_callable,
@@ -142,7 +142,7 @@ def _worst_bistring_variance(records: Sequence[LevelRecord]) -> tuple[float, boo
 
 
 def _diagnostics(
-    stack: LevelStack,
+    levels: Sequence[Level],
     records: Sequence[LevelRecord],
     desingularized: dict[Germ, tuple[str, ClassIndex]],
 ) -> list[dict]:
@@ -152,7 +152,7 @@ def _diagnostics(
     partition_ok = all(
         level.orthogonal is None
         or set(level.reduced.indices()).isdisjoint(level.orthogonal.indices())
-        for level in stack.levels
+        for level in levels
     )
     worst, constant = _worst_bistring_variance(records)
     for germ, (label, idx) in desingularized.items():
@@ -192,14 +192,14 @@ def run_pipeline(config: PipelineConfig) -> Report:
     right = stage("shift", shift, right)
     base = stage("tensor", Bisemisheaf, right)
 
-    stack = stage("levels", generate_levels, base, config.scenario, config.plan)
+    levels, cascade = stage("levels", generate_levels, base, config.scenario, config.plan)
 
     # the left of every bisemisheaf holds the right's germs, so the right
     # parts carry every germ.  Each distinct germ object is visited once,
     # at its first class; each distinct value is classified once, and keeps
     # its first place in level order for the diagnostic
     desingularized: dict[Germ, tuple[str, ClassIndex]] = {}
-    for level in stack.levels:
+    for level in levels:
         for part in (level.reduced, level.orthogonal):
             if part is not None:
                 flat = stage("desingularize", desingularize, part.right)
@@ -207,7 +207,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 for idx, germ in zip(flat.carrier, flat.germs):
                     firsts.setdefault(id(germ), (germ, idx))
                 for germ, idx in firsts.values():
-                    desingularized.setdefault(germ, (level.label, idx))
+                    desingularized.setdefault(germ, (level.reduced.level, idx))
     amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
         stage(
@@ -218,18 +218,18 @@ def run_pipeline(config: PipelineConfig) -> Report:
             amplitude_rule,
             config.even_classes,
         )
-        for level in stack.levels
+        for level in levels
     ]
 
-    diagnostics = stage("report", _diagnostics, stack, records, desingularized)
-    expansions = stage("report", emit_expansion, [level.label for level in stack.levels])
+    diagnostics = stage("report", _diagnostics, levels, records, desingularized)
+    expansions = stage("report", emit_expansion, [record.label for record in records])
 
     return Report(
         config=stage("report", config_to_json, config),
         records=tuple(records),
-        cascade=stack.cascade,
+        cascade=cascade,
         expansions=expansions,
         diagnostics=diagnostics,
-        stack=stack,
+        levels=levels,
     )
 

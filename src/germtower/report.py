@@ -8,8 +8,8 @@ has one shape: a JSON container is the join of its item texts, and strings
 are escaped through one translation table (quote, backslash, control
 characters).  ``dumps_canonical`` writes the sections whose nesting the
 schema bounds.  The level rows, most of a deep report, are written as text
-from the level records by ``_write_levels``, each list through ``_listed``
-in blocks of items, each item formatted as its list is written.
+from the levels and their records by ``_write_levels``, each list through
+``_listed`` in blocks of items, each item formatted as its list is written.
 ``Report.chunks`` is the one writer of a report: it yields the text in
 order, so a caller that streams it to a file never holds the whole text;
 ``Report.json_text`` joins it.  ``write_output`` is the one writer of an
@@ -25,7 +25,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .blowup import Level, LevelStack, _cover_map
+from .blowup import Level, _cover_map
 from .cuspidal import LevelRecord
 
 # Escape table for JSON strings: the quote and the backslash get a backslash,
@@ -93,14 +93,14 @@ def dumps_canonical(obj, pad: str = "") -> str:
 
 class Report(NamedTuple):
     """The report's sections; the level rows are written from ``records`` and
-    ``stack``, and the rule is the number of levels."""
+    ``levels``, and the rule is the number of levels."""
 
     config: dict
     records: tuple[LevelRecord, ...]
     cascade: tuple[str, ...]
     expansions: dict
     diagnostics: list[dict]
-    stack: LevelStack
+    levels: tuple[Level, ...]
 
     def all_diagnostics_passed(self) -> bool:
         return all(d["passed"] for d in self.diagnostics)
@@ -120,7 +120,7 @@ class Report(NamedTuple):
         never held."""
         config = dumps_canonical(self.config, "  ")
         yield f'{{\n  "config": {config},\n  "rule": {len(self.records)},\n  "levels": '
-        yield from _write_levels(self.stack.levels, self.records)
+        yield from _write_levels(self.levels, self.records)
         for key in ("cascade", "expansions", "diagnostics"):
             yield f',\n  "{key}": ' + dumps_canonical(getattr(self, key), "  ")
         yield "\n}\n"
@@ -157,7 +157,7 @@ def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> It
         tower = record.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
         yield (
-            f'{sep}\n    {{\n      "label": {dumps_canonical(level.label)},\n      "tower": '
+            f'{sep}\n    {{\n      "label": {dumps_canonical(record.label)},\n      "tower": '
             f'{dumps_canonical(shape, "      ")},\n      "weil_side": '
         )
         n, offset = tower.quantum_modulus, tower.offset

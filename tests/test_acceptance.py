@@ -298,8 +298,7 @@ def test_criterion_09_expansion_counts():
 @criterion(10, "desingularization")
 def test_criterion_10_desingularization():
     for scenario in SCENARIOS:
-        stack = run_pipeline(scenario_config(scenario)).stack
-        for level in stack.levels:
+        for level in run_pipeline(scenario_config(scenario)).levels:
             parts = [level.reduced.right, level.reduced.left]
             if level.orthogonal is not None:
                 parts.extend([level.orthogonal.right, level.orthogonal.left])

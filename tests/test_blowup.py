@@ -117,10 +117,10 @@ def test_blowup_coverings_per_class():
 
 def test_detect_resingularization_only_for_cubic_coverings():
     swallow = blow_up(deform(injected(SWALLOWTAIL)))
-    hit = detect_resingularization(swallow)
+    hit = detect_resingularization(swallow.covering)
     assert hit is not None and hit.name == FOLD
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
-        assert detect_resingularization(blow_up(deform(injected(name)))) is None
+        assert detect_resingularization(blow_up(deform(injected(name))).covering) is None
 
 
 # Distinct germ objects of one catalogue class: scalings, sign flips and,
@@ -261,25 +261,25 @@ def level_carrier(level):
     return sorted(idx for part in parts for idx in part.right.carrier)
 
 
-def labels(stack):
-    return tuple(level.label for level in stack.levels)
+def labels(levels):
+    return tuple(level.reduced.level for level in levels)
 
 
 def test_generate_levels_no_scenario():
-    stack = levels_for(shifted_base())
-    assert labels(stack) == (ST,)
-    assert len(stack.levels) == 1
-    assert stack.cascade == ()
-    (st,) = stack.levels
+    levels, cascade = levels_for(shifted_base())
+    assert labels(levels) == (ST,)
+    assert len(levels) == 1
+    assert cascade == ()
+    (st,) = levels
     assert st.coverage is None and list(st.carrier) == level_carrier(st)
     assert st.orthogonal is not None
 
 
 def test_generate_levels_swallowtail_cascade():
-    stack = levels_for(shifted_base(), SWALLOWTAIL)
-    assert labels(stack) == (ST, MG, M)
-    assert len(stack.levels) == 3
-    assert stack.cascade == (
+    levels, cascade = levels_for(shifted_base(), SWALLOWTAIL)
+    assert labels(levels) == (ST, MG, M)
+    assert len(levels) == 3
+    assert cascade == (
         "inject Swallowtail germ x^5 on 3 space sections",
         "blowup Swallowtail: covering germ x + x^2 + x^3",
         "resingularization: covering keeps the cubic monomial x^3, classified Fold",
@@ -302,9 +302,9 @@ def test_inject_singularity_places_both_swallowtail_seeds(monkeypatch):
 
 def test_generate_levels_two_level_classes():
     for name in (FOLD, CUSP, ELLIPTIC_UMBILIC, HYPERBOLIC_UMBILIC):
-        stack = levels_for(base_for(name), name)
-        assert labels(stack) == (ST, MG), name
-        assert len(stack.levels) == 2
+        levels, _ = levels_for(base_for(name), name)
+        assert labels(levels) == (ST, MG), name
+        assert len(levels) == 2
 
 
 def test_level_table_sweep():
@@ -318,12 +318,12 @@ def test_level_table_sweep():
     }
     for scenario, count in expected.items():
         assert len(plan_for(base_for(scenario), scenario)) == count
-        assert len(levels_for(base_for(scenario), scenario).levels) == count
+        assert len(levels_for(base_for(scenario), scenario)[0]) == count
 
 
 def test_level_natures_are_paired():
-    stack = levels_for(shifted_base(), SWALLOWTAIL)
-    st, mg, m = stack.levels
+    levels, _ = levels_for(shifted_base(), SWALLOWTAIL)
+    st, mg, m = levels
     # ST: reduced keeps the base time nature, the projected part is spatial
     assert st.reduced.nature == TIME_SHIFTED
     assert st.orthogonal.nature == SPACE_SHIFTED
@@ -335,8 +335,8 @@ def test_level_natures_are_paired():
 
 
 def test_st_orthogonal_holds_injected_germ():
-    stack = levels_for(shifted_base(), CUSP)
-    st = stack.levels[0]
+    levels, _ = levels_for(shifted_base(), CUSP)
+    st = levels[0]
     assert all(
         classify_germ(sec.germ).name == CUSP for sec in st.orthogonal.right.sections
     )
@@ -344,8 +344,8 @@ def test_st_orthogonal_holds_injected_germ():
 
 
 def test_cover_map_targets_present_classes():
-    stack = levels_for(shifted_base(depth=6), SWALLOWTAIL)
-    st_level, mg = stack.levels[:2]
+    levels, _ = levels_for(shifted_base(depth=6), SWALLOWTAIL)
+    st_level, mg = levels[:2]
     cover = tuple(_cover_map(st_level.carrier, mg.carrier))
     carrier = set(level_carrier(mg))
     for src, dst in cover:
@@ -370,9 +370,9 @@ def test_cover_map_takes_the_largest_upper_class_at_or_below(upper, lower):
 def test_plan_matches_the_built_levels():
     base = shifted_base(depth=7)
     plan = plan_for(base, SWALLOWTAIL, covering_depths=(6, 5))
-    stack = generate_levels(base, SWALLOWTAIL, plan)
-    for step, level in zip(plan, stack.levels, strict=True):
-        assert step.label == level.label
+    levels, _ = generate_levels(base, SWALLOWTAIL, plan)
+    for step, level in zip(plan, levels, strict=True):
+        assert step.label == level.reduced.level
         assert step.carrier.tower.depth == level.reduced.tower.depth
         reduced, orthogonal = step.parts()
         assert reduced == level.reduced.indices()
@@ -380,21 +380,21 @@ def test_plan_matches_the_built_levels():
         assert step.carrier == level.carrier == tuple(level_carrier(level))
     # the cover the report writes from the level carriers is the one the
     # built levels' classes give
-    for lower, upper in zip(stack.levels, stack.levels[1:]):
+    for lower, upper in zip(levels, levels[1:]):
         expected = _cover_map(level_carrier(lower), level_carrier(upper))
         assert tuple(_cover_map(lower.carrier, upper.carrier)) == tuple(expected)
     # the M covering {5} keeps its only class reduced
-    assert plan[-1].parts()[1] == () and stack.levels[-1].orthogonal is None
+    assert plan[-1].parts()[1] == () and levels[-1].orthogonal is None
 
 
 def test_covering_depths_truncate():
     # complementary (covering) classes must survive the truncation, so keep
     # the upper classes reduced and the low ones spatial
     low_space = lambda idx: idx.mu > 2
-    stack = levels_for(
+    levels, _ = levels_for(
         shifted_base(depth=6), SWALLOWTAIL, reduce=low_space, covering_depths=(3, 2)
     )
-    mg, m = stack.levels[1], stack.levels[2]
+    mg, m = levels[1], levels[2]
     assert mg.reduced.tower.depth == 3
     assert m.reduced.tower.depth == 2
     assert all(idx.mu <= 3 for idx in level_carrier(mg))

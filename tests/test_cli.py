@@ -279,7 +279,8 @@ def test_classify_stdin(capsys, monkeypatch):
             json.dumps({"nvars": 1, "coeffs": [[[2], "1"]]}),
         ]
     )
-    monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+    stdin = io.StringIO(lines)
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = run_cli(capsys, "classify")
     assert code == EXIT_OK
     assert out.splitlines() == [
@@ -287,6 +288,7 @@ def test_classify_stdin(capsys, monkeypatch):
         "EllipticUmbilic corank=2 codim=3",
         "Morse corank=0 codim=0",
     ]
+    assert not stdin.closed  # classify closes only a file it opened
 
 
 def test_classify_file(capsys, tmp_path):
@@ -1157,7 +1159,7 @@ def test_the_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, seed):
     assert out_file.read_bytes() == GOLDEN_CONFIG.with_name("golden_report.json").read_bytes()
 
 
-def test_a_process_prints_all_its_output_and_exits_with_its_code(capsys, tmp_path):
+def test_a_process_prints_all_its_output_and_exits_with_its_code(capsys, monkeypatch, tmp_path):
     out_file = tmp_path / "report.json"
     proc = spawn_cli("correspond", "--config", str(GOLDEN_CONFIG), "--out", str(out_file))
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
@@ -1165,7 +1167,15 @@ def test_a_process_prints_all_its_output_and_exits_with_its_code(capsys, tmp_pat
     assert run_cli(capsys, "correspond", "--config", str(GOLDEN_CONFIG)) == (
         EXIT_OK, proc.stdout, ""
     )
-    assert out_file.read_bytes() == GOLDEN_CONFIG.with_name("golden_report.json").read_bytes()
+    golden = GOLDEN_CONFIG.with_name("golden_report.json").read_bytes()
+    assert out_file.read_bytes() == golden
+    # "--config -" reads the config from stdin
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOLDEN_CONFIG.read_text(encoding="utf-8")))
+    from_stdin = tmp_path / "stdin.json"
+    assert run_cli(capsys, "correspond", "--config", "-", "--out", str(from_stdin)) == (
+        EXIT_OK, proc.stdout, ""
+    )
+    assert from_stdin.read_bytes() == golden
 
     missing = tmp_path / "missing.json"
     proc = spawn_cli("correspond", "--config", str(missing))

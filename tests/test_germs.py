@@ -135,6 +135,8 @@ def test_truncated_and_add():
     assert g + Germ.from_coeffs(1, {(1,): -1, (3,): -1, (5,): -1}) == Germ.zero(1)
     with pytest.raises(ValueError, match="different variable counts"):
         g + Germ.from_coeffs(2, {(1, 0): 1})
+    with pytest.raises(TypeError, match="unsupported operand"):
+        g + 1  # __add__ returns NotImplemented for a non-germ
 
 
 def test_a_germ_is_its_terms():

@@ -345,6 +345,16 @@ def test_memoized_variances_equal_each_pairs_own(parts):
     assert (repr(worst), constant) == (repr(max(expected)), all(v < 1e-12 for v in expected))
 
 
+def test_a_variance_of_exactly_1e_12_is_not_constant(monkeypatch):
+    # the constancy bound is strict: 1e-12 fails it, the float just below passes
+    import germtower.pipeline as pipeline_module
+
+    records = [_bistring_record([(1, 1.0)])]
+    for variance, constant in ((1e-12, False), (math.nextafter(1e-12, 0), True)):
+        monkeypatch.setattr(pipeline_module, "_pvariance", lambda values: variance)
+        assert _worst_bistring_variance(records) == (variance, constant)
+
+
 def _assert_moduli_are_bistring_modulus(keys):
     got = list(map(repr, _bistring_moduli(keys)))
     expected = [
@@ -449,7 +459,7 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
     tower = TowerConfig(2, 1, 6, (1, 2, 1, 1, 2, 1))
     config = make_config(scenario=scenario, tower=tower, reduce_rule=reduce_rule)
     report = run_pipeline(config)
-    for level, row in zip(report.stack.levels, report.level_rows, strict=True):
+    for level, row in zip(report.levels, report.level_rows, strict=True):
         record = level_record(level.reduced, level.orthogonal)
         weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
         parts = [part for part in (record.reduced, record.orthogonal) if part is not None]
@@ -534,7 +544,7 @@ def test_a_report_builds_no_section(monkeypatch):
         report.json_text()
         assert built == []
         # sections are views, built when read at the API edge
-        assert len(report.stack.levels[0].reduced.right.sections) == len(built) > 0
+        assert len(report.levels[0].reduced.right.sections) == len(built) > 0
         built.clear()
 
 
@@ -620,9 +630,9 @@ def test_a_run_builds_no_mirror_sheaf_and_hashes_each_germ_object_once(monkeypat
 def test_every_part_carries_its_level_tag():
     golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
     for config in (golden, make_config(), make_config(scenario="hyperbolic-umbilic")):
-        for level in run_pipeline(config).stack.levels:
+        for level in run_pipeline(config).levels:
             for part in filter(None, (level.reduced, level.orthogonal)):
-                assert part.right.level == part.left.level == level.label
+                assert part.right.level == part.left.level == level.reduced.level
 
 
 def test_two_runs_in_one_process_build_the_same_germs(monkeypatch):
@@ -707,9 +717,9 @@ def test_a_complementary_part_keeping_every_class_fails_split_partition(monkeypa
 
 def test_per_class_template_keeps_the_sides_mirrored():
     report = run_pipeline(make_config(germ_template=PER_CLASS_TEMPLATE))
-    st_reduced = report.stack.levels[0].reduced.right
+    st_reduced = report.levels[0].reduced.right
     assert len({sec.germ for sec in st_reduced.sections}) == len(st_reduced) > 1
-    for level in report.stack.levels:
+    for level in report.levels:
         for part in (level.reduced, level.orthogonal):
             if part is not None:
                 right = [(sec.index, sec.germ) for sec in part.right.sections]
@@ -746,7 +756,7 @@ def _reference_row(level, record, lower) -> dict:
     """``lower`` is the previous level, None for the first; the cover maps
     its classes onto this level's by the one cover rule."""
     return {
-        "label": level.label,
+        "label": level.reduced.level,
         "tower": {
             "quantum_modulus": level.reduced.tower.quantum_modulus,
             "offset": level.reduced.tower.offset,
@@ -773,7 +783,7 @@ def reference_report(report) -> dict:
         "levels": [
             _reference_row(level, record, lower)
             for level, record, lower in zip(
-                report.stack.levels, report.records, (None, *report.stack.levels[:-1]), strict=True
+                report.levels, report.records, (None, *report.levels[:-1]), strict=True
             )
         ],
         "cascade": list(report.cascade),

@@ -357,4 +357,4 @@ def test_map_germs_runs_once_per_germ_object(monkeypatch):
     assert [id(germ) for germ in calls] == [id(cubic), id(twin), id(triplet)]
     images = [sec.germ for sec in out.sections]
     assert images[0] is images[1]
-    assert all(germ == Germ.monomial(1, (2,), 3) for germ in images)
+    assert all(germ == Germ.from_coeffs(1, {(2,): 3}) for germ in images)
