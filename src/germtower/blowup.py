@@ -90,7 +90,7 @@ def blow_up(bundle: DeformedBundle) -> BlowupResult:
     glued = slot_sum(bundle.fiber)
     fraction = min(1.0, glued.total_degree / max(bundle.base.germs[0].total_degree, 1))
     level = LEVELS[LEVELS.index(bundle.base.level) + 1]
-    covering = bundle.base.map_germs(lambda _: glued, level=level, role=None)
+    covering = bundle.base.map_germs(lambda _: glued, level=level)
     return BlowupResult(covering, fraction)
 
 
@@ -139,10 +139,11 @@ class Level(NamedTuple):
     """One shell of the cascade: a reduced/orthogonal bisemisheaf pair.
 
     The two parts carry complementary shifted natures (one time, one space),
-    forming the level's paired space-time record, labelled ``reduced.level``.
-    ``carrier`` holds the sorted classes of both parts; ``_cover_map`` maps
-    the previous level's onto it.  ``coverage`` holds the blowup base's
-    classes and the degree fraction covering each, None on the inner level.
+    forming the level's paired space-time record, labelled
+    ``reduced.right.level``.  ``carrier`` holds the sorted classes of both
+    parts, the record's Weil side; ``_cover_map`` maps the previous level's
+    onto it.  ``coverage`` holds the blowup base's classes and the degree
+    fraction covering each, None on the inner level.
     """
 
     carrier: Carrier
@@ -256,7 +257,7 @@ def generate_levels(
     and at M the ``Fold`` found on the uncut MG covering, on the cut one.
     The left side of every level is the mirror of the right.
     """
-    if base.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
+    if base.right.nature not in (TIME_SHIFTED, SPACE_SHIFTED):
         raise ValueError("the base bisemisheaf must be shifted (Tp or Sp)")
     if base.right.carrier != plan[0].carrier:
         raise ValueError("the base's %d classes are not the plan's ST carrier" % len(base.right))

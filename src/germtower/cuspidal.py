@@ -5,13 +5,13 @@ Compactifying a semisheaf turns every class into one Fourier-like mode
 right.  The summed modes form an elliptic semimodule; paired left/right modes
 at the same class behave like the two strings of a harmonic bistring whose
 pointwise modulus is constant.  One builder, ``level_record``, pairs a
-level's Weil-side class listing with its compactified reduced and orthogonal
-cuspidal parts, and labels it with the reduced part's level; the pipeline
-calls it per level, and ``lgc`` (no split) and ``lggc_st`` (split and
-project first) each return its one record for a bisemisheaf.
+level's carrier, its Weil side, with its compactified reduced and
+orthogonal cuspidal parts, and labels it with the reduced part's level; the
+pipeline calls it per level, and ``lgc`` (no split) and ``lggc_st`` (split
+and project first) each return its one record for a bisemisheaf.
 
 Records hold index rows, not objects: a semimodule is a side, a carrier of
-classes and one amplitude per class, and a record keeps its Weil classes
+classes and one amplitude per class, and a record keeps its Weil carrier
 and each part's right semimodule.  A left semimodule holds its right one's
 rows with sign +1, and ``Mode``s and ``WeilDescriptor``s are views built
 when read, so a run builds no mirror sheaf, mode or descriptor.
@@ -23,7 +23,7 @@ import cmath
 from typing import Callable, NamedTuple, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
-from .tower import LEFT, ClassIndex, Record, Tower
+from .tower import LEFT, Carrier, ClassIndex, Record
 
 AmplitudeRule = Callable[[ClassIndex], float]
 
@@ -68,9 +68,6 @@ class EllipticSemimodule(NamedTuple):
             ),
             complex(0),
         )
-
-    def mode_indices(self) -> tuple[ClassIndex, ...]:
-        return self.carrier
 
 
 def compactify(
@@ -127,22 +124,21 @@ class WeilDescriptor(NamedTuple):
 class LevelRecord(NamedTuple):
     """A level's Weil side and cuspidal side as index rows.
 
-    ``weil`` lists the Weil side's classes in index order; ``parts`` holds
+    ``weil`` is the carrier of the Weil side's classes; ``parts`` holds
     the compactified right semimodule of the reduced part and, if there is
     one, of the orthogonal part.  The Weil descriptors, with their degrees
-    ``offset + mu * N`` in ``tower``, and the (right, left) pairs of each
-    part are views built when read: a left semimodule holds its right
-    one's classes and amplitudes with sign +1.
+    ``offset + mu * N`` in the carrier's tower, and the (right, left) pairs
+    of each part are views built when read: a left semimodule holds its
+    right one's classes and amplitudes with sign +1.
     """
 
     label: str
-    tower: Tower
-    weil: tuple[ClassIndex, ...]
+    weil: Carrier
     parts: tuple[EllipticSemimodule, ...]
 
     @property
     def weil_side(self) -> tuple[WeilDescriptor, ...]:
-        return tuple(WeilDescriptor(mu, m, self.tower.real_degree(mu)) for mu, m in self.weil)
+        return tuple(WeilDescriptor(mu, m, self.weil.tower.real_degree(mu)) for mu, m in self.weil)
 
     @property
     def reduced(self) -> tuple[EllipticSemimodule, EllipticSemimodule]:
@@ -165,6 +161,7 @@ def _mirrored(right: EllipticSemimodule) -> tuple[EllipticSemimodule, EllipticSe
 
 
 def level_record(
+    weil: Carrier,
     reduced: Bisemisheaf,
     orthogonal: Bisemisheaf | None,
     amplitude_rule: AmplitudeRule | None = None,
@@ -172,18 +169,16 @@ def level_record(
 ) -> LevelRecord:
     """Compactify a level's reduced and orthogonal parts into one record.
 
-    The record takes the reduced part's level as its label.  The Weil side
-    lists every class of both parts in index order, with its degree in the
-    reduced part's tower; ``even_only`` drops the odd classes there as it
-    does from the modes.  Each part's right semisheaf is compactified once;
-    ``Bisemisheaf.left`` is never read.
+    The record takes the reduced part's level as its label and the level's
+    carrier ``weil`` as its Weil side; ``even_only`` drops the odd classes
+    there as it does from the modes.  Each part's right semisheaf is
+    compactified once; ``Bisemisheaf.left`` is never read.
     """
     parts = (reduced,) if orthogonal is None else (reduced, orthogonal)
-    weil = sorted(
-        idx for part in parts for idx in part.indices() if not (even_only and idx.mu % 2)
-    )
+    if even_only:
+        weil = weil.restrict([idx.mu % 2 == 0 for idx in weil])
     semimodules = tuple(compactify(part.right, amplitude_rule, even_only) for part in parts)
-    return LevelRecord(reduced.level, reduced.tower, tuple(weil), semimodules)
+    return LevelRecord(reduced.right.level, weil, semimodules)
 
 
 def lgc(b: Bisemisheaf) -> LevelRecord:
@@ -192,7 +187,7 @@ def lgc(b: Bisemisheaf) -> LevelRecord:
     The Weil side lists every class descriptor; the cuspidal side is the
     (right, left) semimodule pair, in bijection with it.
     """
-    return level_record(b, None)
+    return level_record(b.right.carrier, b, None)
 
 
 def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> LevelRecord:
@@ -206,4 +201,5 @@ def lggc_st(b: Bisemisheaf, reduce: Callable[[ClassIndex], bool]) -> LevelRecord
     """
     reduced, complementary = endo_split(b.right, bytes(map(reduce, b.right.carrier)))
     space = emergent_project(complementary)
-    return level_record(Bisemisheaf(reduced), Bisemisheaf(space) if space.carrier else None)
+    orthogonal = Bisemisheaf(space) if space.carrier else None
+    return level_record(b.right.carrier, Bisemisheaf(reduced), orthogonal)

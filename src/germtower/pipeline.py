@@ -60,8 +60,7 @@ def _template(config: PipelineConfig) -> Callable[[ClassIndex], Germ]:
 
 def emit_expansion(level_labels: Sequence[str]) -> dict:
     """Expansion of the level sum product into free and interaction terms."""
-    parts = [(label, label) for label in level_labels]
-    terms = expand_sum_product(parts, parts)
+    terms = expand_sum_product(level_labels, level_labels)
     rows = [
         {"kind": t.kind, "right": t.right_label, "left": t.left_label} for t in terms
     ]
@@ -151,7 +150,7 @@ def _diagnostics(
     bijection = all(rec.bijection_holds() for rec in records)
     partition_ok = all(
         level.orthogonal is None
-        or set(level.reduced.indices()).isdisjoint(level.orthogonal.indices())
+        or set(level.reduced.right.carrier).isdisjoint(level.orthogonal.right.carrier)
         for level in levels
     )
     worst, constant = _worst_bistring_variance(records)
@@ -207,12 +206,13 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 for idx, germ in zip(flat.carrier, flat.germs):
                     firsts.setdefault(id(germ), (germ, idx))
                 for germ, idx in firsts.values():
-                    desingularized.setdefault(germ, (level.reduced.level, idx))
+                    desingularized.setdefault(germ, (level.reduced.right.level, idx))
     amplitude_rule = _amplitude_callable(config.amplitude)
     records = [
         stage(
             "compactify",
             level_record,
+            level.carrier,
             level.reduced,
             level.orthogonal,
             amplitude_rule,

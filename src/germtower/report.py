@@ -154,7 +154,7 @@ def _write_levels(levels: Sequence[Level], records: Sequence[LevelRecord]) -> It
     """
     sep, lower = "[", None
     for level, record in zip(levels, records):
-        tower = record.tower
+        tower = record.weil.tower
         shape = {key: getattr(tower, key) for key in ("quantum_modulus", "offset", "depth")}
         yield (
             f'{sep}\n    {{\n      "label": {dumps_canonical(record.label)},\n      "tower": '

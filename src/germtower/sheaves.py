@@ -41,11 +41,6 @@ _FLIPPED = {
     SPACE_SHIFTED: TIME_SHIFTED,
 }
 
-REDUCED = "reduced"
-COMPLEMENTARY = "complementary"
-ORTHOGONAL = "orthogonal"
-ROLES = (None, REDUCED, COMPLEMENTARY, ORTHOGONAL)
-
 
 class Section(Record):
     """One germ attached at a class index: the view of one class of a
@@ -60,19 +55,20 @@ class Section(Record):
 
 
 class Semisheaf(Record):
-    """One germ per class of a ``Carrier``, with side, level, nature and
-    role tags; ``sections`` builds ``Section`` views when read.
+    """One germ per class of a ``Carrier``, with side, level and nature
+    tags; ``sections`` builds ``Section`` views when read.  Which part of a
+    split a sheaf is (reduced or orthogonal) is its place, not a tag.
 
-    ``__init__`` takes sections and sets no role; ``over`` and ``replace``
-    take a carrier, germs and a role.  Each build ends in ``__post_init__``,
-    which checks the tags and that the carrier is a ``Carrier`` of the
-    sheaf's tower.  Any other carrier, such as one made from sections, is
-    checked class by class and stored as a ``Carrier``; one derived from a
-    checked carrier is not checked again.  The benchmark's tracer counts sheaf builds by wrapping
+    ``__init__`` takes sections; ``over`` and ``replace`` take a carrier
+    and germs.  Each build ends in ``__post_init__``, which checks the tags
+    and that the carrier is a ``Carrier`` of the sheaf's tower.  Any other
+    carrier, such as one made from sections, is checked class by class and
+    stored as a ``Carrier``; one derived from a checked carrier is not
+    checked again.  The benchmark's tracer counts sheaf builds by wrapping
     ``__post_init__``.
     """
 
-    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs", "role")
+    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs")
 
     def __init__(
         self, side: str, level: str, nature: str, tower: Tower, sections: tuple[Section, ...]
@@ -82,15 +78,15 @@ class Semisheaf(Record):
             raise ValueError("section side disagrees with the semisheaf side")
         carrier = tuple(sec.index for sec in ordered)
         germs = tuple(sec.germ for sec in ordered)
-        super().__init__(side, level, nature, tower, carrier, germs, None)
+        super().__init__(side, level, nature, tower, carrier, germs)
         self.__post_init__()
 
     @classmethod
-    def over(cls, side, level, nature, tower, carrier, germs, role=None):
+    def over(cls, side, level, nature, tower, carrier, germs):
         """``Semisheaf(...)`` with a sorted ``carrier`` of class indices and
         one germ per class of it in ``germs`` in place of the sections."""
         s = object.__new__(cls)
-        Record.__init__(s, side, level, nature, tower, carrier, germs, role)
+        Record.__init__(s, side, level, nature, tower, carrier, germs)
         s.__post_init__()
         return s
 
@@ -101,8 +97,6 @@ class Semisheaf(Record):
             raise ValueError(f"bad level {self.level!r}")
         if self.nature not in NATURES:
             raise ValueError(f"bad nature {self.nature!r}")
-        if self.role not in ROLES:
-            raise ValueError(f"bad role {self.role!r}")
         carrier = self.carrier
         if len(self.germs) != len(carrier):
             raise ValueError("a semisheaf holds one germ per carrier class")
@@ -164,8 +158,9 @@ class Bisemisheaf(Record):
 
     Only the right side is stored; ``left`` is built and checked when it is
     read and holds the same carrier, germs, level and nature with side LEFT,
-    so anything that reads only ``right`` sees the whole pair.  ``tensor``
-    reads it; the pipeline does not.
+    so anything that reads only ``right`` sees the whole pair, and callers
+    read its tags and classes there.  ``tensor`` reads ``left``; the
+    pipeline does not.
     """
 
     __slots__ = ("right",)
@@ -178,21 +173,6 @@ class Bisemisheaf(Record):
     @property
     def left(self) -> Semisheaf:
         return self.right.replace(side=LEFT)
-
-    @property
-    def level(self) -> str:
-        return self.right.level
-
-    @property
-    def nature(self) -> str:
-        return self.right.nature
-
-    @property
-    def tower(self) -> Tower:
-        return self.right.tower
-
-    def indices(self) -> tuple[ClassIndex, ...]:
-        return self.right.carrier
 
 
 def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
@@ -208,24 +188,21 @@ def tensor(right: Semisheaf, left: Semisheaf) -> Bisemisheaf:
 
 def endo_split(s: Semisheaf, mask: Sequence) -> tuple[Semisheaf, Semisheaf]:
     """Endomorphism split into the reduced part, the classes whose ``mask``
-    entry is true, and its complementary part.
+    entry is true, and its complementary part, in that order.
 
-    Every class lands in exactly one output; all other tags are preserved.
+    Every class lands in exactly one output; every tag is preserved.
     """
-    reduced = s.restrict(mask, role=REDUCED)
-    complementary = s.restrict([not keep for keep in mask], role=COMPLEMENTARY)
-    return reduced, complementary
+    return s.restrict(mask), s.restrict([not keep for keep in mask])
 
 
-def emergent_project(complementary: Semisheaf) -> Semisheaf:
-    """Project a complementary part onto the orthogonal complement.
+def emergent_project(s: Semisheaf) -> Semisheaf:
+    """Project a semisheaf, the complementary part of a split, onto the
+    orthogonal complement.
 
     The projection keeps the sections and flips the nature (time <-> space,
     shifted or not).
     """
-    if complementary.role != COMPLEMENTARY:
-        raise ValueError("only a complementary split part can be projected")
-    return complementary.replace(nature=_FLIPPED[complementary.nature], role=ORTHOGONAL)
+    return s.replace(nature=_FLIPPED[s.nature])
 
 
 def shift(s: Semisheaf) -> Semisheaf:
@@ -240,11 +217,11 @@ def shift(s: Semisheaf) -> Semisheaf:
 
 
 def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
-    at = ClassIndex(*at)
-    if at not in b.indices():
+    at, right = ClassIndex(*at), b.right
+    if at not in right.carrier:
         raise ValueError(f"no bisection at class {at}")
     target = ClassIndex(at.mu + delta, at.m)
-    right = b.right  # the moved carrier is checked: distinct and inside the tower
+    # the moved carrier is checked: distinct and inside the tower
     moved = (target if idx == at else idx for idx in right.carrier)
     carrier, germs = zip(*sorted(zip(moved, right.germs), key=lambda pair: pair[0]))
     return Bisemisheaf(right.replace(carrier=carrier, germs=germs))

@@ -44,7 +44,7 @@ def _cmd_tower(args) -> int:
         f"tower: N={tower.quantum_modulus} offset={tower.offset} depth={tower.depth}"
     )
     for idx in tower.class_indices():
-        print(f"  class ({idx.mu},{idx.m})  degree {tower.real_degree(idx)}")
+        print(f"  class ({idx.mu},{idx.m})  degree {tower.real_degree(idx.mu)}")
     for mu in range(1, tower.depth + 1):
         place = ", ".join(f"({i.mu},{i.m})" for i in tower.place(mu))
         print(f"  place mu={mu}: {place}  complex degree {tower.complex_degree(mu)}")
@@ -52,7 +52,7 @@ def _cmd_tower(args) -> int:
         payload = {
             "config": tower_config_to_json(config),
             "classes": [
-                {"mu": i.mu, "m": i.m, "degree": tower.real_degree(i)}
+                {"mu": i.mu, "m": i.m, "degree": tower.real_degree(i.mu)}
                 for i in tower.class_indices()
             ],
             "complex": [

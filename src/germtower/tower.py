@@ -232,9 +232,8 @@ class Tower(NamedTuple):
         mu, m = index
         return 1 <= mu <= self.depth and 1 <= m <= self.config.multiplicity[mu - 1]
 
-    def real_degree(self, index: ClassIndex | int) -> int:
+    def real_degree(self, mu: int) -> int:
         """Degree ``offset + mu * N`` of a real completion (independent of m)."""
-        mu = index.mu if isinstance(index, ClassIndex) else int(index)
         self._check_mu(mu)
         return self.offset + mu * self.quantum_modulus
 

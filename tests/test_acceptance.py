@@ -222,21 +222,21 @@ def test_criterion_06_commutative_diagram():
     for _ in range(20):
         tower = _random_tower(rng)
         b = _square_pair(tower)
-        mus = sorted({idx.mu for idx in b.indices()})
+        mus = sorted({idx.mu for idx in b.right.carrier})
         cut = rng.choice(mus)
         predicate = lambda idx, cut=cut: idx.mu <= cut
         # route 1: split, then compactify each part
         record = lggc_st(b, reduce=predicate)
-        split_first = sorted(record.reduced[0].mode_indices())
+        split_first = sorted(record.reduced[0].carrier)
         orth_first = (
-            sorted(record.orthogonal[0].mode_indices())
+            sorted(record.orthogonal[0].carrier)
             if record.orthogonal is not None
             else []
         )
         # route 2: compactify whole, then split the mode list
         whole = compactify(b.right)
-        kept = sorted(i for i in whole.mode_indices() if predicate(i))
-        rest = sorted(i for i in whole.mode_indices() if not predicate(i))
+        kept = sorted(i for i in whole.carrier if predicate(i))
+        rest = sorted(i for i in whole.carrier if not predicate(i))
         assert split_first == kept
         assert orth_first == rest
 
@@ -275,21 +275,21 @@ def test_criterion_08_biquantum_round_trip():
         b, at = _single_bisection(rng)
         up = ClassIndex(at.mu + 1, at.m)
         created = create_biquantum(b, at)
-        assert created.indices() == (up,)
-        n = b.tower.config.quantum_modulus
+        assert created.right.carrier == (up,)
+        n = b.right.tower.config.quantum_modulus
         for side in (created.right, created.left):
             # each string's completion moved up exactly one quantum
-            assert side.tower.real_degree(up) - b.tower.real_degree(at) == n
+            assert side.tower.real_degree(up.mu) - b.right.tower.real_degree(at.mu) == n
         assert annihilate_biquantum(created, up) == b
 
 
 @criterion(9, "expansion term counts")
 def test_criterion_09_expansion_counts():
-    two = expand_sum_product([("ST", "r"), ("MG", "r")], [("ST", "l"), ("MG", "l")])
+    two = expand_sum_product(["ST", "MG"], ["ST", "MG"])
     assert len(two) == 4
     assert sum(1 for t in two if t.kind == FREE) == 2
-    three_parts = [("ST", 0), ("MG", 1), ("M", 2)]
-    three = expand_sum_product(three_parts, three_parts)
+    three_tags = ["ST", "MG", "M"]
+    three = expand_sum_product(three_tags, three_tags)
     assert len(three) == 9
     assert sum(1 for t in three if t.kind == FREE) == 3
     assert sum(1 for t in three if t.kind != FREE) == 6

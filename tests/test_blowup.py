@@ -36,9 +36,6 @@ from germtower.germs import (
 )
 from germtower.germs import normal_form
 from germtower.sheaves import (
-    COMPLEMENTARY,
-    ORTHOGONAL,
-    REDUCED,
     SPACE,
     SPACE_SHIFTED,
     TIME_SHIFTED,
@@ -215,8 +212,6 @@ def test_time_space_lift_orientation():
     time, residual = time_space_lift(s, list(map(parse_reduce_rule("mu<=H", 4), s.carrier)))
     assert time.nature == TIME_SHIFTED
     assert residual.nature == SPACE_SHIFTED
-    assert time.role == ORTHOGONAL
-    assert residual.role == REDUCED
     assert sorted(time.carrier + residual.carrier) == list(s.carrier)
     tower = build_tower(TowerConfig(2, 1, 2))
     classes = tower.class_indices()
@@ -247,8 +242,8 @@ def base_for(scenario):
 
 
 def plan_for(base, scenario=None, reduce=None, covering_depths=None):
-    predicate = reduce or parse_reduce_rule("mu<=H", base.tower.depth)
-    return plan_levels(base.tower, scenario, predicate, covering_depths, False)
+    predicate = reduce or parse_reduce_rule("mu<=H", base.right.tower.depth)
+    return plan_levels(base.right.tower, scenario, predicate, covering_depths, False)
 
 
 def levels_for(base, scenario=None, **plan_options):
@@ -262,7 +257,7 @@ def level_carrier(level):
 
 
 def labels(levels):
-    return tuple(level.reduced.level for level in levels)
+    return tuple(level.reduced.right.level for level in levels)
 
 
 def test_generate_levels_no_scenario():
@@ -325,12 +320,12 @@ def test_level_natures_are_paired():
     levels, _ = levels_for(shifted_base(), SWALLOWTAIL)
     st, mg, m = levels
     # ST: reduced keeps the base time nature, the projected part is spatial
-    assert st.reduced.nature == TIME_SHIFTED
-    assert st.orthogonal.nature == SPACE_SHIFTED
+    assert st.reduced.right.nature == TIME_SHIFTED
+    assert st.orthogonal.right.nature == SPACE_SHIFTED
     # covering levels: space residual reduced, lifted time part orthogonal
     for level in (mg, m):
-        assert level.reduced.nature == SPACE_SHIFTED
-        assert level.orthogonal.nature == TIME_SHIFTED
+        assert level.reduced.right.nature == SPACE_SHIFTED
+        assert level.orthogonal.right.nature == TIME_SHIFTED
         assert level.coverage is not None and list(level.carrier) == level_carrier(level)
 
 
@@ -372,11 +367,11 @@ def test_plan_matches_the_built_levels():
     plan = plan_for(base, SWALLOWTAIL, covering_depths=(6, 5))
     levels, _ = generate_levels(base, SWALLOWTAIL, plan)
     for step, level in zip(plan, levels, strict=True):
-        assert step.label == level.reduced.level
-        assert step.carrier.tower.depth == level.reduced.tower.depth
+        assert step.label == level.reduced.right.level
+        assert step.carrier.tower.depth == level.reduced.right.tower.depth
         reduced, orthogonal = step.parts()
-        assert reduced == level.reduced.indices()
-        assert orthogonal == (() if level.orthogonal is None else level.orthogonal.indices())
+        assert reduced == level.reduced.right.carrier
+        assert orthogonal == (() if level.orthogonal is None else level.orthogonal.right.carrier)
         assert step.carrier == level.carrier == tuple(level_carrier(level))
     # the cover the report writes from the level carriers is the one the
     # built levels' classes give
@@ -395,8 +390,8 @@ def test_covering_depths_truncate():
         shifted_base(depth=6), SWALLOWTAIL, reduce=low_space, covering_depths=(3, 2)
     )
     mg, m = levels[1], levels[2]
-    assert mg.reduced.tower.depth == 3
-    assert m.reduced.tower.depth == 2
+    assert mg.reduced.right.tower.depth == 3
+    assert m.reduced.right.tower.depth == 2
     assert all(idx.mu <= 3 for idx in level_carrier(mg))
     assert all(idx.mu <= 2 for idx in level_carrier(m))
     with pytest.raises(ValueError, match="covering_depths"):
@@ -418,8 +413,8 @@ def test_generate_levels_input_validation():
     with pytest.raises(ValueError):
         plan_for(base, "Morse")
     unshifted = tensor(
-        attach_sections(base.tower.class_indices(), RIGHT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
-        attach_sections(base.tower.class_indices(), LEFT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
+        attach_sections(base.right.tower.class_indices(), RIGHT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
+        attach_sections(base.right.tower.class_indices(), LEFT, ST, SPACE, lambda idx: Germ.monomial(1, (2,))),
     )
     with pytest.raises(ValueError):
         generate_levels(unshifted, None, plan_for(unshifted))
@@ -437,7 +432,7 @@ def test_generate_levels_input_validation():
 
 
 def test_plan_even_classes_needs_an_even_class_per_part():
-    tower = shifted_base(depth=6).tower
+    tower = shifted_base(depth=6).right.tower
     upto = lambda k: lambda idx: idx.mu <= k
     plan = plan_levels(tower, CUSP, upto(2), None, True)
     assert [step.label for step in plan] == [ST, MG]

@@ -38,9 +38,9 @@ def bisheaf(depth=4, mult=(), modulus=2, offset=1, nature=TIME):
 
 def cusp_mode_indices(record):
     """Every class of a record's left cuspidal modes, in index order."""
-    indices = list(record.reduced[1].mode_indices())
+    indices = list(record.reduced[1].carrier)
     if record.orthogonal is not None:
-        indices.extend(record.orthogonal[1].mode_indices())
+        indices.extend(record.orthogonal[1].carrier)
     return tuple(sorted(indices))
 
 
@@ -61,7 +61,7 @@ def test_compactify_one_mode_per_section():
     assert len(right.modes) == len(b.right.sections) == 4
     assert all(m.sign == -1 for m in right.modes)
     assert all(m.sign == 1 for m in left.modes)
-    assert right.mode_indices() == b.right.carrier
+    assert right.carrier == b.right.carrier
     assert all(m.amplitude == 1.0 for m in right.modes)
 
 
@@ -139,18 +139,18 @@ def test_lgc_bijection_and_degrees():
     b = bisheaf(depth=4, mult=(1, 2, 1, 3), modulus=3, offset=1)
     record = lgc(b)
     assert record.bijection_holds()
-    assert len(record.weil_side) == len(b.indices()) == 7
+    assert len(record.weil_side) == len(b.right.carrier) == 7
     assert record.mode_pair_count() == 7
     assert [w.degree for w in record.weil_side] == [
-        b.tower.real_degree(idx) for idx in b.indices()
+        b.right.tower.real_degree(idx.mu) for idx in b.right.carrier
     ]
     assert record.orthogonal is None
-    assert cusp_mode_indices(record) == b.indices()
+    assert cusp_mode_indices(record) == b.right.carrier
 
 
 def test_lgc_even_convention_filters_both_sides():
     b = bisheaf(depth=4)
-    record = level_record(b, None, even_only=True)
+    record = level_record(b.right.carrier, b, None, even_only=True)
     assert [w.mu for w in record.weil_side] == [2, 4]
     assert [m.mu for m in record.reduced[0].modes] == [2, 4]
     assert record.bijection_holds()
@@ -164,7 +164,7 @@ def test_lggc_st_splits_then_compactifies():
     assert [m.mu for m in record.orthogonal[0].modes] == [3, 4]
     assert record.bijection_holds()
     # split-then-compactify covers the same classes as compactify-whole
-    assert cusp_mode_indices(record) == b.indices()
+    assert cusp_mode_indices(record) == b.right.carrier
 
 
 def test_lggc_st_all_reduced_drops_orthogonal():
@@ -196,9 +196,9 @@ def test_split_compactify_mode_multiset_identity(modulus, depth, cut, data):
         attach_sections(tower.class_indices(), RIGHT, ST, TIME, template),
         attach_sections(tower.class_indices(), LEFT, ST, TIME, template),
     )
-    whole = sorted(compactify(b.right).mode_indices())
+    whole = sorted(compactify(b.right).carrier)
     pred = lambda idx: idx.mu <= cut
-    if not any(pred(i) for i in b.indices()):
+    if not any(pred(i) for i in b.right.carrier):
         return
     record = lggc_st(b, reduce=pred)
     assert list(cusp_mode_indices(record)) == whole

@@ -311,7 +311,7 @@ def _bistring_record(pairs) -> LevelRecord:
     # one row per (mu, amplitude) pair; both strings of a pair share the amplitude
     carrier = tuple(ClassIndex(mu, m) for m, (mu, _) in enumerate(pairs, 1))
     right = EllipticSemimodule(RIGHT, carrier, tuple(amp for _, amp in pairs))
-    return LevelRecord("ST", None, carrier, (right,))
+    return LevelRecord("ST", carrier, (right,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,10 +460,10 @@ def test_split_and_compactify_commute_on_the_pipeline_route(scenario, reduce_rul
     config = make_config(scenario=scenario, tower=tower, reduce_rule=reduce_rule)
     report = run_pipeline(config)
     for level, row in zip(report.levels, report.level_rows, strict=True):
-        record = level_record(level.reduced, level.orthogonal)
+        record = level_record(level.carrier, level.reduced, level.orthogonal)
         weil = tuple(ClassIndex(w.mu, w.m) for w in record.weil_side)
         parts = [part for part in (record.reduced, record.orthogonal) if part is not None]
-        cusp = tuple(sorted(idx for _, left in parts for idx in left.mode_indices()))
+        cusp = tuple(sorted(idx for _, left in parts for idx in left.carrier))
         halves = [part for part in (level.reduced, level.orthogonal) if part is not None]
         carrier = tuple(sorted(idx for part in halves for idx in part.right.carrier))
         assert cusp == weil == carrier
@@ -632,7 +632,7 @@ def test_every_part_carries_its_level_tag():
     for config in (golden, make_config(), make_config(scenario="hyperbolic-umbilic")):
         for level in run_pipeline(config).levels:
             for part in filter(None, (level.reduced, level.orthogonal)):
-                assert part.right.level == part.left.level == level.reduced.level
+                assert part.right.level == part.left.level == level.reduced.right.level
 
 
 def test_two_runs_in_one_process_build_the_same_germs(monkeypatch):
@@ -676,43 +676,57 @@ def _passed(report) -> dict:
 
 
 def test_a_lost_mode_fails_level_bijection(monkeypatch, tmp_path, capsys):
+    import germtower.blowup as blowup_module
     import germtower.cuspidal as cuspidal_module
     from germtower.cli import EXIT_DIAGNOSTIC, main
 
-    compactify = cuspidal_module.compactify
+    compactify, endo_split = cuspidal_module.compactify, blowup_module.endo_split
 
     def lossy(*args):
         module = compactify(*args)
         return module._replace(carrier=module.carrier[1:], amplitudes=module.amplitudes[1:])
 
-    monkeypatch.setattr(cuspidal_module, "compactify", lossy)
+    def losing(s, mask):
+        # the split loses its first complementary class, which the level's
+        # carrier, its Weil side, still holds
+        reduced, complementary = endo_split(s, mask)
+        return reduced, complementary.restrict([False] + [True] * (len(complementary) - 1))
+
     golden = DATA_DIR / "golden_config.json"
-    passed = _passed(run_pipeline(config_from_json(json.loads(golden.read_text()))))
-    assert passed == {
-        "level_bijection": False,
-        "split_partition": True,
-        "oscillator_constancy": True,
-        "desingularized_sections": True,
-    }
-    out = tmp_path / "report.json"
-    assert main(["correspond", "--config", str(golden), "--out", str(out)]) == EXIT_DIAGNOSTIC
-    assert "FAILED diagnostic: level_bijection" in capsys.readouterr().err
+    for module, name, patch in (
+        (cuspidal_module, "compactify", lossy),
+        (blowup_module, "endo_split", losing),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, patch)
+            passed = _passed(run_pipeline(config_from_json(json.loads(golden.read_text()))))
+            assert passed == {
+                "level_bijection": False,
+                "split_partition": True,
+                "oscillator_constancy": True,
+                "desingularized_sections": True,
+            }, name
+            out = tmp_path / "report.json"
+            args = ["correspond", "--config", str(golden), "--out", str(out)]
+            assert main(args) == EXIT_DIAGNOSTIC
+            assert "FAILED diagnostic: level_bijection" in capsys.readouterr().err
 
 
 def test_a_complementary_part_keeping_every_class_fails_split_partition(monkeypatch):
     import germtower.blowup as blowup_module
-    from germtower.sheaves import COMPLEMENTARY
 
     endo_split = blowup_module.endo_split
 
     def overlapping(s, reduce):
         reduced, _ = endo_split(s, reduce)
-        return reduced, s.replace(role=COMPLEMENTARY)
+        return reduced, s
 
     monkeypatch.setattr(blowup_module, "endo_split", overlapping)
     golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
     passed = _passed(run_pipeline(golden))
-    assert not passed.pop("split_partition") and all(passed.values())
+    # the parts now hold more mode pairs than the level has classes
+    assert not passed.pop("split_partition") and not passed.pop("level_bijection")
+    assert all(passed.values())
 
 
 def test_per_class_template_keeps_the_sides_mirrored():
@@ -749,18 +763,18 @@ def _reference_pair(pair):
 def _classes(level) -> list:
     """The sorted classes of a level's built parts."""
     parts = (level.reduced, level.orthogonal)
-    return sorted(idx for part in parts if part is not None for idx in part.indices())
+    return sorted(idx for part in parts if part is not None for idx in part.right.carrier)
 
 
 def _reference_row(level, record, lower) -> dict:
     """``lower`` is the previous level, None for the first; the cover maps
     its classes onto this level's by the one cover rule."""
     return {
-        "label": level.reduced.level,
+        "label": level.reduced.right.level,
         "tower": {
-            "quantum_modulus": level.reduced.tower.quantum_modulus,
-            "offset": level.reduced.tower.offset,
-            "depth": level.reduced.tower.depth,
+            "quantum_modulus": level.reduced.right.tower.quantum_modulus,
+            "offset": level.reduced.right.tower.offset,
+            "depth": level.reduced.right.tower.depth,
         },
         "weil_side": [{"mu": w.mu, "m": w.m, "degree": w.degree} for w in record.weil_side],
         "reduced": _reference_pair(record.reduced),

@@ -25,9 +25,6 @@ from germtower import (
 from germtower.bisemigroup import MG, ST
 from germtower.germs import ELLIPTIC_UMBILIC, SWALLOWTAIL, classify_germ
 from germtower.sheaves import (
-    COMPLEMENTARY,
-    ORTHOGONAL,
-    REDUCED,
     SPACE,
     SPACE_SHIFTED,
     TIME,
@@ -101,18 +98,17 @@ def test_semisheaf_rejects_duplicates_and_strays():
 @pytest.mark.parametrize(
     "tags, error",
     [
-        (("up", ST, TIME, None), "bad side 'up'"),
-        ((RIGHT, "XX", TIME, None), "bad level 'XX'"),
-        ((RIGHT, ST, "X", None), "bad nature 'X'"),
-        ((RIGHT, ST, TIME, "spare"), "bad role 'spare'"),
+        (("up", ST, TIME), "bad side 'up'"),
+        ((RIGHT, "XX", TIME), "bad level 'XX'"),
+        ((RIGHT, ST, "X"), "bad nature 'X'"),
     ],
 )
 def test_semisheaf_rejects_a_bad_tag(tags, error):
-    side, level, nature, role = tags
+    side, level, nature = tags
     tower = small_tower(2)
     carrier, germs = tower.class_indices(), (Germ.zero(1),) * 2
     with pytest.raises(ValueError, match=f"^{error}$"):
-        Semisheaf.over(side, level, nature, tower, carrier, germs, role)
+        Semisheaf.over(side, level, nature, tower, carrier, germs)
 
 
 def test_a_checked_carrier_is_checked_once(monkeypatch):
@@ -133,7 +129,7 @@ def test_a_checked_carrier_is_checked_once(monkeypatch):
     calls = []
     contains = Tower.contains
     monkeypatch.setattr(Tower, "contains", lambda self, idx: calls.append(idx) or contains(self, idx))
-    upper = s.restrict([idx.mu > 2 for idx in s.carrier], role=COMPLEMENTARY)
+    upper = s.restrict([idx.mu > 2 for idx in s.carrier])
     assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
     short = s.carrier.truncated(2)
     assert short == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
@@ -157,10 +153,10 @@ def test_sections_sorted_on_construction():
 def test_carrier_form_copies_restricts_and_maps():
     s = make_sheaf(depth=4)
     assert [sec.germ for sec in s.sections] == list(s.germs) == [quad(idx) for idx in s.carrier]
-    upper = s.restrict([idx.mu > 2 for idx in s.carrier], role=COMPLEMENTARY)
+    upper = s.restrict([idx.mu > 2 for idx in s.carrier])
     assert upper.carrier == (ClassIndex(3, 1), ClassIndex(4, 1))
     assert upper.germs == (quad(ClassIndex(3, 1)), quad(ClassIndex(4, 1)))
-    assert upper.role == COMPLEMENTARY and upper.nature == s.nature
+    assert upper.nature == s.nature
     with pytest.raises(TypeError):
         s.replace(sections=())
     # a germ map may not change a germ's variable count
@@ -172,8 +168,8 @@ def test_tensor_requires_matching_pair():
     r = make_sheaf(RIGHT)
     l = make_sheaf(LEFT)
     b = tensor(r, l)
-    assert b.level == ST and b.nature == TIME
-    assert b.indices() == r.carrier
+    assert b.right.level == ST and b.right.nature == TIME
+    assert b.right.carrier == r.carrier
     assert Bisemisheaf(r) == b and b.left == l
     assert b != r and b != (r,) and hash(Bisemisheaf(r)) == hash(b)
     with pytest.raises(AttributeError):
@@ -190,9 +186,9 @@ def test_tensor_requires_matching_pair():
     cubic_at_3 = lambda idx: Germ.monomial(1, (3,)) if idx.mu == 3 else quad(idx)
     with pytest.raises(ValueError):
         tensor(r, make_sheaf(LEFT, template=cubic_at_3))
-    # nor is one that differs only in a tag the pair cannot hold
+    # nor is one that differs only in one tag
     with pytest.raises(ValueError):
-        tensor(r, l.replace(role=REDUCED))
+        tensor(r, l.replace(level=MG))
 
 
 def test_default_reduce_keeps_lower_half():
@@ -205,7 +201,9 @@ def test_default_reduce_keeps_lower_half():
 def test_endo_split_partition_and_roles():
     s = make_sheaf(depth=5)
     reduced, comp = endo_split(s, list(map(half(5), s.carrier)))
-    assert reduced.role == REDUCED and comp.role == COMPLEMENTARY
+    # a part's role is its place: the mask's classes first, the others second
+    assert [idx.mu for idx in reduced.carrier] == [1, 2, 3]
+    assert [idx.mu for idx in comp.carrier] == [4, 5]
     assert set(reduced.carrier) | set(comp.carrier) == set(s.carrier)
     assert not set(reduced.carrier) & set(comp.carrier)
     assert reduced.nature == comp.nature == s.nature
@@ -221,24 +219,15 @@ def test_endo_split_partition_any_predicate(depth, cut):
     assert all(idx.mu > cut for idx in comp.carrier)
 
 
-def test_emergent_project_flips_nature_and_sets_role():
+def test_emergent_project_flips_nature_and_keeps_sections():
     _, comp = endo_split(make_sheaf(nature=TIME, depth=4), [True, True, False, False])
     proj = emergent_project(comp)
     assert proj.nature == SPACE
-    assert proj.role == ORTHOGONAL
+    assert proj.carrier == comp.carrier and proj.germs == comp.germs
 
     _, comp_s = endo_split(make_sheaf(nature=SPACE_SHIFTED, depth=4), [True, True, False, False])
     proj_t = emergent_project(comp_s)
     assert proj_t.nature == TIME_SHIFTED
-
-
-def test_emergent_project_requires_complementary():
-    s = make_sheaf()
-    with pytest.raises(ValueError):
-        emergent_project(s)
-    reduced, comp = endo_split(s, list(map(half(4), s.carrier)))
-    with pytest.raises(ValueError):
-        emergent_project(reduced)
 
 
 def test_shift_differentiates_and_primes():
@@ -271,16 +260,16 @@ def partial_bisheaf(depth=4, present=(1, 3)):
 def test_create_biquantum_moves_up_one_class():
     b = partial_bisheaf(present=(1, 3))
     out = create_biquantum(b, ClassIndex(1, 1))
-    assert out.indices() == (ClassIndex(2, 1), ClassIndex(3, 1))
+    assert out.right.carrier == (ClassIndex(2, 1), ClassIndex(3, 1))
     # degree bookkeeping: one step costs N per string
-    n = b.tower.config.quantum_modulus
-    assert b.tower.real_degree(2) - b.tower.real_degree(1) == n
+    n = b.right.tower.config.quantum_modulus
+    assert b.right.tower.real_degree(2) - b.right.tower.real_degree(1) == n
 
 
 def test_annihilate_biquantum_moves_down_one_class():
     b = partial_bisheaf(present=(1, 3))
     out = annihilate_biquantum(b, ClassIndex(3, 1))
-    assert out.indices() == (ClassIndex(1, 1), ClassIndex(2, 1))
+    assert out.right.carrier == (ClassIndex(1, 1), ClassIndex(2, 1))
 
 
 def test_biquantum_move_reorders_the_carrier():
@@ -290,7 +279,7 @@ def test_biquantum_move_reorders_the_carrier():
     secs = (Section(ClassIndex(1, 1), RIGHT, square), Section(ClassIndex(1, 2), RIGHT, cube))
     b = Bisemisheaf(Semisheaf(RIGHT, ST, TIME, tower, secs))
     out = create_biquantum(b, ClassIndex(1, 1))
-    assert out.indices() == (ClassIndex(1, 2), ClassIndex(2, 1))
+    assert out.right.carrier == (ClassIndex(1, 2), ClassIndex(2, 1))
     assert out.right.germs == (cube, square) and out.left.germs == (cube, square)
     assert annihilate_biquantum(out, ClassIndex(2, 1)) == b
 

@@ -46,11 +46,6 @@ def test_complex_degree_equals_real_when_dilation_is_one():
         assert tower.complex_degree(mu) == tower.real_degree(mu)
 
 
-def test_real_degree_accepts_class_index():
-    tower = build_tower(TowerConfig(quantum_modulus=2, offset=1, depth=3, multiplicity=(1, 3, 1)))
-    assert tower.real_degree(ClassIndex(2, 1)) == tower.real_degree(ClassIndex(2, 3)) == 5
-
-
 def test_place_lists_equivalent_completions():
     tower = build_tower(TowerConfig(quantum_modulus=2, offset=0, depth=2, multiplicity=(1, 3)))
     place = tower.place(2)
