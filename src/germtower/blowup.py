@@ -289,7 +289,7 @@ def generate_levels(
         if step.carrier.tower.depth < covering.tower.depth:
             carrier = step.carrier
             germs = covering.germs[: len(carrier)]
-            covering = covering.replace(tower=carrier.tower, carrier=carrier, germs=germs)
+            covering = covering.replace(carrier=carrier, germs=germs)
         time, residual = time_space_lift(covering, step.mask)
         parts = Bisemisheaf(residual), Bisemisheaf(time) if time.carrier else None
         levels.append(Level(covering.carrier, *parts, (seed.carrier, result.fraction)))

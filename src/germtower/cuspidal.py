@@ -152,8 +152,9 @@ class LevelRecord(NamedTuple):
         return sum(len(part.carrier) for part in self.parts)
 
     def bijection_holds(self) -> bool:
-        """As many Weil classes as cuspidal mode pairs."""
-        return len(self.weil) == self.mode_pair_count()
+        """The Weil classes are the classes of the cuspidal mode pairs, each
+        once; the parts' sorted carriers merge in one linear sort."""
+        return tuple(sorted(idx for part in self.parts for idx in part.carrier)) == self.weil
 
 
 def _mirrored(right: EllipticSemimodule) -> tuple[EllipticSemimodule, EllipticSemimodule]:

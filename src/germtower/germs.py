@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .tower import Record
 
@@ -211,7 +211,7 @@ def format_germ(g: Germ) -> str:
 
 
 # ---------------------------------------------------------------------------
-# classification
+# the catalogue and classification
 
 
 class SingularityClass(NamedTuple):
@@ -222,33 +222,79 @@ class SingularityClass(NamedTuple):
     codim: int
 
 
-CATALOGUE: dict[str, SingularityClass] = {
-    FOLD: SingularityClass(FOLD, 1, 1),
-    CUSP: SingularityClass(CUSP, 1, 2),
-    SWALLOWTAIL: SingularityClass(SWALLOWTAIL, 1, 3),
-    ELLIPTIC_UMBILIC: SingularityClass(ELLIPTIC_UMBILIC, 2, 3),
-    HYPERBOLIC_UMBILIC: SingularityClass(HYPERBOLIC_UMBILIC, 2, 3),
+class Unfolding(NamedTuple):
+    """A base germ together with its ordered coefficient slots.
+
+    ``parameters`` holds (slot name, attached monomial germ) pairs; the slot
+    count is the codimension, ``codim``.  A named coefficient may occupy
+    several slots when it multiplies a sum of monomials in the catalogue
+    formula.  ``slot_sum(parameters)``, every slot set to 1, is what
+    ``blow_up`` glues and what ``unfold`` adds to the base.
+    """
+
+    base: Germ
+    parameters: tuple[tuple[str, Germ], ...]
+
+    @property
+    def codim(self) -> int:
+        return len(self.parameters)
+
+
+def slot_sum(parameters: tuple[tuple[str, Germ], ...]) -> Germ:
+    """The sum of the slot monomials, in slot order: every slot set to 1."""
+    return sum((mono for _, mono in parameters), Germ.zero(parameters[0][1].nvars))
+
+
+# The catalogue, one row per class: its corank, its normal form with unit
+# leading coefficient and its unfolding's (slot name, monomial) slots, as
+# coefficient tables in as many variables as the corank.
+_ROWS = {
+    FOLD: (1, {(3,): 1}, [("a1", {(1,): 1})]),
+    CUSP: (1, {(4,): 1}, [("a1", {(1,): 1}), ("a2", {(2,): 1})]),
+    SWALLOWTAIL: (1, {(5,): 1}, [("a1", {(1,): 1}), ("a2", {(2,): 1}), ("a3", {(3,): 1})]),
+    ELLIPTIC_UMBILIC: (
+        2,
+        {(3, 0): 1, (1, 2): -3},
+        [("b1", {(2, 0): 1}), ("b1", {(0, 2): 1}), ("b2", {(0, 1): -1})],
+    ),
+    HYPERBOLIC_UMBILIC: (
+        2,
+        {(3, 0): 1, (0, 3): 1},
+        [("b2", {(0, 1): -1}), ("b3", {(1, 0): -1}), ("b4", {(1, 1): 1})],
+    ),
 }
 
-_POWER_NAMES = {3: FOLD, 4: CUSP, 5: SWALLOWTAIL}
-
-
-# The catalogue normal forms, built once: a germ is an immutable value.
-_NORMAL_FORMS = {
-    FOLD: Germ.monomial(1, (3,)),
-    CUSP: Germ.monomial(1, (4,)),
-    SWALLOWTAIL: Germ.monomial(1, (5,)),
-    ELLIPTIC_UMBILIC: Germ.from_coeffs(2, {(3, 0): 1, (1, 2): -3}),
-    HYPERBOLIC_UMBILIC: Germ.from_coeffs(2, {(3, 0): 1, (0, 3): 1}),
+# Each class's versal unfolding, built once: germs are immutable values.
+_UNFOLDINGS = {
+    name: Unfolding(
+        Germ.from_coeffs(corank, form),
+        tuple((slot, Germ.from_coeffs(corank, mono)) for slot, mono in slots),
+    )
+    for name, (corank, form, slots) in _ROWS.items()
 }
+
+CATALOGUE = {name: SingularityClass(name, rank, len(slots)) for name, (rank, _, slots) in _ROWS.items()}
+
+# x^(k+1), a corank-1 normal form, names its class
+_POWER_NAMES = {_UNFOLDINGS[n].base.total_degree: n for n, c in CATALOGUE.items() if c.corank == 1}
 
 
 def normal_form(name: str) -> Germ:
     """Catalogue normal form with unit leading coefficient, one object per name."""
-    form = _NORMAL_FORMS.get(name)
-    if form is None:
+    if name not in _UNFOLDINGS:
         raise ValueError(f"no normal form for {name!r}")
-    return form
+    return _UNFOLDINGS[name].base
+
+
+def versal_unfold(name: str) -> Unfolding:
+    """The catalogue versal unfolding of the class ``name``.
+
+    Raises for Regular, Morse, and Unclassified: only the five catalogue
+    classes carry a tabulated unfolding.
+    """
+    if name not in _UNFOLDINGS:
+        raise ValueError(f"no versal unfolding for {name!r}")
+    return _UNFOLDINGS[name]
 
 
 def _hessian_rank(h) -> int:
@@ -344,60 +390,6 @@ def classify_germ(g: Germ) -> SingularityClass:
     if g.nvars == 1:
         return _classify_pure_power(g)
     return _classify_two_vars(g, cr)
-
-
-# ---------------------------------------------------------------------------
-# versal unfolding
-
-
-class Unfolding(NamedTuple):
-    """A base germ together with its ordered coefficient slots.
-
-    ``parameters`` holds (slot name, attached monomial germ) pairs; the slot
-    count equals the codimension.  A named coefficient may occupy several
-    slots when it multiplies a sum of monomials in the catalogue formula.
-    ``slot_sum(parameters)``, every slot set to 1, is what ``blow_up``
-    glues and what ``unfold`` adds to the base.
-    """
-
-    base: Germ
-    parameters: tuple[tuple[str, Germ], ...]
-    codim: int
-
-
-def slot_sum(parameters: tuple[tuple[str, Germ], ...]) -> Germ:
-    """The sum of the slot monomials, in slot order: every slot set to 1."""
-    return sum((mono for _, mono in parameters), Germ.zero(parameters[0][1].nvars))
-
-
-def _slots(nvars: int, entries: Iterable[tuple[str, dict]]) -> tuple:
-    return tuple((name, Germ.from_coeffs(nvars, coeffs)) for name, coeffs in entries)
-
-
-_UNFOLDINGS: dict[str, tuple] = {
-    FOLD: _slots(1, [("a1", {(1,): 1})]),
-    CUSP: _slots(1, [("a1", {(1,): 1}), ("a2", {(2,): 1})]),
-    SWALLOWTAIL: _slots(
-        1, [("a1", {(1,): 1}), ("a2", {(2,): 1}), ("a3", {(3,): 1})]
-    ),
-    ELLIPTIC_UMBILIC: _slots(
-        2, [("b1", {(2, 0): 1}), ("b1", {(0, 2): 1}), ("b2", {(0, 1): -1})]
-    ),
-    HYPERBOLIC_UMBILIC: _slots(
-        2, [("b2", {(0, 1): -1}), ("b3", {(1, 0): -1}), ("b4", {(1, 1): 1})]
-    ),
-}
-
-
-def versal_unfold(name: str) -> Unfolding:
-    """The catalogue versal unfolding of the class ``name``.
-
-    Raises for Regular, Morse, and Unclassified: only the five catalogue
-    classes carry a tabulated unfolding.
-    """
-    if name not in CATALOGUE:
-        raise ValueError(f"no versal unfolding for {name!r}")
-    return Unfolding(normal_form(name), _UNFOLDINGS[name], CATALOGUE[name].codim)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A semisheaf holds a carrier of class indices and one polynomial germ per
 class; only this module knows that layout, and a ``Section`` (index,
 side, germ) is the view of one class, built when read.  The carrier is a
-``tower.Carrier``, checked once against its tower: one derived by
-restriction or truncation holds by construction, and only a carrier made
-from raw sections or indices is checked class by class.  The morphisms
+``tower.Carrier``, which names the sheaf's tower and was checked against
+it once, when ``Carrier(indices, tower)`` built it; one derived by
+restriction or truncation holds by construction.  The morphisms
 here, tuple work on the carrier and the germs, are the workhorses of the
 whole engine: endomorphism splits, emergent orthogonal projection, the
 differential shift, biquantum moves and singularity injection.
@@ -59,36 +59,19 @@ class Semisheaf(Record):
     tags; ``sections`` builds ``Section`` views when read.  Which part of a
     split a sheaf is (reduced or orthogonal) is its place, not a tag.
 
-    ``__init__`` takes sections; ``over`` and ``replace`` take a carrier
-    and germs.  Each build ends in ``__post_init__``, which checks the tags
-    and that the carrier is a ``Carrier`` of the sheaf's tower.  Any other
-    carrier, such as one made from sections, is checked class by class and
-    stored as a ``Carrier``; one derived from a checked carrier is not
-    checked again.  The benchmark's tracer counts sheaf builds by wrapping
-    ``__post_init__``.
+    ``Semisheaf(side, level, nature, carrier, germs)`` is the one
+    constructor; ``replace`` builds through it.  The tower is the
+    carrier's, and sheaves over equal classes of different towers differ.
+    Each build ends in ``__post_init__``, which checks the tags, the
+    carrier's type and one germ per class; the benchmark's tracer counts
+    sheaf builds by wrapping it.
     """
 
-    __slots__ = ("side", "level", "nature", "tower", "carrier", "germs")
+    __slots__ = ("side", "level", "nature", "carrier", "germs")
 
-    def __init__(
-        self, side: str, level: str, nature: str, tower: Tower, sections: tuple[Section, ...]
-    ):
-        ordered = sorted(sections, key=lambda sec: sec.index)
-        if any(sec.side != side for sec in ordered):
-            raise ValueError("section side disagrees with the semisheaf side")
-        carrier = tuple(sec.index for sec in ordered)
-        germs = tuple(sec.germ for sec in ordered)
-        super().__init__(side, level, nature, tower, carrier, germs)
+    def __init__(self, side: str, level: str, nature: str, carrier: Carrier, germs: tuple):
+        super().__init__(side, level, nature, carrier, germs)
         self.__post_init__()
-
-    @classmethod
-    def over(cls, side, level, nature, tower, carrier, germs):
-        """``Semisheaf(...)`` with a sorted ``carrier`` of class indices and
-        one germ per class of it in ``germs`` in place of the sections."""
-        s = object.__new__(cls)
-        Record.__init__(s, side, level, nature, tower, carrier, germs)
-        s.__post_init__()
-        return s
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -97,15 +80,22 @@ class Semisheaf(Record):
             raise ValueError(f"bad level {self.level!r}")
         if self.nature not in NATURES:
             raise ValueError(f"bad nature {self.nature!r}")
-        carrier = self.carrier
-        if len(self.germs) != len(carrier):
+        if not isinstance(self.carrier, Carrier):
+            raise TypeError("a semisheaf's carrier is a tower.Carrier")
+        if len(self.germs) != len(self.carrier):
             raise ValueError("a semisheaf holds one germ per carrier class")
-        if not (isinstance(carrier, Carrier) and carrier.tower == self.tower):
-            object.__setattr__(self, "carrier", Carrier(carrier, self.tower))
+
+    @property
+    def tower(self) -> Tower:
+        return self.carrier.tower
+
+    def _values(self) -> tuple:
+        # a Carrier compares as a plain tuple, so its tower joins the fields
+        return (*super()._values(), self.tower)
 
     def replace(self, **changes) -> "Semisheaf":
         """A copy with some fields changed, checked like a new semisheaf."""
-        return self.over(**dict(zip(self.__slots__, self._values()), **changes))
+        return type(self)(**dict(zip(self.__slots__, super()._values()), **changes))
 
     def __len__(self) -> int:
         return len(self.carrier)
@@ -150,7 +140,7 @@ def attach_sections(
 ) -> Semisheaf:
     """One germ per class of the carrier ``classes``: ``germ_template`` of its index."""
     germs = tuple(map(germ_template, classes))
-    return Semisheaf.over(side, level, nature, classes.tower, classes, germs)
+    return Semisheaf(side, level, nature, classes, germs)
 
 
 class Bisemisheaf(Record):
@@ -224,7 +214,7 @@ def _move_bisection(b: Bisemisheaf, at: ClassIndex, delta: int) -> Bisemisheaf:
     # the moved carrier is checked: distinct and inside the tower
     moved = (target if idx == at else idx for idx in right.carrier)
     carrier, germs = zip(*sorted(zip(moved, right.germs), key=lambda pair: pair[0]))
-    return Bisemisheaf(right.replace(carrier=carrier, germs=germs))
+    return Bisemisheaf(right.replace(carrier=Carrier(carrier, right.tower), germs=germs))
 
 
 def create_biquantum(b: Bisemisheaf, at: ClassIndex) -> Bisemisheaf:

@@ -18,7 +18,6 @@ import numpy as np
 from germtower import (
     CATALOGUE,
     Germ,
-    Section,
     Semisheaf,
     TowerConfig,
     annihilate_biquantum,
@@ -51,7 +50,7 @@ from germtower.germs import (
 )
 from germtower.pipeline import PipelineConfig
 from germtower.sheaves import TIME
-from germtower.tower import ClassIndex, LEFT, RIGHT
+from germtower.tower import Carrier, ClassIndex, LEFT, RIGHT
 
 from conftest import record_acceptance
 
@@ -261,9 +260,7 @@ def _single_bisection(rng):
     at = ClassIndex(rng.randint(1, depth - 1), 1)
 
     def one(side):
-        return Semisheaf(
-            side, ST, TIME, tower, (Section(at, side, Germ.monomial(1, (2,))),)
-        )
+        return Semisheaf(side, ST, TIME, Carrier((at,), tower), (Germ.monomial(1, (2,)),))
 
     return tensor(one(RIGHT), one(LEFT)), at
 

@@ -143,7 +143,7 @@ def one_class_over(germs, depth=6):
     tower = build_tower(TowerConfig(2, 1, depth))
     carrier = tower.class_indices()
     cycled = tuple(germs[i % len(germs)] for i in range(len(carrier)))
-    return Semisheaf.over(RIGHT, ST, SPACE_SHIFTED, tower, carrier, cycled)
+    return Semisheaf(RIGHT, ST, SPACE_SHIFTED, carrier, cycled)
 
 
 def test_one_catalogue_class_has_one_degree_and_one_coverage_fraction():
@@ -178,7 +178,7 @@ def test_deform_rejects_a_base_of_two_classes():
 
 
 def test_deform_rejects_an_empty_base():
-    empty = space_sheaf().replace(carrier=(), germs=())
+    empty = space_sheaf().restrict(())  # keeps no class
     with pytest.raises(ValueError, match="one catalogue class, found 0"):
         deform(empty)
 

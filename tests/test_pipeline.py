@@ -712,6 +712,35 @@ def test_a_lost_mode_fails_level_bijection(monkeypatch, tmp_path, capsys):
             assert "FAILED diagnostic: level_bijection" in capsys.readouterr().err
 
 
+def test_a_stray_class_in_a_covering_part_fails_level_bijection(monkeypatch):
+    import germtower.blowup as blowup_module
+    from germtower.bisemigroup import ST
+    from germtower.tower import Carrier
+
+    endo_split = blowup_module.endo_split
+    ground = ClassIndex(1, 1)
+
+    def straying(s, mask):
+        # each covering level's orthogonal part holds (1,1), a class the
+        # covering does not hold, in place of its first class: the counts
+        # still agree and the parts stay disjoint
+        reduced, complementary = endo_split(s, mask)
+        if s.level == ST or not complementary:
+            return reduced, complementary
+        carrier = Carrier((ground, *complementary.carrier[1:]), complementary.tower)
+        return reduced, complementary.replace(carrier=carrier)
+
+    monkeypatch.setattr(blowup_module, "endo_split", straying)
+    golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
+    report = run_pipeline(golden)
+    for record in report.records[1:]:
+        assert ground in record.parts[1].carrier and ground not in record.weil
+        assert len(record.weil) == record.mode_pair_count() and not record.bijection_holds()
+    passed = _passed(report)
+    assert not passed.pop("level_bijection")
+    assert all(passed.values())
+
+
 def test_a_complementary_part_keeping_every_class_fails_split_partition(monkeypatch):
     import germtower.blowup as blowup_module
 

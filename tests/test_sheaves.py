@@ -72,27 +72,19 @@ def test_section_validation():
 
 
 def test_semisheaf_rejects_duplicates_and_strays():
+    # the carrier is checked as it is built: sorted, distinct, in the tower
     tower = small_tower(2)
-    sec = Section(ClassIndex(1, 1), RIGHT, Germ.zero(1))
-    with pytest.raises(ValueError):
-        Semisheaf(RIGHT, ST, TIME, tower, (sec, sec))
-    stray = Section(ClassIndex(5, 1), RIGHT, Germ.zero(1))
-    with pytest.raises(ValueError):
-        Semisheaf(RIGHT, ST, TIME, tower, (stray,))
-    wrong_side = Section(ClassIndex(1, 1), LEFT, Germ.zero(1))
-    with pytest.raises(ValueError):
-        Semisheaf(RIGHT, ST, TIME, tower, (wrong_side,))
-    # the carrier form is checked the same way, and must come sorted
     one, two, zero = ClassIndex(1, 1), ClassIndex(2, 1), Germ.zero(1)
-    assert Semisheaf.over(RIGHT, ST, TIME, tower, (one, two), (zero, zero)).carrier == (one, two)
-    for carrier, germs in (
-        ((one, one), (zero, zero)),
-        ((two, one), (zero, zero)),
-        ((ClassIndex(5, 1),), (zero,)),
-        ((one, two), (zero,)),
-    ):
+    s = Semisheaf(RIGHT, ST, TIME, Carrier((one, two), tower), (zero, zero))
+    assert s.carrier == (one, two) and s.tower is tower
+    for indices in ((one, one), (two, one), (ClassIndex(5, 1),)):
         with pytest.raises(ValueError):
-            Semisheaf.over(RIGHT, ST, TIME, tower, carrier, germs)
+            Carrier(indices, tower)
+    with pytest.raises(ValueError, match="one germ per carrier class"):
+        Semisheaf(RIGHT, ST, TIME, Carrier((one, two), tower), (zero,))
+    # a raw tuple of indices names no tower
+    with pytest.raises(TypeError, match="tower.Carrier"):
+        Semisheaf(RIGHT, ST, TIME, (one, two), (zero, zero))
 
 
 @pytest.mark.parametrize(
@@ -108,19 +100,13 @@ def test_semisheaf_rejects_a_bad_tag(tags, error):
     tower = small_tower(2)
     carrier, germs = tower.class_indices(), (Germ.zero(1),) * 2
     with pytest.raises(ValueError, match=f"^{error}$"):
-        Semisheaf.over(side, level, nature, tower, carrier, germs)
+        Semisheaf(side, level, nature, carrier, germs)
 
 
 def test_a_checked_carrier_is_checked_once(monkeypatch):
     tower = small_tower(4, (1, 2, 1, 1))
     s = attach_sections(tower.class_indices(), RIGHT, ST, TIME, quad)
-    assert isinstance(s.carrier, Carrier) and s.carrier.tower is tower
-    # a raw carrier is checked class by class and stored checked
-    raw = Semisheaf.over(RIGHT, ST, TIME, tower, tuple(s.carrier), s.germs)
-    assert isinstance(raw.carrier, Carrier) and raw.carrier == s.carrier
-    # a carrier of another tower is checked again, against the sheaf's own
-    with pytest.raises(ValueError, match="outside the tower rectangle"):
-        s.replace(tower=small_tower(2))
+    assert isinstance(s.carrier, Carrier) and s.tower is s.carrier.tower is tower
     with pytest.raises(ValueError, match="outside the tower rectangle"):
         Carrier(s.carrier, small_tower(2))
     with pytest.raises(ValueError, match="duplicate or unsorted"):
@@ -134,20 +120,10 @@ def test_a_checked_carrier_is_checked_once(monkeypatch):
     short = s.carrier.truncated(2)
     assert short == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
     assert short.tower == tower.truncated(2)
-    cut = s.replace(tower=short.tower, carrier=short, germs=s.germs[: len(short)])
-    assert shift(emergent_project(upper)).carrier == upper.carrier and len(cut) == 3
+    cut = s.replace(carrier=short, germs=s.germs[: len(short)])
+    assert cut.tower == short.tower and len(cut) == 3
+    assert shift(emergent_project(upper)).carrier == upper.carrier
     assert calls == []
-
-
-def test_sections_sorted_on_construction():
-    tower = small_tower(2, (1, 2))
-    secs = [
-        Section(ClassIndex(2, 2), RIGHT, Germ.zero(1)),
-        Section(ClassIndex(1, 1), RIGHT, Germ.zero(1)),
-        Section(ClassIndex(2, 1), RIGHT, Germ.zero(1)),
-    ]
-    s = Semisheaf(RIGHT, ST, TIME, tower, tuple(secs))
-    assert s.carrier == (ClassIndex(1, 1), ClassIndex(2, 1), ClassIndex(2, 2))
 
 
 def test_carrier_form_copies_restricts_and_maps():
@@ -189,6 +165,20 @@ def test_tensor_requires_matching_pair():
     # nor is one that differs only in one tag
     with pytest.raises(ValueError):
         tensor(r, l.replace(level=MG))
+
+
+def test_sheaves_over_equal_classes_of_different_towers_differ():
+    # (1,1) and (2,1) lie in both towers, whose offsets differ
+    classes = (ClassIndex(1, 1), ClassIndex(2, 1))
+    one, other = (build_tower(TowerConfig(3, offset, 2)) for offset in (0, 1))
+    germs = (quad(classes[0]), quad(classes[1]))
+    r, r_other = (Semisheaf(RIGHT, ST, TIME, Carrier(classes, t), germs) for t in (one, other))
+    assert r.carrier == r_other.carrier and r.germs == r_other.germs
+    assert r != r_other and hash(r) != hash(r_other)
+    assert r == r_other.replace(carrier=Carrier(classes, one))
+    with pytest.raises(ValueError, match="the same sections, tower and tags"):
+        tensor(r, r_other.replace(side=LEFT))
+    assert tensor(r, r.replace(side=LEFT)).left.tower == one
 
 
 def test_default_reduce_keeps_lower_half():
@@ -248,13 +238,9 @@ def test_shift_two_variable_first_var():
 
 def partial_bisheaf(depth=4, present=(1, 3)):
     """A bisemisheaf occupying only the listed mu slots."""
-    tower = small_tower(depth)
-    def build(side):
-        secs = tuple(
-            Section(ClassIndex(mu, 1), side, Germ.monomial(1, (2,))) for mu in present
-        )
-        return Semisheaf(side, ST, TIME, tower, secs)
-    return tensor(build(RIGHT), build(LEFT))
+    carrier = Carrier((ClassIndex(mu, 1) for mu in present), small_tower(depth))
+    right = Semisheaf(RIGHT, ST, TIME, carrier, (Germ.monomial(1, (2,)),) * len(carrier))
+    return tensor(right, right.replace(side=LEFT))
 
 
 def test_create_biquantum_moves_up_one_class():
@@ -276,8 +262,8 @@ def test_biquantum_move_reorders_the_carrier():
     # (1,1) moves to (2,1), past (1,2); its germ moves with it
     tower = small_tower(2, (2, 1))
     square, cube = Germ.monomial(1, (2,)), Germ.monomial(1, (3,))
-    secs = (Section(ClassIndex(1, 1), RIGHT, square), Section(ClassIndex(1, 2), RIGHT, cube))
-    b = Bisemisheaf(Semisheaf(RIGHT, ST, TIME, tower, secs))
+    carrier = Carrier((ClassIndex(1, 1), ClassIndex(1, 2)), tower)
+    b = Bisemisheaf(Semisheaf(RIGHT, ST, TIME, carrier, (square, cube)))
     out = create_biquantum(b, ClassIndex(1, 1))
     assert out.right.carrier == (ClassIndex(1, 2), ClassIndex(2, 1))
     assert out.right.germs == (cube, square) and out.left.germs == (cube, square)
