@@ -7,7 +7,9 @@ label) and interaction (mixed label) terms.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+from .tower import Record
 
 # Level tags, inner to outer.  Expansion output is ordered by this sequence.
 ST = "ST"
@@ -19,16 +21,10 @@ FREE = "free"
 INTERACTION = "interaction"
 
 
-class LabeledTerm(NamedTuple):
+class LabeledTerm(Record):
     """One term of an expanded product of labeled sums."""
 
-    right_label: str
-    left_label: str
-    kind: str
-
-
-def _tag_key(tag: str) -> tuple[int, str]:
-    return (LEVELS.index(tag) if tag in LEVELS else len(LEVELS), tag)
+    __slots__ = ("right_label", "left_label", "kind")
 
 
 def _sorted_tags(tags: Sequence[str], side: str) -> list[str]:
@@ -37,15 +33,19 @@ def _sorted_tags(tags: Sequence[str], side: str) -> list[str]:
         raise ValueError(f"{side} part list is empty")
     if len(set(tags)) != len(tags):
         raise ValueError(f"duplicate {side} tag in {tags}")
-    return sorted(tags, key=_tag_key)
+    for tag in tags:
+        if tag not in LEVELS:
+            raise ValueError(f"{side} tag {tag!r} is not a level tag: {', '.join(LEVELS)}")
+    return sorted(tags, key=LEVELS.index)
 
 
 def expand_sum_product(right_tags: Sequence[str], left_tags: Sequence[str]) -> list[LabeledTerm]:
     """Expand (sum of right parts) x (sum of left parts), each part named by
     its tag, into labeled terms.
 
-    Free terms (equal labels on both sides) come first, then interaction
-    terms, each block ordered by level tag.
+    Each side holds distinct level tags (``LEVELS``), so there are at most
+    nine terms.  Free terms (equal labels on both sides) come first, then
+    interaction terms, each block ordered by level tag.
     """
     rights = _sorted_tags(right_tags, "right")
     lefts = _sorted_tags(left_tags, "left")

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import bisect
 from operator import not_
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bisemigroup import LEVELS, M, MG, ST
 from .germs import (
     CATALOGUE,
     FOLD,
-    Germ,
     SingularityClass,
     classify_germ,
     format_germ,
@@ -41,10 +40,10 @@ from .sheaves import (
     endo_split,
     inject_singularity,
 )
-from .tower import Carrier, ClassIndex, Tower
+from .tower import Carrier, ClassIndex, Record, Tower
 
 
-class DeformedBundle(NamedTuple):
+class DeformedBundle(Record):
     """A base of one catalogue class with its versal fiber of monomial germs.
 
     ``fiber`` holds the (slot name, monomial germ) pairs of the base class's
@@ -52,8 +51,7 @@ class DeformedBundle(NamedTuple):
     monomial is constant over the base.
     """
 
-    base: Semisheaf
-    fiber: tuple[tuple[str, Germ], ...]
+    __slots__ = ("base", "fiber")
 
 
 def deform(base: Semisheaf) -> DeformedBundle:
@@ -69,9 +67,8 @@ def deform(base: Semisheaf) -> DeformedBundle:
     return DeformedBundle(base, versal_unfold(classes.pop().name).parameters)
 
 
-class BlowupResult(NamedTuple):
-    covering: Semisheaf
-    fraction: float
+class BlowupResult(Record):
+    __slots__ = ("covering", "fraction")
 
 
 def blow_up(bundle: DeformedBundle) -> BlowupResult:
@@ -135,7 +132,7 @@ def time_space_lift(space: Semisheaf, mask: Sequence) -> tuple[Semisheaf, Semish
 # level generation
 
 
-class Level(NamedTuple):
+class Level(Record):
     """One shell of the cascade: a reduced/orthogonal bisemisheaf pair.
 
     The two parts carry complementary shifted natures (one time, one space),
@@ -146,10 +143,7 @@ class Level(NamedTuple):
     fraction covering each, None on the inner level.
     """
 
-    carrier: Carrier
-    reduced: Bisemisheaf
-    orthogonal: Bisemisheaf | None
-    coverage: tuple[tuple[ClassIndex, ...], float] | None = None
+    __slots__ = ("carrier", "reduced", "orthogonal", "coverage")
 
 
 def _cover_map(lower, upper) -> Iterator[tuple[ClassIndex, ClassIndex]]:
@@ -171,14 +165,12 @@ def _rule_for(cls: SingularityClass) -> int:
     )
 
 
-class LevelPlan(NamedTuple):
+class LevelPlan(Record):
     """A level's sorted classes, in its tower truncated to its depth, and a
     mask byte per class, true where the reduced part keeps it; the others
     make the orthogonal part, which may be empty."""
 
-    label: str
-    carrier: Carrier
-    mask: bytes
+    __slots__ = ("label", "carrier", "mask")
 
     def parts(self) -> tuple[Carrier, Carrier]:
         """The classes of the reduced part and of the orthogonal part."""
@@ -272,7 +264,7 @@ def generate_levels(
             f"on {len(seed)} space sections"
         )
     orthogonal = Bisemisheaf(seed) if seed.carrier else None
-    levels = [Level(base.right.carrier, Bisemisheaf(reduced), orthogonal)]
+    levels = [Level(base.right.carrier, Bisemisheaf(reduced), orthogonal, None)]
     for step in plan[1:]:
         if step.label == M:
             singularity = detect_resingularization(result.covering).name

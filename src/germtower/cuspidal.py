@@ -20,7 +20,7 @@ when read, so a run builds no mirror sheaf, mode or descriptor.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .sheaves import Bisemisheaf, Semisheaf, emergent_project, endo_split
 from .tower import LEFT, Carrier, ClassIndex, Record
@@ -45,14 +45,12 @@ class Mode(Record):
         super().__init__(mu, m, amplitude, sign)
 
 
-class EllipticSemimodule(NamedTuple):
+class EllipticSemimodule(Record):
     """A one-sided sum of semicircle phasor modes: one amplitude per class
     of ``carrier``, with the side's sign; ``modes`` builds ``Mode`` views
     when read."""
 
-    side: str
-    carrier: tuple[ClassIndex, ...]
-    amplitudes: tuple[float, ...]
+    __slots__ = ("side", "carrier", "amplitudes")
 
     @property
     def modes(self) -> tuple[Mode, ...]:
@@ -113,15 +111,13 @@ def bistring_modulus(right_mode, left_mode, samples: Sequence[float]) -> list[fl
     return [abs(r_r * exp(w_r * x) * (r_l * exp(w_l * x))) for x in samples]
 
 
-class WeilDescriptor(NamedTuple):
+class WeilDescriptor(Record):
     """One Weil-side class: an index with its completion degree."""
 
-    mu: int
-    m: int
-    degree: int
+    __slots__ = ("mu", "m", "degree")
 
 
-class LevelRecord(NamedTuple):
+class LevelRecord(Record):
     """A level's Weil side and cuspidal side as index rows.
 
     ``weil`` is the carrier of the Weil side's classes; ``parts`` holds
@@ -132,9 +128,7 @@ class LevelRecord(NamedTuple):
     right one's classes and amplitudes with sign +1.
     """
 
-    label: str
-    weil: Carrier
-    parts: tuple[EllipticSemimodule, ...]
+    __slots__ = ("label", "weil", "parts")
 
     @property
     def weil_side(self) -> tuple[WeilDescriptor, ...]:
@@ -158,7 +152,7 @@ class LevelRecord(NamedTuple):
 
 
 def _mirrored(right: EllipticSemimodule) -> tuple[EllipticSemimodule, EllipticSemimodule]:
-    return right, right._replace(side=LEFT)
+    return right, EllipticSemimodule(LEFT, right.carrier, right.amplitudes)
 
 
 def level_record(

@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .tower import Record
 
@@ -214,15 +214,13 @@ def format_germ(g: Germ) -> str:
 # the catalogue and classification
 
 
-class SingularityClass(NamedTuple):
+class SingularityClass(Record):
     """A catalogue label with its corank and codimension."""
 
-    name: str
-    corank: int
-    codim: int
+    __slots__ = ("name", "corank", "codim")
 
 
-class Unfolding(NamedTuple):
+class Unfolding(Record):
     """A base germ together with its ordered coefficient slots.
 
     ``parameters`` holds (slot name, attached monomial germ) pairs; the slot
@@ -232,8 +230,7 @@ class Unfolding(NamedTuple):
     ``blow_up`` glues and what ``unfold`` adds to the base.
     """
 
-    base: Germ
-    parameters: tuple[tuple[str, Germ], ...]
+    __slots__ = ("base", "parameters")
 
     @property
     def codim(self) -> int:

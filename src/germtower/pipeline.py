@@ -224,12 +224,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
     diagnostics = stage("report", _diagnostics, levels, records, desingularized)
     expansions = stage("report", emit_expansion, [record.label for record in records])
 
-    return Report(
-        config=stage("report", config_to_json, config),
-        records=tuple(records),
-        cascade=cascade,
-        expansions=expansions,
-        diagnostics=diagnostics,
-        levels=levels,
-    )
+    echo = stage("report", config_to_json, config)
+    return Report(echo, tuple(records), cascade, expansions, diagnostics, levels)
 

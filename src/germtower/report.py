@@ -23,10 +23,11 @@ import math
 import os
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blowup import Level, _cover_map
 from .cuspidal import LevelRecord
+from .tower import Record
 
 # Escape table for JSON strings: the quote and the backslash get a backslash,
 # every control character below 0x20 becomes \u00XX; all else passes through.
@@ -91,16 +92,11 @@ def dumps_canonical(obj, pad: str = "") -> str:
     return marks[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + marks[1]
 
 
-class Report(NamedTuple):
+class Report(Record):
     """The report's sections; the level rows are written from ``records`` and
     ``levels``, and the rule is the number of levels."""
 
-    config: dict
-    records: tuple[LevelRecord, ...]
-    cascade: tuple[str, ...]
-    expansions: dict
-    diagnostics: list[dict]
-    levels: tuple[Level, ...]
+    __slots__ = ("config", "records", "cascade", "expansions", "diagnostics", "levels")
 
     def all_diagnostics_passed(self) -> bool:
         return all(d["passed"] for d in self.diagnostics)

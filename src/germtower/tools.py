@@ -27,6 +27,7 @@ from .pipeline import emit_expansion
 from .report import dumps_canonical, write_output
 from .tower import (
     LEFT,
+    MAX_CLASSES,
     RIGHT,
     ClassIndex,
     TowerConfig,
@@ -114,8 +115,8 @@ _MODE_KEYS = {"mu", "m", "amplitude", "sign"}
 
 
 def _semimodule_from_json(data) -> EllipticSemimodule:
-    """The semimodule of a non-empty JSON list of modes: integer mu, m and
-    one shared sign, finite amplitudes.
+    """The semimodule of a non-empty JSON list of at most ``MAX_CLASSES``
+    modes: integer mu, m and one shared sign, finite amplitudes.
 
     ``mu`` must fit a float, as evaluation multiplies it into a phase.
     """
@@ -123,6 +124,10 @@ def _semimodule_from_json(data) -> EllipticSemimodule:
         raise ValueError("the modes file must hold a JSON list of modes")
     if not data:
         raise ValueError("the modes file holds no modes")
+    if len(data) > MAX_CLASSES:
+        raise ValueError(
+            f"the modes file holds {len(data)} modes, beyond the budget of {MAX_CLASSES}"
+        )
     modes = []
     for item in data:
         if not isinstance(item, dict) or any(
@@ -155,14 +160,20 @@ def _semimodule_from_json(data) -> EllipticSemimodule:
 # ended; the bound is fixed, not a setting.
 MAX_SAMPLES = 100_000
 
+# The most mode evaluations, points times modes, of one ``sample_rows``
+# call: each takes about 0.5 us, so the budget is a few seconds of work.
+# The bound is fixed, not a setting.
+MAX_MODE_EVALUATIONS = MAX_SAMPLES * 100
+
 
 def sample_rows(
     esm: EllipticSemimodule, n: int, x0: float, x1: float
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the semimodule on n evenly spaced points of [x0, x1].
 
-    ``n`` may not exceed ``MAX_SAMPLES``.  A value that leaves the float
-    range, in a part or in its modulus, raises ValueError naming the point.
+    ``n`` may not exceed ``MAX_SAMPLES``, nor ``n`` times the mode count
+    ``MAX_MODE_EVALUATIONS``.  A value that leaves the float range, in a
+    part or in its modulus, raises ValueError naming the point.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -172,6 +183,12 @@ def sample_rows(
         raise ValueError(f"sample range must be finite, got [{x0}, {x1}]")
     if n > 1 and not x1 > x0:
         raise ValueError("degenerate sample range: need x1 > x0")
+    modes = len(esm.carrier)
+    if n * modes > MAX_MODE_EVALUATIONS:
+        raise ValueError(
+            f"{n} samples of {modes} modes exceed the budget of "
+            f"{MAX_MODE_EVALUATIONS} mode evaluations"
+        )
     rows = []
     for i in range(n):
         x = x0 if n == 1 else x0 + i * (x1 - x0) / (n - 1)

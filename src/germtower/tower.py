@@ -5,8 +5,8 @@ equivalent completions on the left and on the right side.  Completions are
 pure bookkeeping objects: each one is identified by its class index and an
 integer degree ``offset + mu * N`` where ``N`` is the quantum size.  Every
 degree in a tower is therefore congruent to the offset modulo ``N``.
-``Record``, the base of every validated record, fills its fields in one
-constructor.
+``Record``, the base of every record but ``ClassIndex``, fills its fields in
+one constructor.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def require(ok: bool, field: str, form: str, value) -> None:
 
 
 class Record:
-    """Base of the validated immutable records.
+    """Base of the immutable records.
 
-    A subclass lists its fields in ``__slots__``, takes them as the
-    ``__init__`` parameters of the same names and order, validates them and
-    passes them on to ``Record.__init__``, which fills the slots in order;
-    assigning to a field afterwards raises AttributeError.
+    A subclass lists its fields in ``__slots__``.  ``Record.__init__`` fills
+    them in order; a subclass that validates takes them as the ``__init__``
+    parameters of the same names and order, checks them and passes them on.
+    Assigning to a field afterwards raises AttributeError.
     Records are equal only to records of the same type with equal fields,
     and hash and print by their fields.
     """
@@ -84,7 +84,11 @@ class Record:
 
 
 class ClassIndex(NamedTuple):
-    """Position ``(mu, m)`` inside a tower's index rectangle."""
+    """Position ``(mu, m)`` inside a tower's index rectangle.
+
+    The one record that is a tuple: carriers sort and bisect it against
+    plain tuples, and callers unpack it as ``mu, m``.
+    """
 
     mu: int
     m: int
@@ -198,8 +202,8 @@ class TowerConfig(Record):
         super().__init__(quantum_modulus, offset, depth, multiplicity, dilation)
 
 
-class Tower(NamedTuple):
-    config: TowerConfig
+class Tower(Record):
+    __slots__ = ("config",)
 
     @property
     def quantum_modulus(self) -> int:

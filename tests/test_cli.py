@@ -33,8 +33,8 @@ from germtower.cli import (
 )
 from germtower.config import config_from_json, load_json
 from germtower.pipeline import PipelineConfig, Report, run_pipeline
-from germtower.tools import MAX_SAMPLES
-from germtower.tower import TowerConfig, tower_config_to_json
+from germtower.tools import MAX_MODE_EVALUATIONS, MAX_SAMPLES
+from germtower.tower import MAX_CLASSES, TowerConfig, tower_config_to_json
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1017,6 +1017,98 @@ def test_expand_counts(capsys):
     assert "total 4 = 2 free + 2 interaction" in out
 
 
+def test_expand_takes_only_the_level_tags(capsys, monkeypatch):
+    import germtower.bisemigroup as bisemigroup
+
+    built = []
+    monkeypatch.setattr(bisemigroup, "LabeledTerm", lambda *args: built.append(args))
+    thousand = ",".join(f"T{i}" for i in range(1000))
+    for levels, tag in (("ST,X", "X"), (thousand, "T0")):
+        code, out, err = run_cli(capsys, "expand", "--levels", levels)
+        assert (code, out, built) == (EXIT_CONFIG, "", [])
+        assert err == f"configuration error: right tag {tag!r} is not a level tag: ST, MG, M\n"
+
+
+# Usage errors and their exact stderr.  An unknown flag is reported with the
+# top-level usage (TOP_USAGE); each subcommand maps to the flags of one more
+# error, a flag left without its value or a required flag left out, which is
+# reported with the subcommand's own usage.
+TOP_USAGE = (
+    "usage: germtower [-h]\n"
+    "                 {tower,classify,unfold,levels,correspond,expand,samples} ...\n"
+    "germtower: error: unrecognized arguments: --bogus\n"
+)
+USAGE_ERRORS = {
+    "tower": (
+        ("--depth",),
+        "usage: germtower tower [-h] [--modulus QUANTUM_MODULUS] [--offset OFFSET]\n"
+        "                       [--depth DEPTH] [--multiplicity MULTIPLICITY]\n"
+        "                       [--complex-multiplicity COMPLEX_MULTIPLICITY]\n"
+        "                       [--config CONFIG] [--out OUT]\n"
+        "germtower tower: error: argument --depth: expected one argument\n",
+    ),
+    "classify": (
+        ("--file",),
+        "usage: germtower classify [-h] [--file FILE]\n"
+        "germtower classify: error: argument --file: expected one argument\n",
+    ),
+    "unfold": (
+        ("--name",),
+        "usage: germtower unfold [-h] [--name NAME] [--germ GERM]\n"
+        "germtower unfold: error: argument --name: expected one argument\n",
+    ),
+    "levels": (
+        ("--reduce",),
+        "usage: germtower levels [-h] [--modulus QUANTUM_MODULUS] [--offset OFFSET]\n"
+        "                        [--depth DEPTH] [--multiplicity MULTIPLICITY]\n"
+        "                        [--complex-multiplicity COMPLEX_MULTIPLICITY]\n"
+        "                        [--scenario SCENARIO] [--reduce REDUCE]\n"
+        "                        [--orth-dims ORTH_DIMS] [--amplitude AMPLITUDE]\n"
+        "                        [--covering-depths COVERING_DEPTHS] [--even-classes]\n"
+        "                        [--config CONFIG]\n"
+        "germtower levels: error: argument --reduce: expected one argument\n",
+    ),
+    "correspond": (
+        ("--out",),
+        "usage: germtower correspond [-h] [--modulus QUANTUM_MODULUS] [--offset OFFSET]\n"
+        "                            [--depth DEPTH] [--multiplicity MULTIPLICITY]\n"
+        "                            [--complex-multiplicity COMPLEX_MULTIPLICITY]\n"
+        "                            [--scenario SCENARIO] [--reduce REDUCE]\n"
+        "                            [--orth-dims ORTH_DIMS] [--amplitude AMPLITUDE]\n"
+        "                            [--covering-depths COVERING_DEPTHS]\n"
+        "                            [--even-classes] [--config CONFIG] [--out OUT]\n"
+        "germtower correspond: error: argument --out: expected one argument\n",
+    ),
+    "expand": (
+        (),
+        "usage: germtower expand [-h] --levels LEVELS\n"
+        "germtower expand: error: the following arguments are required: --levels\n",
+    ),
+    "samples": (
+        (),
+        "usage: germtower samples [-h] --modes-file MODES_FILE [--n N] [--x0 X0]\n"
+        "                         [--x1 X1] [--csv CSV]\n"
+        "germtower samples: error: the following arguments are required: --modes-file\n",
+    ),
+}
+# the flags that let each subcommand parse, so --bogus is its only error
+REQUIRED = {"expand": ("--levels", "ST"), "samples": ("--modes-file", "modes.json")}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
+def test_a_usage_error_prints_its_usage_and_exits_2(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+    flags, usage = USAGE_ERRORS[command]
+    for argv, err in (
+        ((command, *REQUIRED.get(command, ()), "--bogus"), TOP_USAGE),
+        ((command, *flags), usage),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", err)
+
+
 def test_samples_to_stdout_and_file(capsys, tmp_path):
     modes = tmp_path / "modes.json"
     modes.write_text(
@@ -1115,6 +1207,33 @@ def test_samples_count_has_a_budget(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert out.count("\n") == MAX_SAMPLES + 1
+
+
+def test_samples_work_has_a_budget(capsys, monkeypatch, tmp_path):
+    import germtower.tools as tools
+
+    mode = {"mu": 1, "m": 1, "amplitude": 1.0, "sign": 1}
+    path, csv_path = tmp_path / "modes.json", tmp_path / "table.csv"
+    evaluated = []
+    monkeypatch.setattr(tools.EllipticSemimodule, "evaluate", lambda esm, x: evaluated.append(x))
+    too_many = f"the modes file holds {MAX_CLASSES + 1} modes, beyond the budget of {MAX_CLASSES}"
+    too_long = (
+        f"{MAX_SAMPLES} samples of 101 modes exceed the budget of "
+        f"{MAX_MODE_EVALUATIONS} mode evaluations"
+    )
+    for modes, n, error in ((MAX_CLASSES + 1, 1, too_many), (101, MAX_SAMPLES, too_long)):
+        path.write_text(json.dumps([mode] * modes))
+        argv = ("samples", "--modes-file", str(path), "--n", str(n), "--csv", str(csv_path))
+        assert run_cli(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: {error}\n")
+        assert evaluated == [] and not csv_path.exists()
+    # both budgets themselves are admitted: MAX_CLASSES modes at as many
+    # points as the evaluation budget allows
+    monkeypatch.setattr(tools.EllipticSemimodule, "evaluate", lambda esm, x: 0j)
+    path.write_text(json.dumps([mode] * MAX_CLASSES))
+    n = MAX_MODE_EVALUATIONS // MAX_CLASSES
+    argv = ("samples", "--modes-file", str(path), "--n", str(n), "--csv", str(csv_path))
+    assert run_cli(capsys, *argv) == (EXIT_OK, "", "")
+    assert csv_path.read_text().count("\n") == n + 1
 
 
 @pytest.mark.parametrize("depth", [1_000, 50_000])

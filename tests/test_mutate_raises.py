@@ -1,6 +1,7 @@
 """The raise and compare passes of ``devtools/mutate_raises.py`` on toy trees."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -147,3 +148,18 @@ def test_the_compare_pass_and_its_equivalents(tmp_path, monkeypatch):
     assert mutants[1]["status"] == "killed" and "reason" not in mutants[1]
     # a listed mutant that was killed is stale; one that was not run is not
     assert stale == [listed[1]]
+
+
+def test_each_listed_equivalent_is_a_site_at_its_line():
+    # a listed line that moved would drop out of the next mutation run as a
+    # stale entry, and the mutant now at that line would be unlisted
+    listed = json.loads(mutate_raises.EQUIVALENTS.read_text(encoding="utf-8"))
+    assert listed
+    for entry in listed:
+        source = (mutate_raises.ROOT / entry["module"]).read_text(encoding="utf-8")
+        mutations = {
+            f"{site.original} -> {site.replacement}"
+            for site in mutate_raises.OPERATORS[entry["operator"]](source)
+            if site.line == entry["line"]
+        }
+        assert entry["mutation"] in mutations, entry

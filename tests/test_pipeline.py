@@ -42,7 +42,7 @@ from germtower.pipeline import (
     _worst_bistring_variance,
     emit_expansion,
 )
-from germtower.report import write_output
+from germtower.report import Report, write_output
 from germtower.tools import MAX_SAMPLES, sample_rows, samples_csv
 from germtower.tower import ClassIndex, LEFT, MAX_CLASSES, RIGHT, Tower, tower_config_from_json
 from test_sweep import SWEEP, load_gen
@@ -555,18 +555,18 @@ def deep_swallowtail():
 
 def test_a_report_builds_no_mode_and_no_weil_descriptor(monkeypatch):
     built = {"modes": 0, "weil": 0}
-    init, new = Mode.__init__, WeilDescriptor.__new__
+    init, weil = Mode.__init__, WeilDescriptor.__init__
 
     def mode_init(self, *args):
         built["modes"] += 1
         init(self, *args)
 
-    def weil_new(cls, *args):
+    def weil_init(self, *args):
         built["weil"] += 1
-        return new(cls, *args)
+        weil(self, *args)
 
     monkeypatch.setattr(Mode, "__init__", mode_init)
-    monkeypatch.setattr(WeilDescriptor, "__new__", weil_new)
+    monkeypatch.setattr(WeilDescriptor, "__init__", weil_init)
     golden = config_from_json(json.loads((DATA_DIR / "golden_config.json").read_text()))
     for config in (golden, deep_swallowtail()):
         report = run_pipeline(config)
@@ -684,7 +684,7 @@ def test_a_lost_mode_fails_level_bijection(monkeypatch, tmp_path, capsys):
 
     def lossy(*args):
         module = compactify(*args)
-        return module._replace(carrier=module.carrier[1:], amplitudes=module.amplitudes[1:])
+        return EllipticSemimodule(module.side, module.carrier[1:], module.amplitudes[1:])
 
     def losing(s, mask):
         # the split loses its first complementary class, which the level's
@@ -943,9 +943,11 @@ def test_a_non_finite_amplitude_cannot_be_written(amplitude):
     report = run_pipeline(make_config())
     record = report.records[0]
     part = record.parts[0]
-    part = part._replace(amplitudes=(amplitude,) + part.amplitudes[1:])
-    record = record._replace(parts=(part,) + record.parts[1:])
-    report = report._replace(records=(record,) + report.records[1:])
+    part = EllipticSemimodule(part.side, part.carrier, (amplitude,) + part.amplitudes[1:])
+    record = LevelRecord(record.label, record.weil, (part,) + record.parts[1:])
+    records = (record,) + report.records[1:]
+    rest = report.cascade, report.expansions, report.diagnostics, report.levels
+    report = Report(report.config, records, *rest)
     with pytest.raises(ValueError, match="reports may not contain NaN or infinity"):
         report.json_text()
 
